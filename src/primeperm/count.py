@@ -4,8 +4,11 @@ Valid permutations are exactly the permutation matrices dominated by the
 0/1 matrix M with M[i][j] = 1 iff i + j is prime, so the solution count
 is the permanent of M. Three independent routes compute it: exhaustive
 search over permutations (the desk-scale oracle), subset dynamic
-programming, and Ryser inclusion-exclusion. Counts are plain Python
-ints: they outgrow 64 bits quickly, and n! already does at n = 21.
+programming, and Ryser inclusion-exclusion. The last two use parity to
+reduce per(M) to per(A) ** 2 for a half-size block A (see _half_rows);
+the oracle stays on the full matrix as a check of that reduction. Counts
+are plain Python ints: they outgrow 64 bits quickly, and n! already does
+at n = 21.
 """
 
 import itertools
@@ -19,8 +22,6 @@ from .primes import PrimeSieve, SieveRangeError, build_sieve
 DEFAULT_NAIVE_CAP = 10
 DEFAULT_DP_CAP = 26
 DEFAULT_RYSER_CAP = 24
-# The auto selector hands anything above this to the DP method.
-AUTO_NAIVE_MAX = 8
 
 METHODS = ("naive", "dp", "ryser", "auto")
 
@@ -116,26 +117,45 @@ def count_solutions_naive(
     return _count_backtracking(adjacency.rows, n)
 
 
-def count_solutions_dp(n: int, sieve: PrimeSieve, *, cap: int = DEFAULT_DP_CAP) -> int:
-    """Count solutions as the permanent of the adjacency matrix via
-    subset dynamic programming.
+def _half_rows(n: int, sieve: PrimeSieve) -> tuple[int, ...]:
+    """Bitset rows of A, the odd-row x even-column block of the prime-sum
+    matrix, with count(n) = per(A) ** 2.
 
-    ways(S) = number of ways to assign positions 1..|S| onto exactly the
-    column set S; ways(S) = sum over allowed j in S of ways(S - {j}).
-    Subsets are processed in layers of equal population count so only two
-    layers are resident at once (peak memory is the central binomial
-    coefficient, not a 2^n table).
+    Every prime above 2 is odd, so i + pi(i) prime forces i and pi(i) to
+    have opposite parity, except for 1 -> 1 (sum 2). For even n, 1 -> 1
+    would leave n/2 - 1 odd positions for the n/2 even values, which only
+    odd positions can take: A has rows 1, 3, ..., n-1 and columns
+    2, 4, ..., n. For odd n the odd positions outnumber the even values by
+    one, so 1 -> 1 is forced: A has rows 3, 5, ..., n and columns
+    2, 4, ..., n-1. The even-row x odd-column block is A transposed (the
+    matrix is symmetric), and the two blocks are matched independently.
+    Bit c of a row is set iff the row index plus 2(c + 1) is prime.
+    """
+    _require_cover(n, sieve)
+    return tuple(
+        sum(1 << c for c in range(n // 2) if sieve.is_prime(i + 2 * c + 2))
+        for i in range(3 if n % 2 else 1, n + 1, 2)
+    )
+
+
+def count_solutions_dp(n: int, sieve: PrimeSieve, *, cap: int = DEFAULT_DP_CAP) -> int:
+    """Count solutions as per(A) ** 2 (see _half_rows), with the permanent
+    of the m x m block A, m = n // 2, computed by subset dynamic
+    programming.
+
+    ways(S) = number of ways to assign the first |S| rows of A onto
+    exactly the column set S; ways(S) = sum over allowed j in S of
+    ways(S - {j}). Subsets are processed in layers of equal population
+    count so only two layers are resident at once (peak memory is the
+    central binomial coefficient C(m, m // 2), not a 2^m table).
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
     if n > cap:
         raise MethodCapError(f"dp counting is capped at n = {cap}, got {n}")
-    if n == 0:
-        return 1
-    rows = build_adjacency(n, sieve).rows
+    rows = _half_rows(n, sieve)
     layer = {0: 1}
-    for r in range(n):
-        row = rows[r]
+    for row in rows:
         nxt: dict[int, int] = defaultdict(int)
         for mask, ways in layer.items():
             avail = row & ~mask
@@ -144,42 +164,38 @@ def count_solutions_dp(n: int, sieve: PrimeSieve, *, cap: int = DEFAULT_DP_CAP) 
                 nxt[mask | bit] += ways
                 avail ^= bit
         layer = nxt
-    return layer.get((1 << n) - 1, 0)
+    return layer.get((1 << len(rows)) - 1, 0) ** 2
 
 
-def _ryser_partial(rows: tuple[int, ...], n: int, start: int, stop: int) -> int:
-    """Signed Ryser contribution of subset indices t in [start, stop).
+def count_solutions_ryser(
+    n: int, sieve: PrimeSieve, *, cap: int = DEFAULT_RYSER_CAP
+) -> int:
+    """Count solutions as per(A) ** 2 (see _half_rows), with the permanent
+    of the m x m block A from Ryser's inclusion-exclusion formula:
 
-    The subset visited at step t is gray(t) = t ^ (t >> 1); consecutive
-    steps differ in the single bit (t & -t), so the n running row sums
-    update by +-1 each step and the product term costs O(n).
+        per(A) = sum over column subsets S of (-1)^(m-|S|) prod_i |row_i & S|
+
+    traversed in Gray-code order: step t visits gray(t) = t ^ (t >> 1),
+    which differs from the previous subset in the single bit (t & -t), so
+    the m running row sums update by +-1 and each term costs O(m).
     """
-    state = (start - 1) ^ ((start - 1) >> 1)
-    rowsums = [0] * n
-    mask = state
-    while mask:
-        bit = mask & -mask
-        j = bit.bit_length() - 1
-        for i in range(n):
-            if (rows[i] >> j) & 1:
-                rowsums[i] += 1
-        mask ^= bit
-    populated = state.bit_count()
-
-    acc = 0
-    for t in range(start, stop):
-        j = (t & -t).bit_length() - 1
-        state ^= 1 << j
-        if (state >> j) & 1:
-            populated += 1
-            for i in range(n):
-                if (rows[i] >> j) & 1:
-                    rowsums[i] += 1
-        else:
-            populated -= 1
-            for i in range(n):
-                if (rows[i] >> j) & 1:
-                    rowsums[i] -= 1
+    if n < 0:
+        raise ValueError(f"n must be nonnegative, got {n}")
+    if n > cap:
+        raise MethodCapError(f"ryser counting is capped at n = {cap}, got {n}")
+    rows = _half_rows(n, sieve)
+    m = len(rows)
+    # the empty subset's term is a product of m zero row sums: 1 iff m = 0
+    per = 0 if m else 1
+    rowsums = [0] * m
+    state = 0
+    for t in range(1, 1 << m):
+        bit = t & -t
+        state ^= bit
+        step = 1 if state & bit else -1
+        for i, row in enumerate(rows):
+            if row & bit:
+                rowsums[i] += step
         term = 1
         for v in rowsums:
             if not v:
@@ -187,42 +203,8 @@ def _ryser_partial(rows: tuple[int, ...], n: int, start: int, stop: int) -> int:
                 break
             term *= v
         if term:
-            acc += term if ((n - populated) & 1) == 0 else -term
-    return acc
-
-
-def count_solutions_ryser(
-    n: int,
-    sieve: PrimeSieve,
-    *,
-    cap: int = DEFAULT_RYSER_CAP,
-    parts: int = 1,
-) -> int:
-    """Count solutions via Ryser's inclusion-exclusion permanent formula:
-
-        per(M) = sum over column subsets S of (-1)^(n-|S|) prod_i |row_i & S|
-
-    traversed in Gray-code order. The 2^n - 1 nonempty subsets split into
-    ``parts`` contiguous chunks whose partial sums are independent pure
-    values combined by exact integer addition, so the result cannot
-    depend on the partitioning (chunks can run on parallel workers).
-    """
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
-    if n > cap:
-        raise MethodCapError(f"ryser counting is capped at n = {cap}, got {n}")
-    if parts < 1:
-        raise ValueError(f"parts must be positive, got {parts}")
-    if n == 0:
-        return 1
-    rows = build_adjacency(n, sieve).rows
-    total_steps = (1 << n) - 1
-    parts = min(parts, total_steps)
-    chunk = total_steps // parts
-    bounds = [1 + i * chunk for i in range(parts)] + [total_steps + 1]
-    return sum(
-        _ryser_partial(rows, n, bounds[i], bounds[i + 1]) for i in range(parts)
-    )
+            per += term if (m - state.bit_count()) % 2 == 0 else -term
+    return per**2
 
 
 def count_solutions(
@@ -237,19 +219,17 @@ def count_solutions(
 ) -> int:
     """Dispatch to a counting method.
 
-    "auto" picks naive backtracking for small n and the DP beyond; Ryser
-    runs only when asked for by name (it exists as an independent
-    cross-check, the DP is strictly faster here).
+    "auto" is the DP, the production kernel. Naive backtracking and Ryser
+    run only when asked for by name: they exist as independent
+    cross-checks.
     """
     if method not in METHODS:
         raise ValueError(f"unknown counting method {method!r}; pick from {METHODS}")
-    if method == "auto":
-        method = "naive" if n <= AUTO_NAIVE_MAX else "dp"
     if method == "naive":
         return count_solutions_naive(n, sieve, strict_paper=strict_paper, cap=naive_cap)
-    if method == "dp":
-        return count_solutions_dp(n, sieve, cap=dp_cap)
-    return count_solutions_ryser(n, sieve, cap=ryser_cap)
+    if method == "ryser":
+        return count_solutions_ryser(n, sieve, cap=ryser_cap)
+    return count_solutions_dp(n, sieve, cap=dp_cap)
 
 
 def enumerate_solutions(
@@ -260,14 +240,17 @@ def enumerate_solutions(
     """Yield every valid permutation exactly once, in lexicographic order
     of one-line notation, stopping after ``limit`` items if given.
 
-    Backtracking restricted to adjacency rows, so the walk only ever
-    visits extendable prefixes of valid solutions.
+    Backtracking restricted to adjacency rows. Apart from pinning the
+    image of 1 by parity, it only skips images already used, so it can
+    still descend into prefixes that no solution extends.
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     if limit is not None and limit < 1:
         raise ValueError(f"limit must be positive, got {limit}")
-    rows = build_adjacency(n, sieve).rows
+    rows = list(build_adjacency(n, sieve).rows)
+    # parity (see _half_rows): 1 -> 1 is forced for odd n, impossible for even n
+    rows[0] = 1 if n % 2 else rows[0] & ~1
     image = [0] * n
 
     def extend(pos: int, used: int) -> Iterator[Permutation]:

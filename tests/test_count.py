@@ -1,3 +1,5 @@
+from math import isqrt
+
 import pytest
 
 from primeperm import (
@@ -106,10 +108,20 @@ def test_extended_counts_match_backtracking_oracle(sieve_small):
 
 
 def test_dp_equals_ryser_midrange(sieve_small):
-    for n in range(1, 15):
-        assert count_solutions_dp(n, sieve_small) == count_solutions_ryser(
-            n, sieve_small
+    for n in range(1, 31):
+        assert count_solutions_dp(n, sieve_small, cap=30) == count_solutions_ryser(
+            n, sieve_small, cap=30
         )
+
+
+def test_half_kernels_match_oracle_and_are_squares(sieve_small):
+    # dp and ryser count on the odd x even half matrix; the oracle walks
+    # the full one
+    for n in range(0, 13):
+        count = count_solutions_dp(n, sieve_small)
+        assert count == count_solutions_ryser(n, sieve_small)
+        assert count == len(solutions_by_backtracking(n))
+        assert isqrt(count) ** 2 == count
 
 
 def test_counts_are_positive(sieve_small):
@@ -121,12 +133,6 @@ def test_n_zero_counts_one(sieve_small):
     assert count_solutions_naive(0, sieve_small) == 1
     assert count_solutions_dp(0, sieve_small) == 1
     assert count_solutions_ryser(0, sieve_small) == 1
-
-
-def test_ryser_partition_independent(sieve_small):
-    expected = count_solutions_ryser(11, sieve_small, parts=1)
-    for parts in (2, 3, 7, 16, 100, 5000):
-        assert count_solutions_ryser(11, sieve_small, parts=parts) == expected
 
 
 def test_method_caps(sieve_small):
@@ -198,6 +204,13 @@ def test_enumerate_limit(sieve_small):
     assert len(full) == 9
     assert [p.image for p in enumerate_solutions(6, sieve_small, limit=4)] == full[:4]
     assert len(list(enumerate_solutions(6, sieve_small, limit=100))) == 9
+
+
+def test_enumerate_first_solution_even_n(sieve_small):
+    # even n: the dead subtree under 1 -> 1 is skipped, not searched
+    (first,) = enumerate_solutions(30, sieve_small, limit=1)
+    assert first.image[0] == 2
+    assert is_valid_solution(first, sieve_small)
 
 
 def test_enumerate_preconditions(sieve_small):
