@@ -13,6 +13,8 @@ Exit codes:
 import argparse
 import json
 import sys
+from itertools import compress
+from operator import add, not_
 
 from .construct import (
     NotAPermutationError,
@@ -28,7 +30,7 @@ from .count import (
     enumerate_solutions,
     sequence_table,
 )
-from .primes import build_sieve
+from .primes import PrimeSieve, build_sieve
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -128,9 +130,13 @@ def _add_method_options(p: argparse.ArgumentParser) -> None:
     )
 
 
+def _sieve_for(n: int) -> PrimeSieve:
+    """A sieve covering every sum k + pi(k) of a permutation of 1..n."""
+    return build_sieve(max(2, 2 * n))
+
+
 def _cmd_construct(args) -> int:
-    sieve = build_sieve(max(2, 2 * args.n))
-    perm = construct_prime_sum_permutation(args.n, sieve)
+    perm = construct_prime_sum_permutation(args.n, _sieve_for(args.n))
     if args.format == "json":
         print(_dump(perm.as_json_dict()))
     else:
@@ -139,13 +145,16 @@ def _cmd_construct(args) -> int:
 
 
 def _rounds_table(perm: Permutation) -> str:
-    positions = [str(k) for k in range(1, perm.n + 1)]
-    images = [str(v) for v in perm.image]
-    totals = [str(k + v) for k, v in enumerate(perm.image, start=1)]
-    widths = [max(map(len, column)) for column in zip(positions, images, totals)]
+    ks = range(1, perm.n + 1)
+    positions = list(map(str, ks))
+    images = list(map(str, perm.image))
+    totals = list(map(str, map(add, ks, perm.image)))
+    # Entries are ints >= 1, so k + v has at least the digits of k and of v:
+    # each total is the widest cell of its column.
+    widths = list(map(len, totals))
     lines = []
     for label, cells in (("Round 1", positions), ("Round 2", images), ("Total", totals)):
-        row = "  ".join(cell.rjust(w) for cell, w in zip(cells, widths))
+        row = "  ".join(map(str.rjust, cells, widths))
         lines.append(f"{label:<7} | {row}".rstrip())
     return "\n".join(lines)
 
@@ -172,18 +181,19 @@ def _parse_perm(text: str) -> Permutation:
 
 
 def _cmd_verify(args) -> int:
-    text = args.perm if args.perm is not None else sys.stdin.read()
-    perm = _parse_perm(text)
-    sieve = build_sieve(max(2, 2 * perm.n))
-    sums = [k + v for k, v in enumerate(perm.image, start=1)]
-    prime_flags = [sieve.is_prime(s) for s in sums]
-    composite_at = [k for k, ok in enumerate(prime_flags, start=1) if not ok]
+    # No name keeps the raw input alive: at n = 10^6 it is 7 MB more at the
+    # output, where verify peaks.
+    perm = _parse_perm(args.perm if args.perm is not None else sys.stdin.read())
+    ks = range(1, perm.n + 1)
+    sums = list(map(add, ks, perm.image))
+    flags = _sieve_for(perm.n).prime_flags(sums)
+    composite_at = list(compress(ks, map(not_, flags))) if 0 in flags else []
     if args.format == "json":
         print(
             _dump(
                 {
                     "n": perm.n,
-                    "image": list(perm.image),
+                    "image": perm.image,
                     "sums": sums,
                     "composite_positions": composite_at,
                     "valid": not composite_at,
@@ -191,8 +201,11 @@ def _cmd_verify(args) -> int:
             )
         )
     else:
-        for k, (v, s, ok) in enumerate(zip(perm.image, sums, prime_flags), start=1):
-            print(f"{k} + {v} = {s}  {'prime' if ok else 'composite'}")
+        labels = map(("composite", "prime").__getitem__, flags)
+        # Lazily, line by line: one joined string would delay the first line.
+        sys.stdout.writelines(
+            map("{} + {} = {}  {}\n".format, ks, perm.image, sums, labels)
+        )
         if composite_at:
             print(
                 "invalid: composite totals at positions "
@@ -204,10 +217,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_count(args) -> int:
-    sieve = build_sieve(max(2, 2 * args.n))
     count = count_solutions(
         args.n,
-        sieve,
+        _sieve_for(args.n),
         method=args.method,
         strict_paper=args.strict_paper,
         dp_cap=args.dp_cap,
@@ -221,8 +233,7 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    sieve = build_sieve(max(2, 2 * args.n))
-    for perm in enumerate_solutions(args.n, sieve, limit=args.limit):
+    for perm in enumerate_solutions(args.n, _sieve_for(args.n), limit=args.limit):
         if args.format == "json":
             print(_dump(perm.as_json_dict()), flush=True)
         else:

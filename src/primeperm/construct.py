@@ -8,6 +8,7 @@ block so every position in it sums to that prime.
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from operator import add
 
 from .primes import BertrandViolationError, PrimeSieve, SieveRangeError
 
@@ -30,13 +31,20 @@ class Permutation:
     def __post_init__(self):
         object.__setattr__(self, "image", tuple(self.image))
         n = len(self.image)
+        # A per-element loop on purpose: it measured faster than sort- and
+        # map-based checks at n = 15, 2*10^5 and 10^6 (see README).
+        # n ints in 1..n that mark n distinct slots are a bijection.
         seen = bytearray(n + 1)
         for v in self.image:
-            if not isinstance(v, int) or not 1 <= v <= n or seen[v]:
-                raise NotAPermutationError(
-                    f"{list(self.image)!r} is not a permutation of 1..{n}"
-                )
+            if not isinstance(v, int) or not 0 < v <= n:
+                break
             seen[v] = 1
+        else:
+            if seen.count(1) == n:
+                return
+        raise NotAPermutationError(
+            f"{list(self.image)!r} is not a permutation of 1..{n}"
+        )
 
     @property
     def n(self) -> int:
@@ -59,7 +67,7 @@ class Permutation:
         if not stripped:
             return cls(())
         try:
-            values = tuple(int(piece) for piece in stripped.split(","))
+            values = tuple(map(int, stripped.split(",")))
         except ValueError:
             raise ValueError(
                 f"cannot parse {text!r}: expected comma-separated integers"
@@ -75,9 +83,8 @@ class Permutation:
         if not isinstance(obj, dict) or "n" not in obj or "image" not in obj:
             raise ValueError("permutation JSON must have 'n' and 'image' keys")
         n, image = obj["n"], obj["image"]
-        if not isinstance(image, list) or not all(
-            isinstance(v, int) and not isinstance(v, bool) for v in image
-        ):
+        # Exact for decoded JSON, whose integers are plain ints (not bools).
+        if not isinstance(image, list) or not set(map(type, image)) <= {int}:
             raise ValueError("'image' must be a list of integers")
         if not isinstance(n, int) or n != len(image):
             raise NotAPermutationError(
@@ -139,19 +146,20 @@ def construct_prime_sum_permutation(n: int, sieve: PrimeSieve) -> Permutation:
         raise ValueError(f"n must be nonnegative, got {n}")
     if n == 0:
         return Permutation(())
-    image = [0] * n
-    for block in decompose_blocks(n, sieve):
-        for i in range(block.lo, block.hi + 1):
-            image[i - 1] = block.prime - i
+    image = []
+    for block in reversed(decompose_blocks(n, sieve)):
+        image.extend(range(block.hi, block.lo - 1, -1))
     return Permutation(tuple(image))
 
 
 def is_valid_solution(perm: Permutation | Sequence[int], sieve: PrimeSieve) -> bool:
     """True iff k + perm(k) is prime for every position k.
 
-    Accepts a raw sequence as well; the bijection invariant is then
-    checked here (CLI users supply arbitrary input), raising
-    NotAPermutationError when it fails. Vacuously true for n = 0.
+    Accepts a raw sequence as well; it is wrapped in a Permutation, whose
+    constructor raises NotAPermutationError unless it is a bijection on
+    1..n. Raises SieveRangeError unless the sieve covers 2n. The n sums go
+    to one PrimeSieve.prime_flags call, so the check holds a list of n
+    sums while it runs. Vacuously true for n = 0.
     """
     if not isinstance(perm, Permutation):
         perm = Permutation(tuple(perm))
@@ -159,4 +167,5 @@ def is_valid_solution(perm: Permutation | Sequence[int], sieve: PrimeSieve) -> b
         raise SieveRangeError(
             f"sieve limit {sieve.limit} is below 2n = {2 * perm.n}"
         )
-    return all(sieve.is_prime(k + v) for k, v in enumerate(perm.image, start=1))
+    sums = list(map(add, range(1, perm.n + 1), perm.image))
+    return 0 not in sieve.prime_flags(sums)

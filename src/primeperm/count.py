@@ -42,10 +42,6 @@ class PrimeAdjacency:
     n: int
     rows: tuple[int, ...]
 
-    def allows(self, i: int, j: int) -> bool:
-        """True iff position i may map to j (both 1-indexed)."""
-        return (self.rows[i - 1] >> (j - 1)) & 1 == 1
-
 
 def _require_cover(n: int, sieve: PrimeSieve) -> None:
     if sieve.limit < 2 * n:

@@ -2,7 +2,10 @@
 the rest of the package needs (membership, least prime above, strict
 prime counting)."""
 
+from collections.abc import Sequence
+from itertools import repeat
 from math import isqrt
+from operator import getitem
 
 # One byte per integer; 2**27 entries is ~134 MB, far beyond anything the
 # desk-scale commands need (problem size n requires a sieve to 2n).
@@ -57,6 +60,18 @@ class PrimeSieve:
         if m > self.limit:
             raise SieveRangeError(f"{m} is beyond the sieve limit {self.limit}")
         return bool(self._flags[m])
+
+    def prime_flags(self, values: Sequence[int]) -> bytes:
+        """Byte i is 1 iff values[i] is prime, 0 otherwise. Every value
+        must lie within the sieve, as for is_prime."""
+        if values and min(values) < 0:
+            raise ValueError(f"m must be nonnegative, got {min(values)}")
+        try:
+            return bytes(map(getitem, repeat(self._flags), values))
+        except IndexError:
+            raise SieveRangeError(
+                f"{max(values)} is beyond the sieve limit {self.limit}"
+            ) from None
 
     def least_prime_greater_than(self, k: int) -> int:
         """Smallest prime p with p > k.

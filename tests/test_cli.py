@@ -31,6 +31,24 @@ def test_construct_text_table(capsys):
     assert lines[2].startswith("Total") and lines[2].endswith("2  7  7  7  7")
 
 
+ROUNDS_N12 = (
+    "Round 1 |  1   2   3   4   5   6   7   8   9  10  11  12\n"
+    "Round 2 | 12  11  10   9   8   7   6   5   4   3   2   1\n"
+    "Total   | 13  13  13  13  13  13  13  13  13  13  13  13\n"
+)
+# Blocks [4, 13], [2, 3] and [1, 1]: one- and two-digit columns side by side.
+ROUNDS_N13 = (
+    "Round 1 | 1  2  3   4   5   6   7   8   9  10  11  12  13\n"
+    "Round 2 | 1  3  2  13  12  11  10   9   8   7   6   5   4\n"
+    "Total   | 2  5  5  17  17  17  17  17  17  17  17  17  17\n"
+)
+
+
+@pytest.mark.parametrize("n,expected", [(12, ROUNDS_N12), (13, ROUNDS_N13)])
+def test_construct_text_golden(capsys, n, expected):
+    assert run(capsys, "construct", "--n", str(n)) == (EXIT_OK, expected, "")
+
+
 def test_construct_n1(capsys):
     code, out, _ = run(capsys, "construct", "--n", "1")
     assert code == EXIT_OK
@@ -73,6 +91,37 @@ def test_verify_composite_sums(capsys):
     assert out.count("composite") >= 5
     for s in (4, 9):
         assert f"= {s}  composite" in out
+
+
+def test_verify_composite_golden(capsys):
+    assert run(capsys, "verify", "--perm", "3,2,1,5,4") == (
+        EXIT_COMPOSITE,
+        "1 + 3 = 4  composite\n"
+        "2 + 2 = 4  composite\n"
+        "3 + 1 = 4  composite\n"
+        "4 + 5 = 9  composite\n"
+        "5 + 4 = 9  composite\n"
+        "invalid: composite totals at positions 1,2,3,4,5\n",
+        "",
+    )
+
+
+def test_verify_mixed_golden(capsys):
+    assert run(capsys, "verify", "--perm", "2,1,3") == (
+        EXIT_COMPOSITE,
+        "1 + 2 = 3  prime\n"
+        "2 + 1 = 3  prime\n"
+        "3 + 3 = 6  composite\n"
+        "invalid: composite totals at positions 3\n",
+        "",
+    )
+
+
+def test_verify_empty_golden(capsys):
+    # n = 0: no position lines, only the verdict.
+    expected = (EXIT_OK, "valid: every total is prime\n", "")
+    assert run(capsys, "verify", "--perm", "") == expected
+    assert run(capsys, "verify", "--perm", "  ") == expected
 
 
 def test_verify_not_a_permutation(capsys):

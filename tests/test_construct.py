@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from primeperm import (
     BertrandViolationError,
@@ -53,6 +55,68 @@ def test_empty_permutation():
 def test_permutation_rejects_non_bijections(bad):
     with pytest.raises(NotAPermutationError):
         Permutation(bad)
+
+
+def reference_is_permutation(image) -> bool:
+    """The bijection check as a plain per-element loop: every entry an int
+    (bools included) in 1..n, no entry twice."""
+    n = len(image)
+    seen = set()
+    for v in image:
+        if not isinstance(v, int) or not 1 <= v <= n or v in seen:
+            return False
+        seen.add(v)
+    return True
+
+
+def _entries(n):
+    """0, negatives, values above n, bools and floats (some equal to a
+    valid entry)."""
+    return st.one_of(
+        st.integers(-2, n + 2),
+        st.booleans(),
+        st.floats(-2, n + 2),
+        st.integers(1, max(n, 1)).map(float),
+    )
+
+
+@st.composite
+def candidate_images(draw):
+    """A permutation of 1..n (n = 0 included) with 0-2 entries replaced,
+    or a list of arbitrary entries; both forms produce duplicates."""
+    n = draw(st.integers(0, 9))
+    if draw(st.booleans()):
+        return tuple(draw(st.lists(_entries(n), min_size=n, max_size=n)))
+    image = list(draw(st.permutations(range(1, n + 1))))
+    for _ in range(draw(st.integers(0, 2)) if n else 0):
+        image[draw(st.integers(0, n - 1))] = draw(_entries(n))
+    return tuple(image)
+
+
+@given(candidate_images())
+def test_permutation_validation_matches_reference(image):
+    if reference_is_permutation(image):
+        assert Permutation(image).image == image
+        assert Permutation(list(image)).image == image
+    else:
+        with pytest.raises(NotAPermutationError):
+            Permutation(image)
+
+
+@given(
+    st.integers(1, 9).flatmap(lambda n: st.permutations(range(1, n + 1))),
+    st.data(),
+)
+def test_from_json_non_int_entry_is_plain_value_error(image, data):
+    good = Permutation.from_json({"n": len(image), "image": list(image)})
+    assert good.image == tuple(image)
+    bad = list(image)
+    bad[data.draw(st.integers(0, len(bad) - 1))] = data.draw(
+        st.one_of(st.booleans(), st.floats(), st.text(max_size=3))
+    )
+    with pytest.raises(ValueError) as excinfo:
+        Permutation.from_json({"n": len(bad), "image": bad})
+    assert type(excinfo.value) is ValueError
 
 
 def test_from_text_round_trip():

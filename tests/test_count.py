@@ -38,17 +38,22 @@ def test_adjacency_small_rows(sieve_small):
     assert build_adjacency(3, sieve_small).rows[2] == 0b010  # only 3+2=5
 
 
+def _allows(adj, i, j):
+    """Bit j-1 of row i: position i may map to j (both 1-indexed)."""
+    return adj.rows[i - 1] >> (j - 1) & 1
+
+
 def test_adjacency_allows(sieve_small):
     adj = build_adjacency(5, sieve_small)
-    assert adj.allows(2, 5) and adj.allows(5, 2)
-    assert not adj.allows(2, 2)
+    assert _allows(adj, 2, 5) and _allows(adj, 5, 2)
+    assert not _allows(adj, 2, 2)
 
 
 def test_adjacency_matches_primality(sieve_small):
     for n in (1, 2, 7, 23, 60):
         adj = build_adjacency(n, sieve_small)
         for i in range(1, n + 1):
-            images = {j for j in range(1, n + 1) if adj.allows(i, j)}
+            images = {j for j in range(1, n + 1) if _allows(adj, i, j)}
             assert images == {j for j in range(1, n + 1) if is_prime_trial(i + j)}
 
 
@@ -57,7 +62,7 @@ def test_adjacency_symmetric(sieve_small):
         adj = build_adjacency(n, sieve_small)
         for i in range(1, n + 1):
             for j in range(1, n + 1):
-                assert adj.allows(i, j) == adj.allows(j, i)
+                assert _allows(adj, i, j) == _allows(adj, j, i)
 
 
 def test_adjacency_preconditions(sieve_small):

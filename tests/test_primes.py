@@ -50,6 +50,22 @@ def test_is_prime_out_of_range(sieve_small):
         sieve_small.is_prime(-1)
 
 
+def test_prime_flags_match_trial_division():
+    sieve = build_sieve(500)
+    values = [*range(501), 97, 0, 500, 2]
+    assert sieve.prime_flags(values) == bytes(is_prime_trial(m) for m in values)
+    assert sieve.prime_flags([]) == b""
+
+
+def test_prime_flags_out_of_range(sieve_small):
+    # the same range checks as is_prime, whichever value is out of range
+    with pytest.raises(SieveRangeError):
+        sieve_small.prime_flags([2, sieve_small.limit + 1, 3])
+    with pytest.raises(ValueError) as excinfo:
+        sieve_small.prime_flags([2, -1, 3])
+    assert not isinstance(excinfo.value, SieveRangeError)
+
+
 @pytest.mark.parametrize("k,expected", [(5, 7), (1, 2), (10, 11)])
 def test_least_prime_greater_than_examples(sieve_small, k, expected):
     assert sieve_small.least_prime_greater_than(k) == expected
