@@ -7,7 +7,7 @@ Exit codes:
     2   well-formed permutation, but some positional sum is composite
     3   input is not a permutation of 1..n
     64  usage or parse error
-    65  n exceeds the selected counting method's cap
+    65  input exceeds a resource limit (counting step budget or sieve cap)
 """
 
 import argparse
@@ -22,15 +22,13 @@ from .construct import (
     construct_prime_sum_permutation,
 )
 from .count import (
-    DEFAULT_DP_CAP,
-    DEFAULT_RYSER_CAP,
     METHODS,
     MethodCapError,
     count_solutions,
     enumerate_solutions,
     sequence_table,
 )
-from .primes import PrimeSieve, build_sieve
+from .primes import PrimeSieve, SieveCapError, build_sieve
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -103,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_count)
 
     p = sub.add_parser("enumerate", help="stream all solutions for n")
-    p.add_argument("--n", type=_positive_int, required=True, metavar="N")
+    p.add_argument("--n", type=_nonnegative_int, required=True, metavar="N")
     p.add_argument("--limit", type=_positive_int, metavar="K")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=_cmd_enumerate)
@@ -123,10 +121,6 @@ def _add_method_options(p: argparse.ArgumentParser) -> None:
         "--strict-paper",
         action="store_true",
         help="naive method tests all n! permutations instead of backtracking",
-    )
-    p.add_argument("--dp-cap", type=_positive_int, default=DEFAULT_DP_CAP, metavar="N")
-    p.add_argument(
-        "--ryser-cap", type=_positive_int, default=DEFAULT_RYSER_CAP, metavar="N"
     )
 
 
@@ -222,8 +216,6 @@ def _cmd_count(args) -> int:
         _sieve_for(args.n),
         method=args.method,
         strict_paper=args.strict_paper,
-        dp_cap=args.dp_cap,
-        ryser_cap=args.ryser_cap,
     )
     if args.format == "json":
         print(_dump({"n": args.n, "method": args.method, "count": str(count)}))
@@ -242,13 +234,7 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    rows = sequence_table(
-        args.max,
-        method=args.method,
-        strict_paper=args.strict_paper,
-        dp_cap=args.dp_cap,
-        ryser_cap=args.ryser_cap,
-    )
+    rows = sequence_table(args.max, method=args.method, strict_paper=args.strict_paper)
     if args.format == "bfile":
         for row in rows:
             print(f"{row.n} {row.count}")
@@ -272,7 +258,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"primeperm: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except MethodCapError as exc:
+    except (MethodCapError, SieveCapError) as exc:
         print(f"primeperm: {exc}", file=sys.stderr)
         return EXIT_CAP
     except NotAPermutationError as exc:

@@ -15,19 +15,21 @@ import itertools
 from collections import defaultdict
 from collections.abc import Iterator
 from dataclasses import dataclass
+from operator import mul
 
 from .construct import Permutation
 from .primes import PrimeSieve, SieveRangeError, build_sieve
 
-DEFAULT_NAIVE_CAP = 10
-DEFAULT_DP_CAP = 26
-DEFAULT_RYSER_CAP = 24
+# Elementary steps a count may take: n <= 10 for the strict n! walk, 12 for
+# backtracking, 43 for dp and ryser (README, "Counting methods").
+STEP_BUDGET = 5 * 10**7
 
 METHODS = ("naive", "dp", "ryser", "auto")
 
 
 class MethodCapError(ValueError):
-    """n exceeds the size cap of the selected counting method."""
+    """Counting refused before any work: its estimated elementary steps
+    exceed STEP_BUDGET. The message names the estimate and the budget."""
 
 
 @dataclass(frozen=True)
@@ -63,6 +65,40 @@ def build_adjacency(n: int, sieve: PrimeSieve) -> PrimeAdjacency:
     return PrimeAdjacency(n, tuple(rows))
 
 
+def _steps(n: int, sieve: PrimeSieve | None, method: str, strict: bool) -> int:
+    """Upper bound on the elementary steps of counting n by method: n * n!
+    for strict naive; m * 2^m for dp and ryser on the m x m half matrix,
+    m = n // 2; for backtracking, the sum over depths d of prod_{i <= d}
+    deg(i), deg(i) = #primes in i + 1..i + n (sieved to 2n if sieve is
+    None). It stops once past STEP_BUDGET, so refusing any n is cheap."""
+    if method != "naive":
+        partials = (n // 2 << k for k in range(n // 2 + 1))
+    elif strict:
+        partials = itertools.accumulate(range(2, n + 1), mul, initial=n)
+    else:
+        below = (sieve or build_sieve(2 * n)).count_primes_below
+        degrees = (below(i + n + 1) - below(i + 1) for i in range(1, n + 1))
+        partials = itertools.accumulate(itertools.accumulate(degrees, mul, initial=1))
+    for steps in partials:
+        if steps > STEP_BUDGET:
+            break
+    return steps
+
+
+def _require_budget(
+    ns: range, sieve: PrimeSieve | None, method: str, strict: bool
+) -> None:
+    """Refuse counting every n in ns if that would exceed STEP_BUDGET."""
+    for steps in itertools.accumulate(_steps(n, sieve, method, strict) for n in ns):
+        if steps > STEP_BUDGET:
+            kind = "strict naive" if method == "naive" and strict else method
+            at = f"n = {ns[0]}" if len(ns) == 1 else f"n = 1..{ns[-1]}"
+            raise MethodCapError(
+                f"{kind} counting at {at} is estimated at {steps} or more "
+                f"steps, over the step budget of {STEP_BUDGET}"
+            )
+
+
 def _count_backtracking(rows: tuple[int, ...], n: int) -> int:
     def go(pos: int, used: int) -> int:
         if pos == n:
@@ -83,23 +119,19 @@ def count_solutions_naive(
     sieve: PrimeSieve,
     *,
     strict_paper: bool = False,
-    cap: int = DEFAULT_NAIVE_CAP,
 ) -> int:
     """Count solutions by exhaustive search; the ground-truth oracle.
 
     The default walks a pruned backtracking tree over legal images. With
     strict_paper=True it literally tests all n! permutations instead,
-    which is only tolerable up to n = 10 and is hard-capped there.
+    which the step budget admits up to n = 10.
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
     if n == 0:
         return 1
+    _require_budget(range(n, n + 1), sieve, "naive", strict_paper)
     if strict_paper:
-        if n > DEFAULT_NAIVE_CAP:
-            raise MethodCapError(
-                f"strict naive counting is capped at n = {DEFAULT_NAIVE_CAP}, got {n}"
-            )
         _require_cover(n, sieve)
         positions = range(1, n + 1)
         return sum(
@@ -107,8 +139,6 @@ def count_solutions_naive(
             for image in itertools.permutations(positions)
             if all(sieve.is_prime(k + image[k - 1]) for k in positions)
         )
-    if n > cap:
-        raise MethodCapError(f"naive counting is capped at n = {cap}, got {n}")
     adjacency = build_adjacency(n, sieve)
     return _count_backtracking(adjacency.rows, n)
 
@@ -134,7 +164,7 @@ def _half_rows(n: int, sieve: PrimeSieve) -> tuple[int, ...]:
     )
 
 
-def count_solutions_dp(n: int, sieve: PrimeSieve, *, cap: int = DEFAULT_DP_CAP) -> int:
+def count_solutions_dp(n: int, sieve: PrimeSieve) -> int:
     """Count solutions as per(A) ** 2 (see _half_rows), with the permanent
     of the m x m block A, m = n // 2, computed by subset dynamic
     programming.
@@ -147,8 +177,7 @@ def count_solutions_dp(n: int, sieve: PrimeSieve, *, cap: int = DEFAULT_DP_CAP) 
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    if n > cap:
-        raise MethodCapError(f"dp counting is capped at n = {cap}, got {n}")
+    _require_budget(range(n, n + 1), sieve, "dp", False)
     rows = _half_rows(n, sieve)
     layer = {0: 1}
     for row in rows:
@@ -163,9 +192,7 @@ def count_solutions_dp(n: int, sieve: PrimeSieve, *, cap: int = DEFAULT_DP_CAP) 
     return layer.get((1 << len(rows)) - 1, 0) ** 2
 
 
-def count_solutions_ryser(
-    n: int, sieve: PrimeSieve, *, cap: int = DEFAULT_RYSER_CAP
-) -> int:
+def count_solutions_ryser(n: int, sieve: PrimeSieve) -> int:
     """Count solutions as per(A) ** 2 (see _half_rows), with the permanent
     of the m x m block A from Ryser's inclusion-exclusion formula:
 
@@ -177,8 +204,7 @@ def count_solutions_ryser(
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    if n > cap:
-        raise MethodCapError(f"ryser counting is capped at n = {cap}, got {n}")
+    _require_budget(range(n, n + 1), sieve, "ryser", False)
     rows = _half_rows(n, sieve)
     m = len(rows)
     # the empty subset's term is a product of m zero row sums: 1 iff m = 0
@@ -209,9 +235,6 @@ def count_solutions(
     method: str = "auto",
     *,
     strict_paper: bool = False,
-    naive_cap: int = DEFAULT_NAIVE_CAP,
-    dp_cap: int = DEFAULT_DP_CAP,
-    ryser_cap: int = DEFAULT_RYSER_CAP,
 ) -> int:
     """Dispatch to a counting method.
 
@@ -222,10 +245,10 @@ def count_solutions(
     if method not in METHODS:
         raise ValueError(f"unknown counting method {method!r}; pick from {METHODS}")
     if method == "naive":
-        return count_solutions_naive(n, sieve, strict_paper=strict_paper, cap=naive_cap)
+        return count_solutions_naive(n, sieve, strict_paper=strict_paper)
     if method == "ryser":
-        return count_solutions_ryser(n, sieve, cap=ryser_cap)
-    return count_solutions_dp(n, sieve, cap=dp_cap)
+        return count_solutions_ryser(n, sieve)
+    return count_solutions_dp(n, sieve)
 
 
 def enumerate_solutions(
@@ -240,10 +263,13 @@ def enumerate_solutions(
     image of 1 by parity, it only skips images already used, so it can
     still descend into prefixes that no solution extends.
     """
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
+    if n < 0:
+        raise ValueError(f"n must be nonnegative, got {n}")
     if limit is not None and limit < 1:
         raise ValueError(f"limit must be positive, got {limit}")
+    if n == 0:
+        # the empty permutation, the one solution count_solutions(0) counts
+        return iter((Permutation(()),))
     rows = list(build_adjacency(n, sieve).rows)
     # parity (see _half_rows): 1 -> 1 is forced for odd n, impossible for even n
     rows[0] = 1 if n % 2 else rows[0] & ~1
@@ -288,35 +314,21 @@ def sequence_table(
     method: str = "auto",
     *,
     strict_paper: bool = False,
-    naive_cap: int = DEFAULT_NAIVE_CAP,
-    dp_cap: int = DEFAULT_DP_CAP,
-    ryser_cap: int = DEFAULT_RYSER_CAP,
 ) -> list[SequenceRow]:
     """Solution counts and primes-below-2n for n = 1..max_n.
 
-    max_n must sit within the selected method's cap; that is checked up
-    front so no partial table is computed before failing.
+    The steps of all rows together must sit within STEP_BUDGET; that is
+    checked up front so no partial table is computed before failing.
     """
     if max_n < 1:
         raise ValueError(f"max_n must be positive, got {max_n}")
-    worst = {"naive": naive_cap, "dp": dp_cap, "ryser": ryser_cap, "auto": dp_cap}
-    if method in worst and max_n > worst[method]:
-        raise MethodCapError(
-            f"{method} counting is capped at n = {worst[method]}, got max_n = {max_n}"
-        )
+    # before building the sieve to 2 * max_n, which may be large
+    _require_budget(range(1, max_n + 1), None, method, strict_paper)
     sieve = build_sieve(2 * max_n)
     return [
         SequenceRow(
             n,
-            count_solutions(
-                n,
-                sieve,
-                method,
-                strict_paper=strict_paper,
-                naive_cap=naive_cap,
-                dp_cap=dp_cap,
-                ryser_cap=ryser_cap,
-            ),
+            count_solutions(n, sieve, method, strict_paper=strict_paper),
             sieve.count_primes_below(2 * n),
         )
         for n in range(1, max_n + 1)

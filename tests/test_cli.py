@@ -1,5 +1,8 @@
+import argparse
 import io
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -9,8 +12,11 @@ from primeperm.cli import (
     EXIT_NOT_PERMUTATION,
     EXIT_OK,
     EXIT_USAGE,
+    build_parser,
     main,
 )
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run(capsys, *argv):
@@ -210,17 +216,22 @@ def test_count_json(capsys):
 
 
 def test_count_cap_exit(capsys):
-    code, _, err = run(capsys, "count", "--n", "30", "--method", "dp")
-    assert code == EXIT_CAP and "capped" in err
-    code, _, _ = run(capsys, "count", "--n", "12", "--method", "naive")
-    assert code == EXIT_CAP
+    # dp at n = 44 does m 2^m = 22 * 2^22 steps; naive at 13 stops estimating
+    # at the first partial sum over the budget
+    for argv, estimate in (
+        (("--n", "44", "--method", "dp"), "92274688"),
+        (("--n", "13", "--method", "naive"), "81663157"),
+    ):
+        code, out, err = run(capsys, "count", *argv)
+        assert (code, out) == (EXIT_CAP, "")
+        assert estimate in err and "50000000" in err
 
 
-def test_count_cap_override(capsys):
-    code, out, _ = run(capsys, "count", "--n", "5", "--method", "dp", "--dp-cap", "5")
-    assert code == EXIT_OK and out.strip() == "1"
-    code, _, _ = run(capsys, "count", "--n", "6", "--method", "dp", "--dp-cap", "5")
-    assert code == EXIT_CAP
+def test_count_beyond_old_caps(capsys):
+    # n = 27 was refused by the old hand-set dp cap of 26
+    dp = run(capsys, "count", "--n", "27", "--method", "dp")
+    assert dp == run(capsys, "count", "--n", "27", "--method", "ryser")
+    assert dp == (EXIT_OK, "4551557699844\n", "")
 
 
 def test_count_bad_method(capsys):
@@ -259,9 +270,15 @@ def test_enumerate_json_lines(capsys):
     assert images[0] == [2, 1, 4, 3] and len(images) == 4
 
 
-def test_enumerate_rejects_zero(capsys):
-    code, _, _ = run(capsys, "enumerate", "--n", "0")
-    assert code == EXIT_USAGE
+def test_enumerate_zero_golden(capsys):
+    # the empty permutation, as count --n 0 = 1 and construct --n 0 say
+    assert run(capsys, "enumerate", "--n", "0") == (EXIT_OK, "\n", "")
+    assert run(capsys, "enumerate", "--n", "0", "--format", "json") == (
+        EXIT_OK,
+        '{"n":0,"image":[]}\n',
+        "",
+    )
+    assert run(capsys, "enumerate", "--n", "-1")[0] == EXIT_USAGE
 
 
 def test_enumerate_line_count_matches_count(capsys):
@@ -318,8 +335,24 @@ def test_table_json_lines(capsys):
 
 
 def test_table_cap(capsys):
-    code, _, _ = run(capsys, "table", "--max", "30")
+    code, _, _ = run(capsys, "table", "--max", "40")
     assert code == EXIT_CAP
+
+
+@pytest.mark.parametrize(
+    "argv,limit",
+    [
+        # a sieve to 2n = 2 * 10^8 is over its cap of 2^27 entries
+        (("construct", "--n", "100000000"), "exceeds the cap of 134217728"),
+        (("count", "--n", "100000000"), "exceeds the cap of 134217728"),
+        # table estimates its rows before it builds its sieve
+        (("table", "--max", "100000000"), "over the step budget of 50000000"),
+    ],
+)
+def test_resource_limit_exit(capsys, argv, limit):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (EXIT_CAP, "")
+    assert limit in err and "Traceback" not in err
 
 
 def test_table_requires_positive_max(capsys):
@@ -351,3 +384,21 @@ def test_success_is_silent_on_stderr(capsys, argv):
     code, _, err = run(capsys, *argv)
     assert code == EXIT_OK
     assert err == ""
+
+
+def test_readme_cli_table_matches_parser():
+    # rows of the table under "## CLI": | `count` | `--n N` `--method ...` ... |
+    section = README.read_text().split("\n## CLI\n")[1].split("\n#")[0]
+    rows = re.findall(r"^\| `(\w+)` +\|(.*)\|$", section, re.M)
+    documented = {cmd: set(re.findall(r"--[a-z-]+", opts)) for cmd, opts in rows}
+    (commands,) = [
+        action
+        for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    parsed = {
+        cmd: {flag for action in p._actions for flag in action.option_strings}
+        - {"-h", "--help"}
+        for cmd, p in commands.choices.items()
+    }
+    assert documented == parsed

@@ -2,6 +2,7 @@ from math import isqrt
 
 import pytest
 
+import primeperm.count as count_module
 from primeperm import (
     MethodCapError,
     SieveRangeError,
@@ -109,13 +110,13 @@ def test_extended_counts_match_backtracking_oracle(sieve_small):
     assert len(solutions_by_backtracking(12)) == COUNT_N12
     assert count_solutions_dp(11, sieve_small) == COUNT_N11
     assert count_solutions_dp(12, sieve_small) == COUNT_N12
-    assert count_solutions_naive(12, sieve_small, cap=12) == COUNT_N12
+    assert count_solutions_naive(12, sieve_small) == COUNT_N12
 
 
 def test_dp_equals_ryser_midrange(sieve_small):
-    for n in range(1, 31):
-        assert count_solutions_dp(n, sieve_small, cap=30) == count_solutions_ryser(
-            n, sieve_small, cap=30
+    for n in range(1, 35):
+        assert count_solutions_dp(n, sieve_small) == count_solutions_ryser(
+            n, sieve_small
         )
 
 
@@ -140,17 +141,32 @@ def test_n_zero_counts_one(sieve_small):
     assert count_solutions_ryser(0, sieve_small) == 1
 
 
+# The first n over the step budget, per method.
+OVER_BUDGET = [
+    (count_solutions_naive, 13, {}),
+    (count_solutions_naive, 11, {"strict_paper": True}),
+    (count_solutions_dp, 44, {}),
+    (count_solutions_ryser, 44, {}),
+]
+
+
 def test_method_caps(sieve_small):
+    for count, n, kwargs in OVER_BUDGET:
+        with pytest.raises(MethodCapError):
+            count(n, sieve_small, **kwargs)
+
+
+def test_budget_refuses_before_any_work(sieve_small, monkeypatch):
+    def no_work(*args):
+        raise AssertionError("counting work started before the budget check")
+
+    monkeypatch.setattr(count_module, "build_adjacency", no_work)
+    monkeypatch.setattr(count_module, "_half_rows", no_work)
+    for count, n, kwargs in OVER_BUDGET:
+        with pytest.raises(MethodCapError):
+            count(n, sieve_small, **kwargs)
     with pytest.raises(MethodCapError):
-        count_solutions_naive(11, sieve_small)
-    with pytest.raises(MethodCapError):
-        count_solutions_naive(11, sieve_small, strict_paper=True, cap=99)
-    with pytest.raises(MethodCapError):
-        count_solutions_dp(27, sieve_small)
-    with pytest.raises(MethodCapError):
-        count_solutions_ryser(25, sieve_small)
-    with pytest.raises(MethodCapError):
-        count_solutions_dp(13, sieve_small, cap=12)
+        sequence_table(40)
 
 
 def test_dispatcher(sieve_small):
@@ -160,7 +176,7 @@ def test_dispatcher(sieve_small):
     with pytest.raises(ValueError):
         count_solutions(5, sieve_small, "magic")
     with pytest.raises(MethodCapError):
-        count_solutions(13, sieve_small, "auto", dp_cap=12)
+        count_solutions(44, sieve_small, "auto")
 
 
 # --- enumeration -----------------------------------------------------------
@@ -219,8 +235,9 @@ def test_enumerate_first_solution_even_n(sieve_small):
 
 
 def test_enumerate_preconditions(sieve_small):
+    assert [p.image for p in enumerate_solutions(0, sieve_small)] == [()]
     with pytest.raises(ValueError):
-        enumerate_solutions(0, sieve_small)
+        enumerate_solutions(-1, sieve_small)
     with pytest.raises(ValueError):
         enumerate_solutions(5, sieve_small, limit=0)
 
@@ -264,10 +281,10 @@ def test_sequence_table_rejects_bad_max():
 
 
 def test_sequence_table_cap_fails_fast():
-    # over-cap max_n must raise before any row is computed
+    # an over-budget max_n must raise before any row is computed
     with pytest.raises(MethodCapError):
-        sequence_table(11, "naive")
+        sequence_table(13, "naive")
+    with pytest.raises(MethodCapError):
+        sequence_table(40, "ryser")
     with pytest.raises(MethodCapError):
         sequence_table(1000)
-    with pytest.raises(MethodCapError):
-        sequence_table(25, "ryser", ryser_cap=24)
