@@ -12,8 +12,10 @@ Exit codes:
 
 import argparse
 import json
+import os
 import sys
-from itertools import compress
+from collections.abc import Iterable, Iterator
+from itertools import chain, compress, islice
 from operator import add, not_
 
 from .construct import (
@@ -36,6 +38,9 @@ EXIT_COMPOSITE = 2
 EXIT_NOT_PERMUTATION = 3
 EXIT_USAGE = 64
 EXIT_CAP = 65
+
+# Largest block of lines _write_lines joins into one write.
+BLOCK_LINES = 4096
 
 
 class _UsageError(Exception):
@@ -66,8 +71,50 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _dump(obj: dict) -> str:
+def _dump(obj: object) -> str:
     return json.dumps(obj, separators=(",", ":"))
+
+
+def _write(chunks: Iterable[str]) -> None:
+    """Write and flush each chunk to stdout. If the reader has gone, point
+    the stdout fd at os.devnull (the recipe in the Python signal docs), so
+    the flush at exit cannot fail either, and stop writing: the command
+    still returns its own exit code."""
+    try:
+        for chunk in chunks:
+            sys.stdout.write(chunk)
+            sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
+def _write_lines(lines: Iterable[str]) -> None:
+    """Write lines (without their newlines) in blocks of 1, 2, 4, ... up to
+    BLOCK_LINES lines, each one write and one flush. The first line leaves
+    on its own, as soon as it exists, and a long stream costs a few dozen
+    write(2) calls even when stdout is unbuffered (PYTHONUNBUFFERED), where
+    every write is one."""
+    _write(_blocks(iter(lines)))
+
+
+def _blocks(lines: Iterator[str]) -> Iterator[str]:
+    size = 1
+    while block := list(islice(lines, size)):
+        yield "\n".join(block) + "\n"
+        size = min(2 * size, BLOCK_LINES)
+
+
+def _json_members(members: dict) -> Iterator[str]:
+    """The bytes of _dump(members) plus a newline, one member at a time, so
+    at most one encoded member (at n = 10^6, an array of 7 MB) is held."""
+    sep = "{"
+    for key, value in members.items():
+        yield f"{sep}{_dump(key)}:"
+        yield _dump(value)
+        sep = ","
+    yield "}\n"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -132,9 +179,9 @@ def _sieve_for(n: int) -> PrimeSieve:
 def _cmd_construct(args) -> int:
     perm = construct_prime_sum_permutation(args.n, _sieve_for(args.n))
     if args.format == "json":
-        print(_dump(perm.as_json_dict()))
+        _write_lines([_dump(perm.as_json_dict())])
     else:
-        print(_rounds_table(perm))
+        _write_lines([_rounds_table(perm)])
     return EXIT_OK
 
 
@@ -183,70 +230,62 @@ def _cmd_verify(args) -> int:
     flags = _sieve_for(perm.n).prime_flags(sums)
     composite_at = list(compress(ks, map(not_, flags))) if 0 in flags else []
     if args.format == "json":
-        print(
-            _dump(
-                {
-                    "n": perm.n,
-                    "image": perm.image,
-                    "sums": sums,
-                    "composite_positions": composite_at,
-                    "valid": not composite_at,
-                }
-            )
-        )
+        members = {
+            "n": perm.n,
+            "image": perm.image,
+            "sums": sums,
+            "composite_positions": composite_at,
+            "valid": not composite_at,
+        }
+        _write(_json_members(members))
     else:
         labels = map(("composite", "prime").__getitem__, flags)
-        # Lazily, line by line: one joined string would delay the first line.
-        sys.stdout.writelines(
-            map("{} + {} = {}  {}\n".format, ks, perm.image, sums, labels)
-        )
         if composite_at:
-            print(
-                "invalid: composite totals at positions "
-                + ",".join(map(str, composite_at))
+            verdict = "invalid: composite totals at positions " + ",".join(
+                map(str, composite_at)
             )
         else:
-            print("valid: every total is prime")
+            verdict = "valid: every total is prime"
+        _write_lines(
+            chain(map("{} + {} = {}  {}".format, ks, perm.image, sums, labels), (verdict,))
+        )
     return EXIT_COMPOSITE if composite_at else EXIT_OK
 
 
 def _cmd_count(args) -> int:
-    count = count_solutions(
-        args.n,
-        _sieve_for(args.n),
-        method=args.method,
-        strict_paper=args.strict_paper,
-    )
+    # no sieve passed: count_solutions builds it after the step estimate,
+    # so an n over the budget is refused without sieving to 2n
+    count = count_solutions(args.n, method=args.method, strict_paper=args.strict_paper)
     if args.format == "json":
-        print(_dump({"n": args.n, "method": args.method, "count": str(count)}))
+        _write_lines([_dump({"n": args.n, "method": args.method, "count": str(count)})])
     else:
-        print(count)
+        _write_lines([str(count)])
     return EXIT_OK
 
 
 def _cmd_enumerate(args) -> int:
-    for perm in enumerate_solutions(args.n, _sieve_for(args.n), limit=args.limit):
-        if args.format == "json":
-            print(_dump(perm.as_json_dict()), flush=True)
-        else:
-            print(perm.to_text(), flush=True)
+    solutions = enumerate_solutions(args.n, _sieve_for(args.n), limit=args.limit)
+    if args.format == "json":
+        _write_lines(_dump(perm.as_json_dict()) for perm in solutions)
+    else:
+        _write_lines(map(Permutation.to_text, solutions))
     return EXIT_OK
 
 
 def _cmd_table(args) -> int:
     rows = sequence_table(args.max, method=args.method, strict_paper=args.strict_paper)
     if args.format == "bfile":
-        for row in rows:
-            print(f"{row.n} {row.count}")
+        _write_lines(f"{row.n} {row.count}" for row in rows)
     elif args.format == "json":
-        for row in rows:
-            print(_dump(row.as_json_dict()))
+        _write_lines(_dump(row.as_json_dict()) for row in rows)
     else:
         n_w = max(len(str(rows[-1].n)), 1)
         c_w = max(max(len(str(r.count)) for r in rows), len("count"))
-        print(f"{'n':>{n_w}} | {'count':>{c_w}} | primes<2n")
-        for r in rows:
-            print(f"{r.n:>{n_w}} | {r.count:>{c_w}} | {r.primes_below_2n}")
+        header = f"{'n':>{n_w}} | {'count':>{c_w}} | primes<2n"
+        _write_lines(
+            [header]
+            + [f"{r.n:>{n_w}} | {r.count:>{c_w}} | {r.primes_below_2n}" for r in rows]
+        )
     return EXIT_OK
 
 
@@ -264,8 +303,6 @@ def main(argv=None) -> int:
     except NotAPermutationError as exc:
         print(f"primeperm: {exc}", file=sys.stderr)
         return EXIT_NOT_PERMUTATION
-    except BrokenPipeError:
-        return EXIT_OK
     except Exception as exc:  # CLI boundary: report, don't traceback
         print(f"primeperm: internal error: {exc}", file=sys.stderr)
         return EXIT_ERROR

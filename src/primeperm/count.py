@@ -231,7 +231,7 @@ def count_solutions_ryser(n: int, sieve: PrimeSieve) -> int:
 
 def count_solutions(
     n: int,
-    sieve: PrimeSieve,
+    sieve: PrimeSieve | None = None,
     method: str = "auto",
     *,
     strict_paper: bool = False,
@@ -240,10 +240,17 @@ def count_solutions(
 
     "auto" is the DP, the production kernel. Naive backtracking and Ryser
     run only when asked for by name: they exist as independent
-    cross-checks.
+    cross-checks. Without a sieve, one to 2n is built once the step
+    estimate has admitted n, so refusing a large n costs no sieve.
     """
     if method not in METHODS:
         raise ValueError(f"unknown counting method {method!r}; pick from {METHODS}")
+    if n < 0:
+        raise ValueError(f"n must be nonnegative, got {n}")
+    if sieve is None:
+        kernel = "dp" if method == "auto" else method
+        _require_budget(range(n, n + 1), None, kernel, strict_paper)
+        sieve = build_sieve(max(2, 2 * n))
     if method == "naive":
         return count_solutions_naive(n, sieve, strict_paper=strict_paper)
     if method == "ryser":
@@ -259,9 +266,10 @@ def enumerate_solutions(
     """Yield every valid permutation exactly once, in lexicographic order
     of one-line notation, stopping after ``limit`` items if given.
 
-    Backtracking restricted to adjacency rows. Apart from pinning the
-    image of 1 by parity, it only skips images already used, so it can
-    still descend into prefixes that no solution extends.
+    Backtracking restricted to adjacency rows, on an explicit stack, so any
+    n the sieve covers runs without recursion. Apart from pinning the image
+    of 1 by parity, it only skips images already used, so it can still
+    descend into prefixes that no solution extends.
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
@@ -273,22 +281,37 @@ def enumerate_solutions(
     rows = list(build_adjacency(n, sieve).rows)
     # parity (see _half_rows): 1 -> 1 is forced for odd n, impossible for even n
     rows[0] = 1 if n % 2 else rows[0] & ~1
-    image = [0] * n
-
-    def extend(pos: int, used: int) -> Iterator[Permutation]:
-        if pos == n:
-            yield Permutation(tuple(image))
-            return
-        avail = rows[pos] & ~used
-        while avail:
-            # lowest set bit first keeps the stream lexicographic
-            bit = avail & -avail
-            image[pos] = bit.bit_length()
-            yield from extend(pos + 1, used | bit)
-            avail ^= bit
-
-    stream = extend(0, 0)
+    stream = _walk(rows)
     return stream if limit is None else itertools.islice(stream, limit)
+
+
+def _walk(rows: list[int]) -> Iterator[Permutation]:
+    """Lowest-bit-first backtracking over bitset rows, with one slot per
+    depth in two lists, so its depth is not bound by the recursion limit."""
+    n = len(rows)
+    image = [0] * n
+    untried = [0] * n  # candidate bits at each depth not yet tried
+    used = [0] * n  # images taken by the depths above each depth
+    untried[0] = rows[0]
+    pos = 0
+    while True:
+        avail = untried[pos]
+        if not avail:
+            if not pos:
+                return
+            pos -= 1
+            continue
+        # lowest set bit first keeps the stream lexicographic
+        bit = avail & -avail
+        untried[pos] = avail ^ bit
+        image[pos] = bit.bit_length()
+        if pos + 1 == n:
+            yield Permutation(tuple(image))
+            continue
+        below = used[pos] | bit
+        pos += 1
+        used[pos] = below
+        untried[pos] = rows[pos] & ~below
 
 
 @dataclass(frozen=True)

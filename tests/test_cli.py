@@ -1,12 +1,23 @@
 import argparse
 import io
 import json
+import os
 import re
+import subprocess
+import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from oracles import is_prime_trial
+from primeperm import build_sieve, construct_prime_sum_permutation
+from primeperm import cli
+from primeperm import count as count_module
 from primeperm.cli import (
+    BLOCK_LINES,
     EXIT_CAP,
     EXIT_COMPOSITE,
     EXIT_NOT_PERMUTATION,
@@ -16,7 +27,8 @@ from primeperm.cli import (
     main,
 )
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def run(capsys, *argv):
@@ -154,6 +166,34 @@ def test_verify_json_format(capsys):
     }
 
 
+@pytest.mark.parametrize(
+    "text,expected",
+    [
+        (
+            "1,5,4,3,2",
+            '{"n":5,"image":[1,5,4,3,2],"sums":[2,7,7,7,7],'
+            '"composite_positions":[],"valid":true}\n',
+        ),
+        (
+            "2,1,3",
+            '{"n":3,"image":[2,1,3],"sums":[3,3,6],'
+            '"composite_positions":[3],"valid":false}\n',
+        ),
+        ("", '{"n":0,"image":[],"sums":[],"composite_positions":[],"valid":true}\n'),
+        (
+            '{"n":4,"image":[4,3,2,1]}',
+            '{"n":4,"image":[4,3,2,1],"sums":[5,5,5,5],'
+            '"composite_positions":[],"valid":true}\n',
+        ),
+    ],
+)
+def test_verify_json_golden(capsys, monkeypatch, text, expected):
+    # member by member, the same bytes as one json.dumps of the whole dict
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code = EXIT_COMPOSITE if "false" in expected else EXIT_OK
+    assert run(capsys, "verify", "--format", "json") == (code, expected, "")
+
+
 def test_verify_reads_stdin_csv(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO("2,1\n"))
     code, _, _ = run(capsys, "verify")
@@ -185,6 +225,35 @@ def test_construct_verify_round_trip(capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO(out))
         code, _, _ = run(capsys, "verify")
         assert code == EXIT_OK, n
+
+
+def _verify_quietly(values, fmt):
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        code = main(["verify", "--perm=" + ",".join(map(str, values)), "--format", fmt])
+    return code, out.getvalue()
+
+
+def _oracle_verdict(values):
+    if sorted(values) != list(range(1, len(values) + 1)):
+        return EXIT_NOT_PERMUTATION
+    if all(is_prime_trial(k + v) for k, v in enumerate(values, 1)):
+        return EXIT_OK
+    return EXIT_COMPOSITE
+
+
+@given(
+    st.one_of(
+        st.integers(0, 16).flatmap(lambda n: st.permutations(range(1, n + 1))),
+        st.lists(st.integers(-2, 20), max_size=16),
+    )
+)
+def test_verify_exit_codes_match_oracle(values):
+    text_code, _ = _verify_quietly(values, "text")
+    json_code, out = _verify_quietly(values, "json")
+    assert text_code == json_code == _oracle_verdict(values)
+    if json_code != EXIT_NOT_PERMUTATION:
+        assert json.loads(out)["valid"] is (json_code == EXIT_OK)
 
 
 # --- count -----------------------------------------------------------------
@@ -225,6 +294,19 @@ def test_count_cap_exit(capsys):
         code, out, err = run(capsys, "count", *argv)
         assert (code, out) == (EXIT_CAP, "")
         assert estimate in err and "50000000" in err
+
+
+@pytest.mark.parametrize("method", ["auto", "dp", "ryser"])
+def test_count_refuses_before_sieving(capsys, monkeypatch, method):
+    # a sieve to 2n = 2^27 entries is within its cap, and costs 134 MB
+    def no_sieve(limit):
+        raise AssertionError("sieve built before the step estimate")
+
+    monkeypatch.setattr(cli, "build_sieve", no_sieve)
+    monkeypatch.setattr(count_module, "build_sieve", no_sieve)
+    code, out, err = run(capsys, "count", "--n", "67108864", "--method", method)
+    assert (code, out) == (EXIT_CAP, "")
+    assert "over the step budget of 50000000" in err
 
 
 def test_count_beyond_old_caps(capsys):
@@ -279,6 +361,17 @@ def test_enumerate_zero_golden(capsys):
         "",
     )
     assert run(capsys, "enumerate", "--n", "-1")[0] == EXIT_USAGE
+
+
+@pytest.mark.parametrize("n", [1000, 2000])
+def test_enumerate_deep_n(capsys, n):
+    # one stack level per position would pass the interpreter's recursion limit
+    code, out, err = run(capsys, "enumerate", "--n", str(n), "--limit", "1")
+    assert (code, err) == (EXIT_OK, "")
+    (line,) = out.splitlines()
+    image = list(map(int, line.split(",")))
+    assert sorted(image) == list(range(1, n + 1))
+    assert all(is_prime_trial(k + v) for k, v in enumerate(image, 1))
 
 
 def test_enumerate_line_count_matches_count(capsys):
@@ -344,8 +437,8 @@ def test_table_cap(capsys):
     [
         # a sieve to 2n = 2 * 10^8 is over its cap of 2^27 entries
         (("construct", "--n", "100000000"), "exceeds the cap of 134217728"),
-        (("count", "--n", "100000000"), "exceeds the cap of 134217728"),
-        # table estimates its rows before it builds its sieve
+        # count and table estimate their steps before they build a sieve
+        (("count", "--n", "100000000"), "over the step budget of 50000000"),
         (("table", "--max", "100000000"), "over the step budget of 50000000"),
     ],
 )
@@ -357,6 +450,80 @@ def test_resource_limit_exit(capsys, argv, limit):
 
 def test_table_requires_positive_max(capsys):
     assert run(capsys, "table", "--max", "0")[0] == EXIT_USAGE
+
+
+# --- output blocks ----------------------------------------------------------------
+
+
+class _CountingStdout(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return super().write(text)
+
+
+def _block_sizes(lines):
+    sizes, size = [], 1
+    while lines > 0:
+        sizes.append(min(size, lines))
+        lines -= size
+        size = min(2 * size, BLOCK_LINES)
+    return sizes
+
+
+@pytest.mark.parametrize("command", ["verify", "enumerate"])
+def test_output_leaves_in_doubling_blocks(monkeypatch, command):
+    if command == "verify":
+        n = 200_000
+        witness = construct_prime_sum_permutation(n, build_sieve(2 * n))
+        monkeypatch.setattr("sys.stdin", io.StringIO(witness.to_text()))
+        argv, lines, first = ["verify"], n + 1, f"1 + {witness.image[0]} = "
+    else:
+        argv, lines, first = ["enumerate", "--n", "12"], 9216, "2,1,4,3,"
+    stdout = _CountingStdout()
+    monkeypatch.setattr("sys.stdout", stdout)
+    assert main(argv) == EXIT_OK
+    writes = stdout.writes
+    assert len(writes) <= 64
+    assert writes[0].count("\n") == 1 and writes[0].startswith(first)
+    assert [w.count("\n") for w in writes] == _block_sizes(lines)
+    assert all(w.endswith("\n") for w in writes)
+
+
+def _closed_early(argv, stdin, buffered):
+    # read one line, then close the pipe while the CLI still has output
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "primeperm.cli", *argv],
+        stdin=stdin,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    return proc.wait(timeout=60), err
+
+
+@pytest.mark.parametrize("buffered", [True, False])
+def test_closed_pipe_keeps_exit_code(tmp_path, buffered):
+    # identity 1..30000: 2 + 2 = 4 is composite, and 600 KB of lines
+    # outgrow the pipe, so the reader is gone before verify is done
+    identity = tmp_path / "identity.txt"
+    identity.write_text(",".join(map(str, range(1, 30001))))
+    with identity.open("rb") as stdin:
+        assert _closed_early(["verify"], stdin, buffered) == (EXIT_COMPOSITE, b"")
+    # 36100 lines, 1.3 MB
+    closed = _closed_early(["enumerate", "--n", "15"], subprocess.DEVNULL, buffered)
+    assert closed == (EXIT_OK, b"")
 
 
 # --- shared behaviour -------------------------------------------------------------
