@@ -10,7 +10,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from operator import add
 
-from .primes import BertrandViolationError, PrimeSieve, SieveRangeError
+from .primes import BertrandViolationError, PrimeSieve
 
 
 class NotAPermutationError(ValueError):
@@ -119,10 +119,7 @@ def decompose_blocks(n: int, sieve: PrimeSieve) -> list[Block]:
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    if sieve.limit < 2 * n:
-        raise SieveRangeError(
-            f"sieve limit {sieve.limit} is below 2n = {2 * n}"
-        )
+    sieve.is_prime(2 * n)  # its range check: the sieve must cover 2n
     blocks = []
     hi = n
     while hi >= 1:
@@ -163,9 +160,6 @@ def is_valid_solution(perm: Permutation | Sequence[int], sieve: PrimeSieve) -> b
     """
     if not isinstance(perm, Permutation):
         perm = Permutation(tuple(perm))
-    if sieve.limit < 2 * perm.n:
-        raise SieveRangeError(
-            f"sieve limit {sieve.limit} is below 2n = {2 * perm.n}"
-        )
+    sieve.is_prime(2 * perm.n)  # its range check: the sieve must cover 2n
     sums = list(map(add, range(1, perm.n + 1), perm.image))
     return 0 not in sieve.prime_flags(sums)

@@ -1,24 +1,25 @@
 """Exact counting and enumeration of prime-sum permutations.
 
 Valid permutations are exactly the permutation matrices dominated by the
-0/1 matrix M with M[i][j] = 1 iff i + j is prime, so the solution count
-is the permanent of M. Three independent routes compute it: exhaustive
-search over permutations (the desk-scale oracle), subset dynamic
-programming, and Ryser inclusion-exclusion. The last two use parity to
-reduce per(M) to per(A) ** 2 for a half-size block A (see _half_rows);
-the oracle stays on the full matrix as a check of that reduction. Counts
-are plain Python ints: they outgrow 64 bits quickly, and n! already does
-at n = 21.
+0/1 matrix M with M[i][j] = 1 iff i + j is prime, whose row i is the
+sieve's window i + 1 .. i + n, so the solution count is the permanent of
+M. Three independent routes compute it: exhaustive search over
+permutations (the desk-scale oracle, which counts the leaves of the
+enumerator's walk), subset dynamic programming, and Ryser
+inclusion-exclusion. The last two use parity to reduce per(M) to
+per(A) ** 2 for a half-size block A (see _half_rows); the oracle stays on
+the full matrix as a check of that reduction. Counts are plain Python
+ints: they outgrow 64 bits quickly, and n! already does at n = 21.
 """
 
 import itertools
 from collections import defaultdict
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from operator import mul
 
 from .construct import Permutation
-from .primes import PrimeSieve, SieveRangeError, build_sieve
+from .primes import PrimeSieve, build_sieve, prime_pi
 
 # Elementary steps a count may take: n <= 10 for the strict n! walk, 12 for
 # backtracking, 43 for dp and ryser (README, "Counting methods").
@@ -45,39 +46,29 @@ class PrimeAdjacency:
     rows: tuple[int, ...]
 
 
-def _require_cover(n: int, sieve: PrimeSieve) -> None:
-    if sieve.limit < 2 * n:
-        raise SieveRangeError(f"sieve limit {sieve.limit} is below 2n = {2 * n}")
-
-
 def build_adjacency(n: int, sieve: PrimeSieve) -> PrimeAdjacency:
-    """Build the n x n prime-sum adjacency rows."""
+    """Build the n x n prime-sum adjacency rows: row i is the sieve's
+    window i + 1 .. i + n."""
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    _require_cover(n, sieve)
-    rows = []
-    for i in range(1, n + 1):
-        row = 0
-        for j in range(1, n + 1):
-            if sieve.is_prime(i + j):
-                row |= 1 << (j - 1)
-        rows.append(row)
-    return PrimeAdjacency(n, tuple(rows))
+    return PrimeAdjacency(
+        n, tuple(sieve.prime_bits(range(i + 1, i + n + 1)) for i in range(1, n + 1))
+    )
 
 
-def _steps(n: int, sieve: PrimeSieve | None, method: str, strict: bool) -> int:
+def _steps(n: int, method: str, strict: bool) -> int:
     """Upper bound on the elementary steps of counting n by method: n * n!
     for strict naive; m * 2^m for dp and ryser on the m x m half matrix,
     m = n // 2; for backtracking, the sum over depths d of prod_{i <= d}
-    deg(i), deg(i) = #primes in i + 1..i + n (sieved to 2n if sieve is
-    None). It stops once past STEP_BUDGET, so refusing any n is cheap."""
+    deg(i), deg(i) = #primes in i + 1..i + n. It stops once past
+    STEP_BUDGET, so refusing any n is cheap: it reads only the first rows'
+    degrees, from prime_pi, and builds no sieve."""
     if method != "naive":
         partials = (n // 2 << k for k in range(n // 2 + 1))
     elif strict:
         partials = itertools.accumulate(range(2, n + 1), mul, initial=n)
     else:
-        below = (sieve or build_sieve(2 * n)).count_primes_below
-        degrees = (below(i + n + 1) - below(i + 1) for i in range(1, n + 1))
+        degrees = (prime_pi(i + n) - prime_pi(i) for i in range(1, n + 1))
         partials = itertools.accumulate(itertools.accumulate(degrees, mul, initial=1))
     for steps in partials:
         if steps > STEP_BUDGET:
@@ -85,11 +76,9 @@ def _steps(n: int, sieve: PrimeSieve | None, method: str, strict: bool) -> int:
     return steps
 
 
-def _require_budget(
-    ns: range, sieve: PrimeSieve | None, method: str, strict: bool
-) -> None:
+def _require_budget(ns: range, method: str, strict: bool) -> None:
     """Refuse counting every n in ns if that would exceed STEP_BUDGET."""
-    for steps in itertools.accumulate(_steps(n, sieve, method, strict) for n in ns):
+    for steps in itertools.accumulate(_steps(n, method, strict) for n in ns):
         if steps > STEP_BUDGET:
             kind = "strict naive" if method == "naive" and strict else method
             at = f"n = {ns[0]}" if len(ns) == 1 else f"n = 1..{ns[-1]}"
@@ -97,21 +86,6 @@ def _require_budget(
                 f"{kind} counting at {at} is estimated at {steps} or more "
                 f"steps, over the step budget of {STEP_BUDGET}"
             )
-
-
-def _count_backtracking(rows: tuple[int, ...], n: int) -> int:
-    def go(pos: int, used: int) -> int:
-        if pos == n:
-            return 1
-        total = 0
-        avail = rows[pos] & ~used
-        while avail:
-            bit = avail & -avail
-            total += go(pos + 1, used | bit)
-            avail ^= bit
-        return total
-
-    return go(0, 0)
 
 
 def count_solutions_naive(
@@ -122,7 +96,8 @@ def count_solutions_naive(
 ) -> int:
     """Count solutions by exhaustive search; the ground-truth oracle.
 
-    The default walks a pruned backtracking tree over legal images. With
+    The default counts the leaves of the enumerator's backtracking walk
+    over legal images, on the full matrix with no parity pin. With
     strict_paper=True it literally tests all n! permutations instead,
     which the step budget admits up to n = 10.
     """
@@ -130,17 +105,16 @@ def count_solutions_naive(
         raise ValueError(f"n must be nonnegative, got {n}")
     if n == 0:
         return 1
-    _require_budget(range(n, n + 1), sieve, "naive", strict_paper)
+    _require_budget(range(n, n + 1), "naive", strict_paper)
     if strict_paper:
-        _require_cover(n, sieve)
+        sieve.is_prime(2 * n)  # its range check: the sieve must cover 2n
         positions = range(1, n + 1)
         return sum(
             1
             for image in itertools.permutations(positions)
             if all(sieve.is_prime(k + image[k - 1]) for k in positions)
         )
-    adjacency = build_adjacency(n, sieve)
-    return _count_backtracking(adjacency.rows, n)
+    return sum(1 for _ in _walk(build_adjacency(n, sieve).rows))
 
 
 def _half_rows(n: int, sieve: PrimeSieve) -> tuple[int, ...]:
@@ -155,11 +129,11 @@ def _half_rows(n: int, sieve: PrimeSieve) -> tuple[int, ...]:
     one, so 1 -> 1 is forced: A has rows 3, 5, ..., n and columns
     2, 4, ..., n-1. The even-row x odd-column block is A transposed (the
     matrix is symmetric), and the two blocks are matched independently.
-    Bit c of a row is set iff the row index plus 2(c + 1) is prime.
+    Row i is the sieve's window i + 2, i + 4, ..., i + 2 * (n // 2): bit
+    c is set iff i + 2(c + 1) is prime.
     """
-    _require_cover(n, sieve)
     return tuple(
-        sum(1 << c for c in range(n // 2) if sieve.is_prime(i + 2 * c + 2))
+        sieve.prime_bits(range(i + 2, i + 2 * (n // 2) + 1, 2))
         for i in range(3 if n % 2 else 1, n + 1, 2)
     )
 
@@ -177,7 +151,7 @@ def count_solutions_dp(n: int, sieve: PrimeSieve) -> int:
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    _require_budget(range(n, n + 1), sieve, "dp", False)
+    _require_budget(range(n, n + 1), "dp", False)
     rows = _half_rows(n, sieve)
     layer = {0: 1}
     for row in rows:
@@ -204,7 +178,7 @@ def count_solutions_ryser(n: int, sieve: PrimeSieve) -> int:
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    _require_budget(range(n, n + 1), sieve, "ryser", False)
+    _require_budget(range(n, n + 1), "ryser", False)
     rows = _half_rows(n, sieve)
     m = len(rows)
     # the empty subset's term is a product of m zero row sums: 1 iff m = 0
@@ -249,7 +223,7 @@ def count_solutions(
         raise ValueError(f"n must be nonnegative, got {n}")
     if sieve is None:
         kernel = "dp" if method == "auto" else method
-        _require_budget(range(n, n + 1), None, kernel, strict_paper)
+        _require_budget(range(n, n + 1), kernel, strict_paper)
         sieve = build_sieve(max(2, 2 * n))
     if method == "naive":
         return count_solutions_naive(n, sieve, strict_paper=strict_paper)
@@ -281,13 +255,14 @@ def enumerate_solutions(
     rows = list(build_adjacency(n, sieve).rows)
     # parity (see _half_rows): 1 -> 1 is forced for odd n, impossible for even n
     rows[0] = 1 if n % 2 else rows[0] & ~1
-    stream = _walk(rows)
+    stream = map(Permutation, _walk(rows))
     return stream if limit is None else itertools.islice(stream, limit)
 
 
-def _walk(rows: list[int]) -> Iterator[Permutation]:
-    """Lowest-bit-first backtracking over bitset rows, with one slot per
-    depth in two lists, so its depth is not bound by the recursion limit."""
+def _walk(rows: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """Lowest-bit-first backtracking over bitset rows, yielding each leaf's
+    image, with one slot per depth in two lists, so its depth is not bound
+    by the recursion limit."""
     n = len(rows)
     image = [0] * n
     untried = [0] * n  # candidate bits at each depth not yet tried
@@ -306,7 +281,7 @@ def _walk(rows: list[int]) -> Iterator[Permutation]:
         untried[pos] = avail ^ bit
         image[pos] = bit.bit_length()
         if pos + 1 == n:
-            yield Permutation(tuple(image))
+            yield tuple(image)
             continue
         below = used[pos] | bit
         pos += 1
@@ -346,7 +321,7 @@ def sequence_table(
     if max_n < 1:
         raise ValueError(f"max_n must be positive, got {max_n}")
     # before building the sieve to 2 * max_n, which may be large
-    _require_budget(range(1, max_n + 1), None, method, strict_paper)
+    _require_budget(range(1, max_n + 1), method, strict_paper)
     sieve = build_sieve(2 * max_n)
     return [
         SequenceRow(

@@ -1,5 +1,6 @@
 import argparse
 import io
+import itertools
 import json
 import os
 import re
@@ -7,9 +8,10 @@ import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import is_prime_trial
@@ -296,9 +298,10 @@ def test_count_cap_exit(capsys):
         assert estimate in err and "50000000" in err
 
 
-@pytest.mark.parametrize("method", ["auto", "dp", "ryser"])
+@pytest.mark.parametrize("method", ["auto", "dp", "ryser", "naive"])
 def test_count_refuses_before_sieving(capsys, monkeypatch, method):
-    # a sieve to 2n = 2^27 entries is within its cap, and costs 134 MB
+    # a sieve to 2n = 2^27 entries is within its cap, and costs 134 MB; the
+    # naive estimate reads its first row degrees from prime_pi instead
     def no_sieve(limit):
         raise AssertionError("sieve built before the step estimate")
 
@@ -535,6 +538,58 @@ def test_unknown_command(capsys):
 
 def test_no_command(capsys):
     assert run(capsys)[0] == EXIT_USAGE
+
+
+# Every n is tiny, or past the sieve cap and the step budget, so no example
+# starts mid-size work (enumerate --n 10^5 alone would build 1.25 GB of rows).
+# Junk has no decimal digits, so it never spells another n.
+_N = st.one_of(st.integers(0, 8), st.sampled_from([10**8, 2**27])).map(str)
+_N_FLAGS = st.sampled_from(["--n", "--max", "--limit"])
+_PERMS = st.sampled_from(["1,5,4,3,2", "1,2", "1,1", "", '{"n":2,"image":[2,1]}', "{"])
+_WORDS = st.one_of(
+    st.sampled_from(["naive", "dp", "ryser", "auto", "text", "json", "bfile"]),
+    _N,
+    _PERMS,
+    st.sampled_from(["--strict-paper", "-h", "--help", "--", "-"]),
+    st.text(st.characters(blacklist_categories=("Nd", "Cs")), max_size=6),
+)
+# a command with its main option, most of the time, then more options
+_HEADS = st.one_of(
+    st.tuples(st.sampled_from(["construct", "count", "enumerate"]), st.just("--n"), _N),
+    st.tuples(st.just("table"), st.just("--max"), _N),
+    st.tuples(st.just("verify"), st.just("--perm"), _PERMS),
+    st.tuples(st.sampled_from(["construct", "verify", "count", "enumerate", "table"])),
+    st.tuples(st.sampled_from(["-h", "x"])),
+)
+_OPTIONS = st.one_of(
+    st.tuples(_N_FLAGS, _N),
+    st.tuples(st.builds("{}={}".format, _N_FLAGS, _N)),
+    st.tuples(st.just("--method"), st.sampled_from(["naive", "dp", "ryser", "auto"])),
+    st.tuples(st.just("--format"), st.sampled_from(["text", "json", "bfile"])),
+    st.tuples(st.just("--perm"), _PERMS),
+    st.tuples(st.just("--strict-paper")),
+)
+_ARGV = st.builds(
+    lambda head, options, junk: [*head, *itertools.chain(*options), *junk],
+    _HEADS,
+    st.lists(_OPTIONS, max_size=3),
+    st.lists(_WORDS, max_size=1),
+)
+
+
+@settings(deadline=None)
+@given(_ARGV, _PERMS)
+def test_random_argv_gets_a_documented_exit_code(argv, stdin):
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(sys, "stdin", io.StringIO(stdin)):
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse's --help prints it and exits 0
+                assert exc.code == 0 and out.getvalue().startswith("usage:")
+                code = EXIT_OK
+    assert code in (EXIT_OK, EXIT_COMPOSITE, EXIT_NOT_PERMUTATION, EXIT_USAGE, EXIT_CAP)
+    assert "Traceback" not in out.getvalue() + err.getvalue()
 
 
 @pytest.mark.parametrize(

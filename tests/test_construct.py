@@ -1,7 +1,8 @@
+import json
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from primeperm import (
@@ -15,6 +16,8 @@ from primeperm import (
     decompose_blocks,
     is_valid_solution,
 )
+
+from primeperm.cli import _dump
 
 from oracles import is_prime_trial, next_prime_trial
 
@@ -122,6 +125,14 @@ def test_from_json_non_int_entry_is_plain_value_error(image, data):
 def test_from_text_round_trip():
     for text in ("1", "2,1", "1,5,4,3,2", "10,9,8,7,6,5,4,3,2,1"):
         assert Permutation.from_text(text).to_text() == text
+
+
+@given(st.integers(0, 40).flatmap(lambda n: st.permutations(range(1, n + 1))))
+@example(())
+def test_codecs_round_trip(image):
+    p = Permutation(image)
+    assert Permutation.from_text(p.to_text()) == p
+    assert Permutation.from_json(json.loads(_dump(p.as_json_dict()))) == p
 
 
 def test_from_text_tolerates_spaces():

@@ -17,6 +17,7 @@ from primeperm import (
     is_valid_solution,
     sequence_table,
 )
+from primeperm.count import STEP_BUDGET, _half_rows, _steps
 
 from oracles import count_by_full_iteration, is_prime_trial, solutions_by_backtracking
 
@@ -73,6 +74,53 @@ def test_adjacency_preconditions(sieve_small):
         build_adjacency(11, build_sieve(21))
 
 
+def _reference_rows(n, sieve):
+    """Per entry, from is_prime: bit j-1 of row i iff i + j is prime, for
+    i, j in 1..n; index 0 is a dummy row."""
+    prime = [sieve.is_prime(m) for m in range(2 * n + 1)]
+    return [0] + [
+        sum(1 << (j - 1) for j in range(1, n + 1) if prime[i + j])
+        for i in range(1, n + 1)
+    ]
+
+
+def _reference_half_rows(n, sieve):
+    """Per entry, from is_prime: bit c of row i iff i + 2(c + 1) is prime,
+    for odd i in 1..n and c < n // 2; other indices are dummy rows."""
+    prime = [sieve.is_prime(m) for m in range(2 * n + 1)]
+    return [
+        sum(1 << c for c in range(n // 2) if prime[i + 2 * c + 2]) if i % 2 else 0
+        for i in range(n + 1)
+    ]
+
+
+def test_rows_are_sieve_windows(sieve_big):
+    # M at n is the top-left n x n block of M at 2000, and A at n keeps
+    # the first n // 2 columns of rows of the same indices, so one
+    # per-entry reference at 2000 serves every n
+    full = _reference_rows(2000, sieve_big)
+    half = _reference_half_rows(2000, sieve_big)
+    for n in [*range(1, 301), 1000, 2000]:
+        mask = (1 << n) - 1
+        expected = tuple(full[i] & mask for i in range(1, n + 1))
+        assert build_adjacency(n, sieve_big).rows == expected
+        mask = (1 << n // 2) - 1
+        expected = tuple(half[i] & mask for i in range(3 if n % 2 else 1, n + 1, 2))
+        assert _half_rows(n, sieve_big) == expected
+
+
+def test_rows_read_only_covered_sums():
+    # every entry read is range-checked, no more: the largest sum is 2n in
+    # M, and 2n - 1 in A (row n - 1 and column n for even n, row n and
+    # column n - 1 for odd n)
+    with pytest.raises(SieveRangeError):
+        build_adjacency(10, build_sieve(19))
+    for n in (10, 11):
+        assert _half_rows(n, build_sieve(2 * n - 1)) == _half_rows(n, build_sieve(600))
+        with pytest.raises(SieveRangeError):
+            _half_rows(n, build_sieve(2 * n - 2))
+
+
 # --- the three counting routes --------------------------------------------
 
 
@@ -115,9 +163,9 @@ def test_extended_counts_match_backtracking_oracle(sieve_small):
 
 def test_dp_equals_ryser_midrange(sieve_small):
     for n in range(1, 35):
-        assert count_solutions_dp(n, sieve_small) == count_solutions_ryser(
-            n, sieve_small
-        )
+        count = count_solutions_dp(n, sieve_small)
+        assert count == count_solutions_ryser(n, sieve_small)
+        assert isqrt(count) ** 2 == count
 
 
 def test_half_kernels_match_oracle_and_are_squares(sieve_small):
@@ -167,6 +215,23 @@ def test_budget_refuses_before_any_work(sieve_small, monkeypatch):
             count(n, sieve_small, **kwargs)
     with pytest.raises(MethodCapError):
         sequence_table(40)
+
+
+def _naive_steps_on_sieve(n):
+    """The naive estimate as first written: row degrees from a sieve to 2n."""
+    below = build_sieve(2 * n).count_primes_below
+    steps = product = 1
+    for i in range(1, n + 1):
+        if steps > STEP_BUDGET:
+            break
+        product *= below(i + n + 1) - below(i + 1)
+        steps += product
+    return steps
+
+
+def test_naive_estimate_unchanged_without_a_sieve():
+    for n in [*range(1, 301), 10**5]:
+        assert _steps(n, "naive", False) == _naive_steps_on_sieve(n)
 
 
 def test_dispatcher(sieve_small):

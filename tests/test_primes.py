@@ -6,6 +6,7 @@ from primeperm import (
     SieveRangeError,
     build_sieve,
 )
+from primeperm.primes import DEFAULT_LIMIT_CAP, prime_pi
 
 from oracles import count_primes_below_trial, is_prime_trial, next_prime_trial
 
@@ -66,6 +67,32 @@ def test_prime_flags_out_of_range(sieve_small):
     assert not isinstance(excinfo.value, SieveRangeError)
 
 
+def test_prime_bits_match_trial_division():
+    sieve = build_sieve(500)
+    for values in (
+        range(0, 501),
+        range(1, 1),
+        range(7, 8),
+        range(3, 500, 2),
+        range(2, 498, 3),
+        range(490, 501, 10),
+        range(600, 500),
+    ):
+        expected = sum(1 << c for c, m in enumerate(values) if is_prime_trial(m))
+        assert sieve.prime_bits(values) == expected
+
+
+def test_prime_bits_out_of_range(sieve_small):
+    # the range checks of is_prime, whichever end is out of range
+    limit = sieve_small.limit
+    for values in (range(limit - 5, limit + 2), range(limit, limit + 3, 2)):
+        with pytest.raises(SieveRangeError):
+            sieve_small.prime_bits(values)
+    with pytest.raises(ValueError) as excinfo:
+        sieve_small.prime_bits(range(-1, 5))
+    assert not isinstance(excinfo.value, SieveRangeError)
+
+
 @pytest.mark.parametrize("k,expected", [(5, 7), (1, 2), (10, 11)])
 def test_least_prime_greater_than_examples(sieve_small, k, expected):
     assert sieve_small.least_prime_greater_than(k) == expected
@@ -119,6 +146,22 @@ def test_count_primes_below_bounds(sieve_small):
         sieve_small.count_primes_below(limit + 2)
     with pytest.raises(ValueError):
         sieve_small.count_primes_below(-1)
+
+
+def test_prime_pi_matches_oracle_and_sieve():
+    assert [prime_pi(x) for x in range(-2, 2)] == [0, 0, 0, 0]
+    for x in range(2, 1000):
+        assert prime_pi(x) == count_primes_below_trial(x + 1)
+    sieve = build_sieve(200_000)
+    for x in [*range(1000, 200_001, 997), 199_999, 200_000]:
+        assert prime_pi(x) == sieve.count_primes_below(x + 1)
+    assert prime_pi(1 << 26) == 3957809  # pi(2^26), OEIS A007053
+
+
+def test_prime_pi_cap():
+    prime_pi(DEFAULT_LIMIT_CAP)
+    with pytest.raises(SieveCapError):
+        prime_pi(DEFAULT_LIMIT_CAP + 1)
 
 
 def test_memory_cap():
