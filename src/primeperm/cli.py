@@ -202,21 +202,14 @@ def _rounds_table(perm: Permutation) -> str:
 
 def _parse_perm(text: str) -> Permutation:
     stripped = text.strip()
-    if stripped.startswith("{"):
-        try:
-            obj = json.loads(stripped)
-        except json.JSONDecodeError as exc:
-            raise _UsageError(f"invalid JSON permutation: {exc}") from None
-        try:
-            return Permutation.from_json(obj)
-        except NotAPermutationError:
-            raise
-        except ValueError as exc:
-            raise _UsageError(str(exc)) from None
     try:
+        if stripped.startswith("{"):
+            return Permutation.from_json(json.loads(stripped))
         return Permutation.from_text(stripped)
     except NotAPermutationError:
         raise
+    except json.JSONDecodeError as exc:
+        raise _UsageError(f"invalid JSON permutation: {exc}") from None
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
 
@@ -294,6 +287,8 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
+    except SystemExit as exc:  # argparse's --help, after printing the usage
+        return exc.code
     except _UsageError as exc:
         print(f"primeperm: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -86,7 +86,7 @@ class Permutation:
         # Exact for decoded JSON, whose integers are plain ints (not bools).
         if not isinstance(image, list) or not set(map(type, image)) <= {int}:
             raise ValueError("'image' must be a list of integers")
-        if not isinstance(n, int) or n != len(image):
+        if type(n) is not int or n != len(image):
             raise NotAPermutationError(
                 f"declared n={n!r} does not match image length {len(image)}"
             )

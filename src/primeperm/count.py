@@ -13,6 +13,7 @@ ints: they outgrow 64 bits quickly, and n! already does at n = 21.
 """
 
 import itertools
+import math
 from collections import defaultdict
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
@@ -168,39 +169,38 @@ def count_solutions_dp(n: int, sieve: PrimeSieve) -> int:
 
 def count_solutions_ryser(n: int, sieve: PrimeSieve) -> int:
     """Count solutions as per(A) ** 2 (see _half_rows), with the permanent
-    of the m x m block A from Ryser's inclusion-exclusion formula:
+    of the m x m block A from Ryser's formula in the Nijenhuis-Wilf form
+    (Combinatorial Algorithms, 1978, ch. 23), which fixes A's last column
+    and sums over subsets S of the other m - 1 columns only:
 
-        per(A) = sum over column subsets S of (-1)^(m-|S|) prod_i |row_i & S|
+        per(A) = (-1)^(m-1) 2 sum_S (-1)^|S| prod_i (x_i + |row_i & S|),
+        x_i = a(i, last) - |row_i| / 2
 
-    traversed in Gray-code order: step t visits gray(t) = t ^ (t >> 1),
-    which differs from the previous subset in the single bit (t & -t), so
-    the m running row sums update by +-1 and each term costs O(m).
+    Its factors are kept doubled, so integral: the walk sums to
+    (-1)^(m-1) 2^(m-1) per(A). Step t of the Gray-code walk flips column
+    (t & -t), so |S| changes parity and only the rows holding that column
+    change, by +-2: 2^(m-1) - 1 steps, on O(m) ints.
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
     _require_budget(range(n, n + 1), "ryser", False)
     rows = _half_rows(n, sieve)
     m = len(rows)
-    # the empty subset's term is a product of m zero row sums: 1 iff m = 0
-    per = 0 if m else 1
-    rowsums = [0] * m
-    state = 0
-    for t in range(1, 1 << m):
-        bit = t & -t
-        state ^= bit
-        step = 1 if state & bit else -1
-        for i, row in enumerate(rows):
-            if row & bit:
-                rowsums[i] += step
-        term = 1
-        for v in rowsums:
-            if not v:
-                term = 0
-                break
-            term *= v
-        if term:
-            per += term if (m - state.bit_count()) % 2 == 0 else -term
-    return per**2
+    if not m:
+        return 1  # the empty matrix has one (empty) matching
+    last = 1 << (m - 1)
+    x = [2 * bool(row & last) - row.bit_count() for row in rows]  # doubled
+    # the rows holding each column of the walk: a flip changes only these
+    holders = [[i for i, row in enumerate(rows) if row >> j & 1] for j in range(m - 1)]
+    total = math.prod(x)  # S empty
+    for t in range(1, last):
+        bit = t & -t  # S = gray(t) = t ^ (t >> 1), and |S| is odd iff t is
+        step = 2 if (t ^ t >> 1) & bit else -2
+        for i in holders[bit.bit_length() - 1]:
+            x[i] += step
+        if 0 not in x:
+            total += -math.prod(x) if t & 1 else math.prod(x)
+    return ((-total if (m - 1) % 2 else total) >> (m - 1)) ** 2
 
 
 def count_solutions(

@@ -13,7 +13,7 @@ DEFAULT_LIMIT_CAP = 1 << 27
 
 
 class SieveCapError(Exception):
-    """Requested sieve, or prime count, is larger than the configured cap."""
+    """Requested sieve, or prime count, is larger than DEFAULT_LIMIT_CAP."""
 
 
 class SieveRangeError(ValueError):
@@ -34,12 +34,12 @@ class PrimeSieve:
 
     __slots__ = ("limit", "_flags")
 
-    def __init__(self, limit: int, *, limit_cap: int = DEFAULT_LIMIT_CAP):
+    def __init__(self, limit: int):
         if limit < 0:
             raise ValueError(f"sieve limit must be nonnegative, got {limit}")
-        if limit > limit_cap:
+        if limit > DEFAULT_LIMIT_CAP:
             raise SieveCapError(
-                f"sieve limit {limit} exceeds the cap of {limit_cap} entries"
+                f"sieve limit {limit} exceeds the cap of {DEFAULT_LIMIT_CAP} entries"
             )
         flags = bytearray(b"\x01") * (limit + 1)
         flags[0 : min(2, limit + 1)] = b"\x00" * min(2, limit + 1)
@@ -134,6 +134,6 @@ def prime_pi(x: int) -> int:
     return large[1] if x > 1 else 0
 
 
-def build_sieve(limit: int, *, limit_cap: int = DEFAULT_LIMIT_CAP) -> PrimeSieve:
+def build_sieve(limit: int) -> PrimeSieve:
     """Build a PrimeSieve covering 0..limit."""
-    return PrimeSieve(limit, limit_cap=limit_cap)
+    return PrimeSieve(limit)

@@ -216,8 +216,21 @@ def test_verify_stdin_json_mismatch(capsys, monkeypatch):
 
 def test_verify_stdin_bad_json(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO('{"n":4,'))
-    code, _, _ = run(capsys, "verify")
+    code, _, err = run(capsys, "verify")
     assert code == EXIT_USAGE
+    assert err.startswith("primeperm: error: invalid JSON permutation: ")
+
+
+@pytest.mark.parametrize(
+    "text,code",
+    [
+        ('{"n":true,"image":[1]}', EXIT_NOT_PERMUTATION),
+        # past int's digit limit: an input error, not an internal one
+        ('{"n":1,"image":[' + "1" * 5000 + "]}", EXIT_USAGE),
+    ],
+)
+def test_verify_json_input_exit_codes(capsys, text, code):
+    assert run(capsys, "verify", "--perm", text)[:2] == (code, "")
 
 
 def test_construct_verify_round_trip(capsys, monkeypatch):
@@ -532,6 +545,13 @@ def test_closed_pipe_keeps_exit_code(tmp_path, buffered):
 # --- shared behaviour -------------------------------------------------------------
 
 
+@pytest.mark.parametrize("argv", [["-h"], ["count", "--help"]])
+def test_help_returns_ok(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (EXIT_OK, "")
+    assert out.startswith("usage: primeperm")
+
+
 def test_unknown_command(capsys):
     assert run(capsys, "frobnicate")[0] == EXIT_USAGE
 
@@ -583,11 +603,7 @@ def test_random_argv_gets_a_documented_exit_code(argv, stdin):
     out, err = io.StringIO(), io.StringIO()
     with mock.patch.object(sys, "stdin", io.StringIO(stdin)):
         with redirect_stdout(out), redirect_stderr(err):
-            try:
-                code = main(argv)
-            except SystemExit as exc:  # argparse's --help prints it and exits 0
-                assert exc.code == 0 and out.getvalue().startswith("usage:")
-                code = EXIT_OK
+            code = main(argv)
     assert code in (EXIT_OK, EXIT_COMPOSITE, EXIT_NOT_PERMUTATION, EXIT_USAGE, EXIT_CAP)
     assert "Traceback" not in out.getvalue() + err.getvalue()
 

@@ -166,9 +166,17 @@ def test_from_json_malformed(obj):
         Permutation.from_json(obj)
 
 
-def test_from_json_length_mismatch():
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"n": 4, "image": [1, 2, 3]},
+        {"n": True, "image": [1]},  # a bool is not a length, though True == 1
+    ],
+    ids=["short", "bool-n"],
+)
+def test_from_json_length_mismatch(obj):
     with pytest.raises(NotAPermutationError):
-        Permutation.from_json({"n": 4, "image": [1, 2, 3]})
+        Permutation.from_json(obj)
 
 
 # --- block decomposition ------------------------------------------------

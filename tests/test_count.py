@@ -1,6 +1,12 @@
+import itertools
+import re
 from math import isqrt
+from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import primeperm.count as count_module
 from primeperm import (
@@ -178,6 +184,36 @@ def test_half_kernels_match_oracle_and_are_squares(sieve_small):
         assert isqrt(count) ** 2 == count
 
 
+def brute_per(rows):
+    """The permanent of 0/1 bitset rows as a sum over all permutations."""
+    cols = range(len(rows))
+    return sum(
+        all(row >> c & 1 for row, c in zip(rows, perm))
+        for perm in itertools.permutations(cols)
+    )
+
+
+def _square_matrices(m):
+    full = (1 << m) - 1  # zero and all-ones rows, drawn often
+    row = st.one_of(st.just(0), st.just(full), st.integers(0, full))
+    return st.lists(row, min_size=m, max_size=m).map(tuple)
+
+
+@given(st.integers(0, 7).flatmap(_square_matrices))
+def test_half_kernels_on_any_matrix(sieve_small, rows):
+    # the half kernels see A only through _half_rows, so any 0/1 matrix
+    # can stand in for the prime-sum block
+    m = len(rows)
+    with mock.patch.object(count_module, "_half_rows", lambda n, sieve: rows):
+        ryser = count_solutions_ryser(2 * m, sieve_small)
+        dp = count_solutions_dp(2 * m, sieve_small)
+    assert ryser == dp == brute_per(rows) ** 2
+
+
+def test_ryser_n40_pin(sieve_small):
+    assert count_solutions_ryser(40, sieve_small) == 3335164762941**2  # dp's per(A)
+
+
 def test_counts_are_positive(sieve_small):
     for n in range(0, 13):
         assert count_solutions_dp(n, sieve_small) >= 1
@@ -227,6 +263,19 @@ def _naive_steps_on_sieve(n):
         product *= below(i + n + 1) - below(i + 1)
         steps += product
     return steps
+
+
+def test_readme_methods_table_matches_budget():
+    # rows of the table under "### Counting methods":
+    # | `naive --strict-paper` | `n * n!` | 10 | 4.6 s, 15 MB |
+    section = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = section.split("\n### Counting methods\n")[1].split("\n#")[0]
+    row = r"^\| `(\w+)( --strict-paper)?`[^|]*\|[^|]*\| (\d+) \|"
+    rows = re.findall(row, section, re.M)
+    assert {method for method, _, _ in rows} == {"naive", "dp", "ryser"}
+    for method, strict, largest in rows:
+        steps = {n: _steps(n, method, bool(strict)) for n in range(1, 100)}
+        assert int(largest) == max(n for n in steps if steps[n] <= STEP_BUDGET)
 
 
 def test_naive_estimate_unchanged_without_a_sieve():

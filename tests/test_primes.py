@@ -165,9 +165,9 @@ def test_prime_pi_cap():
 
 
 def test_memory_cap():
+    # refused before the flags are allocated
     with pytest.raises(SieveCapError):
-        build_sieve(2000, limit_cap=1000)
-    build_sieve(1000, limit_cap=1000)
+        build_sieve(DEFAULT_LIMIT_CAP + 1)
 
 
 def test_negative_limit_rejected():
