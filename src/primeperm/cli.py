@@ -143,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("count", help="count all solutions for n")
     p.add_argument("--n", type=_nonnegative_int, required=True, metavar="N")
-    _add_method_options(p)
+    p.add_argument("--method", choices=METHODS, default="auto")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=_cmd_count)
 
@@ -155,20 +155,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("table", help="print the count sequence for n = 1..max")
     p.add_argument("--max", type=_positive_int, required=True, metavar="N")
-    _add_method_options(p)
+    p.add_argument("--method", choices=METHODS, default="auto")
     p.add_argument("--format", choices=("text", "json", "bfile"), default="text")
     p.set_defaults(func=_cmd_table)
 
     return parser
-
-
-def _add_method_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--method", choices=METHODS, default="auto")
-    p.add_argument(
-        "--strict-paper",
-        action="store_true",
-        help="naive method tests all n! permutations instead of backtracking",
-    )
 
 
 def _sieve_for(n: int) -> PrimeSieve:
@@ -248,7 +239,7 @@ def _cmd_verify(args) -> int:
 def _cmd_count(args) -> int:
     # no sieve passed: count_solutions builds it after the step estimate,
     # so an n over the budget is refused without sieving to 2n
-    count = count_solutions(args.n, method=args.method, strict_paper=args.strict_paper)
+    count = count_solutions(args.n, method=args.method)
     if args.format == "json":
         _write_lines([_dump({"n": args.n, "method": args.method, "count": str(count)})])
     else:
@@ -266,7 +257,7 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    rows = sequence_table(args.max, method=args.method, strict_paper=args.strict_paper)
+    rows = sequence_table(args.max, method=args.method)
     if args.format == "bfile":
         _write_lines(f"{row.n} {row.count}" for row in rows)
     elif args.format == "json":

@@ -3,13 +3,12 @@
 Valid permutations are exactly the permutation matrices dominated by the
 0/1 matrix M with M[i][j] = 1 iff i + j is prime, whose row i is the
 sieve's window i + 1 .. i + n, so the solution count is the permanent of
-M. Three independent routes compute it: exhaustive search over
-permutations (the desk-scale oracle, which counts the leaves of the
-enumerator's walk), subset dynamic programming, and Ryser
-inclusion-exclusion. The last two use parity to reduce per(M) to
-per(A) ** 2 for a half-size block A (see _half_rows); the oracle stays on
-the full matrix as a check of that reduction. Counts are plain Python
-ints: they outgrow 64 bits quickly, and n! already does at n = 21.
+M. Three independent routes compute it: backtracking (the desk-scale
+oracle, which counts the leaves of the enumerator's walk), subset dynamic
+programming, and Ryser inclusion-exclusion. The last two use parity to
+reduce per(M) to per(A) ** 2 for a half-size block A (see _half_rows);
+the oracle stays on the full matrix as a check of that reduction. Counts
+are plain Python ints: they outgrow 64 bits quickly.
 """
 
 import itertools
@@ -22,8 +21,8 @@ from operator import mul
 from .construct import Permutation
 from .primes import PrimeSieve, build_sieve, prime_pi
 
-# Elementary steps a count may take: n <= 10 for the strict n! walk, 12 for
-# backtracking, 43 for dp and ryser (README, "Counting methods").
+# Elementary steps a count may take: n <= 12 for backtracking, 43 for dp
+# and ryser (README, "Counting methods").
 STEP_BUDGET = 5 * 10**7
 
 METHODS = ("naive", "dp", "ryser", "auto")
@@ -57,17 +56,15 @@ def build_adjacency(n: int, sieve: PrimeSieve) -> PrimeAdjacency:
     )
 
 
-def _steps(n: int, method: str, strict: bool) -> int:
-    """Upper bound on the elementary steps of counting n by method: n * n!
-    for strict naive; m * 2^m for dp and ryser on the m x m half matrix,
-    m = n // 2; for backtracking, the sum over depths d of prod_{i <= d}
-    deg(i), deg(i) = #primes in i + 1..i + n. It stops once past
-    STEP_BUDGET, so refusing any n is cheap: it reads only the first rows'
-    degrees, from prime_pi, and builds no sieve."""
+def _steps(n: int, method: str) -> int:
+    """Upper bound on the elementary steps of counting n by method: m * 2^m
+    for dp and ryser on the m x m half matrix, m = n // 2; for
+    backtracking, the sum over depths d of prod_{i <= d} deg(i), deg(i) =
+    #primes in i + 1..i + n. It stops once past STEP_BUDGET, so refusing
+    any n is cheap: it reads only the first rows' degrees, from prime_pi,
+    and builds no sieve."""
     if method != "naive":
         partials = (n // 2 << k for k in range(n // 2 + 1))
-    elif strict:
-        partials = itertools.accumulate(range(2, n + 1), mul, initial=n)
     else:
         degrees = (prime_pi(i + n) - prime_pi(i) for i in range(1, n + 1))
         partials = itertools.accumulate(itertools.accumulate(degrees, mul, initial=1))
@@ -77,44 +74,28 @@ def _steps(n: int, method: str, strict: bool) -> int:
     return steps
 
 
-def _require_budget(ns: range, method: str, strict: bool) -> None:
+def _require_budget(ns: range, method: str) -> None:
     """Refuse counting every n in ns if that would exceed STEP_BUDGET."""
-    for steps in itertools.accumulate(_steps(n, method, strict) for n in ns):
+    for steps in itertools.accumulate(_steps(n, method) for n in ns):
         if steps > STEP_BUDGET:
-            kind = "strict naive" if method == "naive" and strict else method
             at = f"n = {ns[0]}" if len(ns) == 1 else f"n = 1..{ns[-1]}"
             raise MethodCapError(
-                f"{kind} counting at {at} is estimated at {steps} or more "
+                f"{method} counting at {at} is estimated at {steps} or more "
                 f"steps, over the step budget of {STEP_BUDGET}"
             )
 
 
-def count_solutions_naive(
-    n: int,
-    sieve: PrimeSieve,
-    *,
-    strict_paper: bool = False,
-) -> int:
-    """Count solutions by exhaustive search; the ground-truth oracle.
+def count_solutions_naive(n: int, sieve: PrimeSieve) -> int:
+    """Count solutions by backtracking; the ground-truth oracle.
 
-    The default counts the leaves of the enumerator's backtracking walk
-    over legal images, on the full matrix with no parity pin. With
-    strict_paper=True it literally tests all n! permutations instead,
-    which the step budget admits up to n = 10.
+    It counts the leaves of the enumerator's walk over legal images, on
+    the full matrix with no parity pin.
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
     if n == 0:
         return 1
-    _require_budget(range(n, n + 1), "naive", strict_paper)
-    if strict_paper:
-        sieve.is_prime(2 * n)  # its range check: the sieve must cover 2n
-        positions = range(1, n + 1)
-        return sum(
-            1
-            for image in itertools.permutations(positions)
-            if all(sieve.is_prime(k + image[k - 1]) for k in positions)
-        )
+    _require_budget(range(n, n + 1), "naive")
     return sum(1 for _ in _walk(build_adjacency(n, sieve).rows))
 
 
@@ -152,7 +133,7 @@ def count_solutions_dp(n: int, sieve: PrimeSieve) -> int:
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    _require_budget(range(n, n + 1), "dp", False)
+    _require_budget(range(n, n + 1), "dp")
     rows = _half_rows(n, sieve)
     layer = {0: 1}
     for row in rows:
@@ -183,7 +164,7 @@ def count_solutions_ryser(n: int, sieve: PrimeSieve) -> int:
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    _require_budget(range(n, n + 1), "ryser", False)
+    _require_budget(range(n, n + 1), "ryser")
     rows = _half_rows(n, sieve)
     m = len(rows)
     if not m:
@@ -203,31 +184,31 @@ def count_solutions_ryser(n: int, sieve: PrimeSieve) -> int:
     return ((-total if (m - 1) % 2 else total) >> (m - 1)) ** 2
 
 
-def count_solutions(
-    n: int,
-    sieve: PrimeSieve | None = None,
-    method: str = "auto",
-    *,
-    strict_paper: bool = False,
-) -> int:
-    """Dispatch to a counting method.
+def _kernel(method: str) -> str:
+    """The kernel that method names, once it is checked: "auto" is "dp"."""
+    if method not in METHODS:
+        raise ValueError(f"unknown counting method {method!r}; pick from {METHODS}")
+    return "dp" if method == "auto" else method
 
-    "auto" is the DP, the production kernel. Naive backtracking and Ryser
-    run only when asked for by name: they exist as independent
+
+def count_solutions(
+    n: int, sieve: PrimeSieve | None = None, method: str = "auto"
+) -> int:
+    """Count solutions by method; "auto" is the dp, the production kernel.
+
+    Naive backtracking and Ryser run only when named: they are independent
     cross-checks. Without a sieve, one to 2n is built once the step
     estimate has admitted n, so refusing a large n costs no sieve.
     """
-    if method not in METHODS:
-        raise ValueError(f"unknown counting method {method!r}; pick from {METHODS}")
+    kernel = _kernel(method)
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
     if sieve is None:
-        kernel = "dp" if method == "auto" else method
-        _require_budget(range(n, n + 1), kernel, strict_paper)
+        _require_budget(range(n, n + 1), kernel)
         sieve = build_sieve(max(2, 2 * n))
-    if method == "naive":
-        return count_solutions_naive(n, sieve, strict_paper=strict_paper)
-    if method == "ryser":
+    if kernel == "naive":
+        return count_solutions_naive(n, sieve)
+    if kernel == "ryser":
         return count_solutions_ryser(n, sieve)
     return count_solutions_dp(n, sieve)
 
@@ -307,27 +288,20 @@ class SequenceRow:
         }
 
 
-def sequence_table(
-    max_n: int,
-    method: str = "auto",
-    *,
-    strict_paper: bool = False,
-) -> list[SequenceRow]:
+def sequence_table(max_n: int, method: str = "auto") -> list[SequenceRow]:
     """Solution counts and primes-below-2n for n = 1..max_n.
 
-    The steps of all rows together must sit within STEP_BUDGET; that is
-    checked up front so no partial table is computed before failing.
+    The method, then the steps of all rows together against STEP_BUDGET,
+    are checked up front, so a refusal builds no sieve and no partial table.
     """
     if max_n < 1:
         raise ValueError(f"max_n must be positive, got {max_n}")
     # before building the sieve to 2 * max_n, which may be large
-    _require_budget(range(1, max_n + 1), method, strict_paper)
+    _require_budget(range(1, max_n + 1), _kernel(method))
     sieve = build_sieve(2 * max_n)
     return [
         SequenceRow(
-            n,
-            count_solutions(n, sieve, method, strict_paper=strict_paper),
-            sieve.count_primes_below(2 * n),
+            n, count_solutions(n, sieve, method), sieve.count_primes_below(2 * n)
         )
         for n in range(1, max_n + 1)
     ]

@@ -288,11 +288,6 @@ def test_count_methods_print_identical_strings(capsys):
         assert dp[1] == ry[1]
 
 
-def test_count_strict_paper(capsys):
-    code, out, _ = run(capsys, "count", "--n", "6", "--method", "naive", "--strict-paper")
-    assert code == EXIT_OK and out.strip() == "9"
-
-
 def test_count_json(capsys):
     code, out, _ = run(capsys, "count", "--n", "10", "--format", "json")
     assert code == EXIT_OK
@@ -444,8 +439,10 @@ def test_table_json_lines(capsys):
 
 
 def test_table_cap(capsys):
-    code, _, _ = run(capsys, "table", "--max", "40")
+    code, _, err = run(capsys, "table", "--max", "40")
     assert code == EXIT_CAP
+    # the refusal names the kernel auto runs, as count's does
+    assert err.startswith("primeperm: dp counting at n = 1..40 is estimated at ")
 
 
 @pytest.mark.parametrize(
@@ -554,6 +551,14 @@ def test_help_returns_ok(capsys, argv):
 
 def test_unknown_command(capsys):
     assert run(capsys, "frobnicate")[0] == EXIT_USAGE
+    # --strict-paper (an n! naive route) is gone: argparse rejects it
+    for argv in (
+        ("count", "--n", "5", "--method", "naive", "--strict-paper"),
+        ("table", "--max", "5", "--strict-paper"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert "unrecognized arguments: --strict-paper" in err
 
 
 def test_no_command(capsys):

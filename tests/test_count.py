@@ -1,5 +1,8 @@
 import itertools
+import os
 import re
+import subprocess
+import sys
 from math import isqrt
 from pathlib import Path
 from unittest import mock
@@ -34,6 +37,7 @@ KNOWN_PRIMES_BELOW_2N = [0, 2, 3, 4, 4, 5, 6, 6, 7, 8]
 # Frozen from the backtracking oracle (solutions_by_backtracking).
 COUNT_N11 = 400
 COUNT_N12 = 9216
+ROOT = Path(__file__).resolve().parent.parent
 
 
 # --- adjacency ------------------------------------------------------------
@@ -131,17 +135,8 @@ def test_rows_read_only_covered_sums():
 
 
 def test_naive_matches_full_iteration_oracle(sieve_small):
-    for n in range(1, 8):
-        expected = count_by_full_iteration(n)
-        assert count_solutions_naive(n, sieve_small) == expected
-        assert count_solutions_naive(n, sieve_small, strict_paper=True) == expected
-
-
-def test_strict_equals_backtracking_to_eight(sieve_small):
     for n in range(1, 9):
-        assert count_solutions_naive(
-            n, sieve_small, strict_paper=True
-        ) == count_solutions_naive(n, sieve_small)
+        assert count_solutions_naive(n, sieve_small) == count_by_full_iteration(n)
 
 
 def test_known_counts_naive(sieve_small):
@@ -227,17 +222,16 @@ def test_n_zero_counts_one(sieve_small):
 
 # The first n over the step budget, per method.
 OVER_BUDGET = [
-    (count_solutions_naive, 13, {}),
-    (count_solutions_naive, 11, {"strict_paper": True}),
-    (count_solutions_dp, 44, {}),
-    (count_solutions_ryser, 44, {}),
+    (count_solutions_naive, 13),
+    (count_solutions_dp, 44),
+    (count_solutions_ryser, 44),
 ]
 
 
 def test_method_caps(sieve_small):
-    for count, n, kwargs in OVER_BUDGET:
+    for count, n in OVER_BUDGET:
         with pytest.raises(MethodCapError):
-            count(n, sieve_small, **kwargs)
+            count(n, sieve_small)
 
 
 def test_budget_refuses_before_any_work(sieve_small, monkeypatch):
@@ -246,9 +240,9 @@ def test_budget_refuses_before_any_work(sieve_small, monkeypatch):
 
     monkeypatch.setattr(count_module, "build_adjacency", no_work)
     monkeypatch.setattr(count_module, "_half_rows", no_work)
-    for count, n, kwargs in OVER_BUDGET:
+    for count, n in OVER_BUDGET:
         with pytest.raises(MethodCapError):
-            count(n, sieve_small, **kwargs)
+            count(n, sieve_small)
     with pytest.raises(MethodCapError):
         sequence_table(40)
 
@@ -265,22 +259,67 @@ def _naive_steps_on_sieve(n):
     return steps
 
 
-def test_readme_methods_table_matches_budget():
-    # rows of the table under "### Counting methods":
-    # | `naive --strict-paper` | `n * n!` | 10 | 4.6 s, 15 MB |
-    section = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+def _readme_methods_table():
+    """(method, largest n, peak MB there) for each row of the table under
+    "### Counting methods": | `ryser` | `m * 2^m` | 43 | 1.2 s, 15 MB |"""
+    section = (ROOT / "README.md").read_text()
     section = section.split("\n### Counting methods\n")[1].split("\n#")[0]
-    row = r"^\| `(\w+)( --strict-paper)?`[^|]*\|[^|]*\| (\d+) \|"
-    rows = re.findall(row, section, re.M)
+    row = r"^\| `(\w+)`[^|]*\|[^|]*\| (\d+) \| [^|]*?([\d.]+) MB \|$"
+    rows = [(m, int(n), float(mb)) for m, n, mb in re.findall(row, section, re.M)]
     assert {method for method, _, _ in rows} == {"naive", "dp", "ryser"}
-    for method, strict, largest in rows:
-        steps = {n: _steps(n, method, bool(strict)) for n in range(1, 100)}
-        assert int(largest) == max(n for n in steps if steps[n] <= STEP_BUDGET)
+    return rows
+
+
+def test_readme_methods_table_matches_budget():
+    for method, largest, _ in _readme_methods_table():
+        steps = {n: _steps(n, method) for n in range(1, 100)}
+        assert largest == max(n for n in steps if steps[n] <= STEP_BUDGET)
+
+
+# A child's ru_maxrss counts the resident size of the process that spawned
+# it, so a bare interpreter, not this test process, spawns the CLI and
+# reports its exit code and peak RSS (KiB) from os.wait4.
+_PEAK_RSS = """\
+import os, sys
+pid = os.posix_spawn(sys.executable, [sys.executable, *sys.argv[1:]], os.environ)
+_, status, usage = os.wait4(pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def test_readme_methods_table_peak_rss():
+    # bytes, not only steps: the largest n the budget admits stays within
+    # the memory the README states for it
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    for method, largest, mb in _readme_methods_table():
+        argv = ["-m", "primeperm.cli", "count", "--n", str(largest), "--method", method]
+        out = subprocess.run(
+            [sys.executable, "-c", _PEAK_RSS, *argv],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout
+        code, rss_kb = map(int, out.split()[-2:])
+        assert code == 0, (method, largest)
+        assert rss_kb / 1024 <= 1.25 * mb, (method, largest, rss_kb / 1024, mb)
 
 
 def test_naive_estimate_unchanged_without_a_sieve():
     for n in [*range(1, 301), 10**5]:
-        assert _steps(n, "naive", False) == _naive_steps_on_sieve(n)
+        assert _steps(n, "naive") == _naive_steps_on_sieve(n)
+
+
+@pytest.mark.parametrize("max_n", [5, 10**6])
+def test_sequence_table_checks_method_first(monkeypatch, max_n):
+    # the same error at any size, before the budget and before any sieve
+    def no_sieve(limit):
+        raise AssertionError("sieve built before the method check")
+
+    monkeypatch.setattr(count_module, "build_sieve", no_sieve)
+    with pytest.raises(ValueError, match="^unknown counting method 'magic'") as info:
+        sequence_table(max_n, "magic")
+    assert type(info.value) is ValueError  # not its subclass MethodCapError
 
 
 def test_dispatcher(sieve_small):
