@@ -11,7 +11,6 @@ Exit codes:
 """
 
 import argparse
-import json
 import os
 import sys
 from collections.abc import Iterable, Iterator
@@ -72,6 +71,8 @@ def _positive_int(text: str) -> int:
 
 
 def _dump(obj: object) -> str:
+    import json  # here, not at the top: text output never loads it
+
     return json.dumps(obj, separators=(",", ":"))
 
 
@@ -194,13 +195,17 @@ def _rounds_table(perm: Permutation) -> str:
 def _parse_perm(text: str) -> Permutation:
     stripped = text.strip()
     try:
-        if stripped.startswith("{"):
-            return Permutation.from_json(json.loads(stripped))
-        return Permutation.from_text(stripped)
+        if not stripped.startswith("{"):
+            return Permutation.from_text(stripped)
+        import json  # here, not at the top: text input never loads it
+
+        try:
+            obj = json.loads(stripped)
+        except json.JSONDecodeError as exc:
+            raise _UsageError(f"invalid JSON permutation: {exc}") from None
+        return Permutation.from_json(obj)
     except NotAPermutationError:
         raise
-    except json.JSONDecodeError as exc:
-        raise _UsageError(f"invalid JSON permutation: {exc}") from None
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
 
@@ -248,7 +253,9 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    solutions = enumerate_solutions(args.n, _sieve_for(args.n), limit=args.limit)
+    # no sieve passed: enumerate_solutions builds it after its memory
+    # estimate, so an n whose rows would not fit is refused without sieving
+    solutions = enumerate_solutions(args.n, limit=args.limit)
     if args.format == "json":
         _write_lines(_dump(perm.as_json_dict()) for perm in solutions)
     else:

@@ -6,8 +6,7 @@ for every k. One always exists: partition {1..n} into descending blocks
 block so every position in it sums to that prime.
 """
 
-from collections.abc import Sequence
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from operator import add
 
 from .primes import BertrandViolationError, PrimeSieve
@@ -17,8 +16,72 @@ class NotAPermutationError(ValueError):
     """Sequence is not a bijection on {1..n}."""
 
 
-@dataclass(frozen=True)
-class Permutation:
+class _Frozen:
+    """An immutable record whose fields are its ``__slots__``: equal to a
+    record of the same class with equal fields, hashable, shown as
+    ``Name(field=value, ...)``, and copied or pickled through its
+    constructor. Written out, not generated: the stdlib generator and the
+    modules it imports cost every CLI process several ms (see README,
+    "Start-up")."""
+
+    __slots__ = ()
+
+    def _set(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+def _clip(value: object) -> str:
+    """repr of value for an error message, cut to at most 40 characters."""
+    try:
+        text = repr(value)
+    except ValueError:  # an int past the int-string digit limit
+        return f"<int of {value.bit_length()} bits>"
+    return text if len(text) <= 40 else text[:37] + "..."
+
+
+def _first_fault(image: tuple) -> str:
+    """Why image is not a permutation of 1..n, at its first bad position."""
+    n = len(image)
+    seen = set()
+    for k, v in enumerate(image, 1):
+        if not isinstance(v, int):
+            why = "is not an int"
+        elif not 0 < v <= n:
+            why = f"is outside 1..{n}"
+        elif v in seen:
+            why = "repeats an earlier entry"
+        else:
+            seen.add(v)
+            continue
+        return f"entry {_clip(v)} at position {k} {why}: not a permutation of 1..{n}"
+
+
+class Permutation(_Frozen):
     """A permutation of {1..n} in 1-indexed one-line notation.
 
     ``image[k-1]`` is where position k is sent. The constructor enforces
@@ -26,10 +89,14 @@ class Permutation:
     genuine permutation.
     """
 
+    __slots__ = ("image",)
     image: tuple[int, ...]
 
+    def __init__(self, image: Iterable[int]):
+        object.__setattr__(self, "image", tuple(image))
+        self.__post_init__()
+
     def __post_init__(self):
-        object.__setattr__(self, "image", tuple(self.image))
         n = len(self.image)
         # A per-element loop on purpose: it measured faster than sort- and
         # map-based checks at n = 15, 2*10^5 and 10^6 (see README).
@@ -42,9 +109,7 @@ class Permutation:
         else:
             if seen.count(1) == n:
                 return
-        raise NotAPermutationError(
-            f"{list(self.image)!r} is not a permutation of 1..{n}"
-        )
+        raise NotAPermutationError(_first_fault(self.image))
 
     @property
     def n(self) -> int:
@@ -66,11 +131,18 @@ class Permutation:
         stripped = text.strip()
         if not stripped:
             return cls(())
+        tokens = stripped.split(",")
         try:
-            values = tuple(map(int, stripped.split(",")))
+            values = tuple(map(int, tokens))
         except ValueError:
+            for k, token in enumerate(tokens, 1):
+                try:
+                    int(token)
+                except ValueError:
+                    break
             raise ValueError(
-                f"cannot parse {text!r}: expected comma-separated integers"
+                f"cannot parse token {k} of {len(tokens)} ({_clip(token)}): "
+                "expected comma-separated integers"
             ) from None
         return cls(values)
 
@@ -88,23 +160,24 @@ class Permutation:
             raise ValueError("'image' must be a list of integers")
         if type(n) is not int or n != len(image):
             raise NotAPermutationError(
-                f"declared n={n!r} does not match image length {len(image)}"
+                f"declared n={_clip(n)} does not match image length {len(image)}"
             )
         return cls(tuple(image))
 
 
-@dataclass(frozen=True)
-class Block:
+class Block(_Frozen):
     """Interval [lo, hi] of positions whose reversal makes every
     positional sum equal ``prime`` (= lo + hi, the least prime > hi)."""
 
+    __slots__ = ("lo", "hi", "prime")
     lo: int
     hi: int
     prime: int
 
-    def __post_init__(self):
-        if not (1 <= self.lo <= self.hi and self.prime == self.lo + self.hi):
-            raise ValueError(f"inconsistent block ({self.lo}, {self.hi}, {self.prime})")
+    def __init__(self, lo: int, hi: int, prime: int):
+        if not (1 <= lo <= hi and prime == lo + hi):
+            raise ValueError(f"inconsistent block ({lo}, {hi}, {prime})")
+        self._set(lo, hi, prime)
 
 
 def decompose_blocks(n: int, sieve: PrimeSieve) -> list[Block]:

@@ -15,11 +15,10 @@ import itertools
 import math
 from collections import defaultdict
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
 from operator import mul
 
-from .construct import Permutation
-from .primes import PrimeSieve, build_sieve, prime_pi
+from .construct import Permutation, _Frozen
+from .primes import DEFAULT_LIMIT_CAP, PrimeSieve, build_sieve, prime_pi
 
 # Elementary steps a count may take: n <= 12 for backtracking, 43 for dp
 # and ryser (README, "Counting methods").
@@ -29,12 +28,13 @@ METHODS = ("naive", "dp", "ryser", "auto")
 
 
 class MethodCapError(ValueError):
-    """Counting refused before any work: its estimated elementary steps
-    exceed STEP_BUDGET. The message names the estimate and the budget."""
+    """Counting or enumeration refused before any work: its estimated
+    elementary steps exceed STEP_BUDGET, or, for enumeration, its estimated
+    bytes exceed DEFAULT_LIMIT_CAP. The message names the estimate and the
+    limit."""
 
 
-@dataclass(frozen=True)
-class PrimeAdjacency:
+class PrimeAdjacency(_Frozen):
     """Bitset rows of the prime-sum adjacency matrix.
 
     Bit j-1 of rows[i-1] is set iff i + j is prime, i.e. row i is the set
@@ -42,8 +42,12 @@ class PrimeAdjacency:
     i + j = j + i.
     """
 
+    __slots__ = ("n", "rows")
     n: int
     rows: tuple[int, ...]
+
+    def __init__(self, n: int, rows: tuple[int, ...]):
+        self._set(n, rows)
 
 
 def build_adjacency(n: int, sieve: PrimeSieve) -> PrimeAdjacency:
@@ -215,7 +219,7 @@ def count_solutions(
 
 def enumerate_solutions(
     n: int,
-    sieve: PrimeSieve,
+    sieve: PrimeSieve | None = None,
     limit: int | None = None,
 ) -> Iterator[Permutation]:
     """Yield every valid permutation exactly once, in lexicographic order
@@ -225,6 +229,11 @@ def enumerate_solutions(
     n the sieve covers runs without recursion. Apart from pinning the image
     of 1 by parity, it only skips images already used, so it can still
     descend into prefixes that no solution extends.
+
+    The n rows of n bits, and the walk's two masks per depth, take up to
+    3 n ceil(n / 8) bytes before the first solution, whatever the limit:
+    over DEFAULT_LIMIT_CAP (n > 18917) it raises MethodCapError before any
+    work. Without a sieve, one to 2n is built after that check.
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
@@ -233,6 +242,14 @@ def enumerate_solutions(
     if n == 0:
         # the empty permutation, the one solution count_solutions(0) counts
         return iter((Permutation(()),))
+    estimate = 3 * n * -(-n // 8)
+    if estimate > DEFAULT_LIMIT_CAP:
+        raise MethodCapError(
+            f"enumeration at n = {n} is estimated at {estimate} bytes of rows "
+            f"and masks, over the cap of {DEFAULT_LIMIT_CAP} bytes"
+        )
+    if sieve is None:
+        sieve = build_sieve(2 * n)
     rows = list(build_adjacency(n, sieve).rows)
     # parity (see _half_rows): 1 -> 1 is forced for odd n, impossible for even n
     rows[0] = 1 if n % 2 else rows[0] & ~1
@@ -270,13 +287,16 @@ def _walk(rows: Sequence[int]) -> Iterator[tuple[int, ...]]:
         untried[pos] = rows[pos] & ~below
 
 
-@dataclass(frozen=True)
-class SequenceRow:
+class SequenceRow(_Frozen):
     """One row of the solution-count sequence table."""
 
+    __slots__ = ("n", "count", "primes_below_2n")
     n: int
     count: int
     primes_below_2n: int
+
+    def __init__(self, n: int, count: int, primes_below_2n: int):
+        self._set(n, count, primes_below_2n)
 
     def as_json_dict(self) -> dict:
         # count rides as a string: JSON consumers commonly lose precision

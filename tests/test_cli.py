@@ -155,6 +155,43 @@ def test_verify_parse_failure(capsys):
     assert code == EXIT_USAGE and err != ""
 
 
+def _bad_token_at_half(n):
+    tokens = list(map(str, range(1, n + 1)))
+    tokens[n // 2] = "x"
+    return ",".join(tokens)
+
+
+@pytest.mark.parametrize(
+    "text, code, err",
+    [
+        (
+            _bad_token_at_half(10**6),
+            EXIT_USAGE,
+            "primeperm: error: cannot parse token 500001 of 1000000 ('x'): "
+            "expected comma-separated integers\n",
+        ),
+        (
+            ",".join(["1"] * 10**6),
+            EXIT_NOT_PERMUTATION,
+            "primeperm: entry 1 at position 2 repeats an earlier entry: "
+            "not a permutation of 1..1000000\n",
+        ),
+        (
+            '{"n":[' + ",".join(["1"] * 10**6) + '],"image":[]}',
+            EXIT_NOT_PERMUTATION,
+            "primeperm: declared n=[1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, ... "
+            "does not match image length 0\n",
+        ),
+    ],
+    ids=["parse", "repeat", "json-n"],
+)
+def test_verify_error_does_not_echo_the_input(capsys, text, code, err):
+    # a 10^6-entry input once came back whole on stderr: 6.9 MB, 3 MB or 3 MB
+    result = run(capsys, "verify", "--perm", text)
+    assert result == (code, "", err)
+    assert len(err.encode()) < 300
+
+
 def test_verify_json_format(capsys):
     code, out, _ = run(capsys, "verify", "--perm", "2,1,4,3", "--format", "json")
     assert code == EXIT_OK
@@ -292,6 +329,8 @@ def test_count_json(capsys):
     code, out, _ = run(capsys, "count", "--n", "10", "--format", "json")
     assert code == EXIT_OK
     assert json.loads(out) == {"n": 10, "method": "auto", "count": "676"}
+    out = run(capsys, "count", "--n", "3", "--format", "json")[1]
+    assert out == '{"n":3,"method":"auto","count":"1"}\n'
 
 
 def test_count_cap_exit(capsys):
@@ -383,6 +422,22 @@ def test_enumerate_deep_n(capsys, n):
     image = list(map(int, line.split(",")))
     assert sorted(image) == list(range(1, n + 1))
     assert all(is_prime_trial(k + v) for k, v in enumerate(image, 1))
+
+
+def test_enumerate_refuses_before_sieving(capsys, monkeypatch):
+    # at n = 10^5 the rows alone would take 1.25 GB
+    def no_work(*args):
+        raise AssertionError("sieve or rows built before the memory estimate")
+
+    monkeypatch.setattr(cli, "build_sieve", no_work)
+    monkeypatch.setattr(count_module, "build_sieve", no_work)
+    monkeypatch.setattr(count_module, "build_adjacency", no_work)
+    assert run(capsys, "enumerate", "--n", "100000", "--limit", "1") == (
+        EXIT_CAP,
+        "",
+        "primeperm: enumeration at n = 100000 is estimated at 3750000000 bytes "
+        "of rows and masks, over the cap of 134217728 bytes\n",
+    )
 
 
 def test_enumerate_line_count_matches_count(capsys):
@@ -566,7 +621,7 @@ def test_no_command(capsys):
 
 
 # Every n is tiny, or past the sieve cap and the step budget, so no example
-# starts mid-size work (enumerate --n 10^5 alone would build 1.25 GB of rows).
+# starts mid-size work (construct --n 10^7 alone sieves 20 MB).
 # Junk has no decimal digits, so it never spells another n.
 _N = st.one_of(st.integers(0, 8), st.sampled_from([10**8, 2**27])).map(str)
 _N_FLAGS = st.sampled_from(["--n", "--max", "--limit"])
@@ -627,6 +682,32 @@ def test_success_is_silent_on_stderr(capsys, argv):
     code, _, err = run(capsys, *argv)
     assert code == EXIT_OK
     assert err == ""
+
+
+IMPORT_PROBE = """
+import sys
+bare = set(sys.modules)
+from primeperm.cli import main
+main(["count", "--n", "22"])
+main(["construct", "--n", "1"])
+print(*sorted(set(sys.modules) - bare))
+"""
+
+
+def test_text_commands_import_no_json_or_dataclasses():
+    # start-up cost of every process (README, "Start-up"); modules, not times
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    added = set(done.stdout.splitlines()[-1].split())
+    assert "primeperm.cli" in added
+    assert not added & {"dataclasses", "inspect", "json"}
 
 
 def test_readme_cli_table_matches_parser():

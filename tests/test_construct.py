@@ -1,5 +1,8 @@
+import copy
 import json
+import pickle
 import random
+import re
 
 import pytest
 from hypothesis import example, given
@@ -10,6 +13,8 @@ from primeperm import (
     Block,
     NotAPermutationError,
     Permutation,
+    PrimeAdjacency,
+    SequenceRow,
     SieveRangeError,
     build_sieve,
     construct_prime_sum_permutation,
@@ -37,6 +42,70 @@ def test_permutation_accepts_lists():
     assert Permutation([2, 1]).image == (2, 1)
 
 
+# One of each record, its exact repr, and an unequal value of the same class.
+RECORDS = [
+    (lambda: Permutation((2, 1)), "Permutation(image=(2, 1))", Permutation((1, 2))),
+    (lambda: Block(2, 5, 7), "Block(lo=2, hi=5, prime=7)", Block(1, 4, 5)),
+    (
+        lambda: PrimeAdjacency(2, (3, 1)),
+        "PrimeAdjacency(n=2, rows=(3, 1))",
+        PrimeAdjacency(2, (3, 0)),
+    ),
+    (
+        lambda: SequenceRow(12, 9216, 9),
+        "SequenceRow(n=12, count=9216, primes_below_2n=9)",
+        SequenceRow(12, 9216, 8),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "make, text, other", RECORDS, ids=[text.split("(")[0] for _, text, _ in RECORDS]
+)
+def test_record_behaviour(make, text, other):
+    record = make()
+    assert repr(record) == text
+    assert record == make() and hash(record) == hash(make())
+    assert record != other and not record == other
+    assert copy.copy(record) == record == pickle.loads(pickle.dumps(record))
+    field = text[text.index("(") + 1 : text.index("=")]
+    with pytest.raises(AttributeError):
+        setattr(record, field, 0)
+    with pytest.raises(AttributeError):
+        delattr(record, field)
+    with pytest.raises(AttributeError):
+        record.extra = 0
+    assert repr(record) == text
+
+
+def test_records_equal_only_their_own_class():
+    assert Block(2, 5, 7) != (2, 5, 7)
+    assert Permutation((2, 1)) != (2, 1)
+    assert Permutation((2, 1)) != ((2, 1),)
+    assert SequenceRow(1, 1, 0) != PrimeAdjacency(1, 1)
+    with pytest.raises(ValueError):
+        Block(2, 5, 8)
+    with pytest.raises(ValueError):
+        Block(0, 2, 2)
+
+
+def test_patched_post_init_runs_on_every_construction(monkeypatch):
+    seen = []
+    check = Permutation.__post_init__
+
+    def spy(self):
+        seen.append(tuple(self.image))
+        check(self)
+
+    monkeypatch.setattr(Permutation, "__post_init__", spy)
+    Permutation([2, 1])
+    Permutation.from_text("1,3,2")
+    Permutation.from_json({"n": 1, "image": [1]})
+    with pytest.raises(NotAPermutationError):
+        Permutation((1, 1))
+    assert seen == [(2, 1), (1, 3, 2), (1,), (1, 1)]
+
+
 def test_empty_permutation():
     p = Permutation(())
     assert p.n == 0
@@ -46,17 +115,24 @@ def test_empty_permutation():
 
 
 @pytest.mark.parametrize(
-    "bad",
+    "bad, message",
     [
-        (1, 1, 2),  # repeated element
-        (1, 3),  # 3 outside 1..2
-        (0, 1),  # zero is not a contestant
-        (-1, 2),
-        (2,),
+        ((1, 1, 2), "entry 1 at position 2 repeats an earlier entry: not a permutation of 1..3"),
+        ((1, 3), "entry 3 at position 2 is outside 1..2: not a permutation of 1..2"),
+        ((0, 1), "entry 0 at position 1 is outside 1..2"),  # zero is not a contestant
+        ((-1, 2), "entry -1 at position 1 is outside 1..2"),
+        ((2,), "entry 2 at position 1 is outside 1..1"),
+        ((2, 1.0), "entry 1.0 at position 2 is not an int: not a permutation of 1..2"),
+        ((2, 2, 5), "entry 2 at position 2 repeats"),  # the first fault, not the worst
+        # an echoed entry is cut to 40 characters
+        ((1, "x" * 100), "entry '" + "x" * 36 + "... at position 2 is not an int"),
+        # past the int-string digit limit, where repr raises
+        ((1, 10**5000), "entry <int of 16610 bits> at position 2 is outside 1..2"),
     ],
+    ids=[f"bad{i}" for i in range(9)],
 )
-def test_permutation_rejects_non_bijections(bad):
-    with pytest.raises(NotAPermutationError):
+def test_permutation_rejects_non_bijections(bad, message):
+    with pytest.raises(NotAPermutationError, match=re.escape(message)):
         Permutation(bad)
 
 
@@ -139,11 +215,27 @@ def test_from_text_tolerates_spaces():
     assert Permutation.from_text(" 2 , 1 ").image == (2, 1)
 
 
-@pytest.mark.parametrize("text", ["1,x,3", "1,,2", "a", "1;2", "1.5,2"])
-def test_from_text_parse_errors(text):
+@pytest.mark.parametrize(
+    "text, token",
+    [
+        ("1,x,3", "token 2 of 3 ('x')"),
+        ("1,,2", "token 2 of 3 ('')"),
+        ("a", "token 1 of 1 ('a')"),
+        ("1;2", "token 1 of 1 ('1;2')"),
+        ("1.5,2", "token 1 of 2 ('1.5')"),
+        (" 2 , y , z", "token 2 of 3 (' y ')"),
+        # past the int-string digit limit; an echoed token is cut to 40 characters
+        ("1," + "9" * 5000, "token 2 of 2 ('" + "9" * 36 + "...)"),
+    ],
+    ids=["1,x,3", "1,,2", "a", "1;2", "1.5,2", " 2 , y , z", "long-token"],
+)
+def test_from_text_parse_errors(text, token):
     with pytest.raises(ValueError) as excinfo:
         Permutation.from_text(text)
     assert not isinstance(excinfo.value, NotAPermutationError)
+    assert str(excinfo.value) == (
+        f"cannot parse {token}: expected comma-separated integers"
+    )
 
 
 def test_from_json():
@@ -171,12 +263,14 @@ def test_from_json_malformed(obj):
     [
         {"n": 4, "image": [1, 2, 3]},
         {"n": True, "image": [1]},  # a bool is not a length, though True == 1
+        {"n": [1] * 10**5, "image": []},  # echoed cut to 40 characters
     ],
-    ids=["short", "bool-n"],
+    ids=["short", "bool-n", "list-n"],
 )
 def test_from_json_length_mismatch(obj):
-    with pytest.raises(NotAPermutationError):
+    with pytest.raises(NotAPermutationError) as excinfo:
         Permutation.from_json(obj)
+    assert len(str(excinfo.value)) < 100
 
 
 # --- block decomposition ------------------------------------------------

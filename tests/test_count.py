@@ -27,6 +27,7 @@ from primeperm import (
     sequence_table,
 )
 from primeperm.count import STEP_BUDGET, _half_rows, _steps
+from primeperm.primes import DEFAULT_LIMIT_CAP
 
 from oracles import count_by_full_iteration, is_prime_trial, solutions_by_backtracking
 
@@ -393,6 +394,23 @@ def test_enumerate_preconditions(sieve_small):
         enumerate_solutions(-1, sieve_small)
     with pytest.raises(ValueError):
         enumerate_solutions(5, sieve_small, limit=0)
+
+
+def test_enumerate_refuses_rows_over_the_cap(monkeypatch):
+    # 3 n ceil(n / 8) bytes of rows and masks: 134216115 at n = 18917,
+    # 134223210 at 18918, over the cap of 2^27 = 134217728
+    def no_work(*args):
+        raise AssertionError("enumeration work started before the memory check")
+
+    monkeypatch.setattr(count_module, "build_adjacency", no_work)
+    monkeypatch.setattr(count_module, "build_sieve", no_work)
+    for n, estimate in ((18918, 134223210), (10**5, 3750000000), (2**26, 3 * 2**49)):
+        message = f"at n = {n} is estimated at {estimate} bytes .* cap of {DEFAULT_LIMIT_CAP}"
+        for limit in (None, 1):
+            with pytest.raises(MethodCapError, match=message):
+                enumerate_solutions(n, limit=limit)
+    with pytest.raises(AssertionError, match="work started"):  # admitted
+        enumerate_solutions(18917, limit=1)
 
 
 # --- sequence table ---------------------------------------------------------
