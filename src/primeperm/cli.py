@@ -20,6 +20,7 @@ from operator import add, not_
 from .construct import (
     NotAPermutationError,
     Permutation,
+    _clip,
     construct_prime_sum_permutation,
 )
 from .count import (
@@ -52,21 +53,31 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
 
+    # argparse's own check, with the value clipped: the message would
+    # otherwise echo an argv token of any length
+    def _check_value(self, action, value):
+        if action.choices is not None and value not in action.choices:
+            choices = ", ".join(map(repr, action.choices))
+            raise argparse.ArgumentError(
+                action, f"invalid choice: {_clip(value)} (choose from {choices})"
+            )
+
 
 def _nonnegative_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError("value must be >= 0")
-    return value
+    return _int_at_least(text, 0)
 
 
 def _positive_int(text: str) -> int:
-    value = _nonnegative_int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("value must be >= 1")
+    return _int_at_least(text, 1)
+
+
+def _int_at_least(text: str, least: int) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{_clip(text)} is not an integer") from None
+    if value < least:
+        raise argparse.ArgumentTypeError(f"value must be >= {least}")
     return value
 
 
@@ -259,7 +270,9 @@ def _cmd_enumerate(args) -> int:
     if args.format == "json":
         _write_lines(_dump(perm.as_json_dict()) for perm in solutions)
     else:
-        _write_lines(map(Permutation.to_text, solutions))
+        # Permutation.to_text, with each entry's digits made once per n
+        digits = list(map(str, range(args.n + 1))).__getitem__
+        _write_lines(",".join(map(digits, perm.image)) for perm in solutions)
     return EXIT_OK
 
 

@@ -11,11 +11,12 @@ the oracle stays on the full matrix as a check of that reduction. Counts
 are plain Python ints: they outgrow 64 bits quickly.
 """
 
+import functools
 import itertools
 import math
 from collections import defaultdict
 from collections.abc import Iterator, Sequence
-from operator import mul
+from operator import mul, or_
 
 from .construct import Permutation, _Frozen
 from .primes import DEFAULT_LIMIT_CAP, PrimeSieve, build_sieve, prime_pi
@@ -93,7 +94,8 @@ def count_solutions_naive(n: int, sieve: PrimeSieve) -> int:
     """Count solutions by backtracking; the ground-truth oracle.
 
     It counts the leaves of the enumerator's walk over legal images, on
-    the full matrix with no parity pin.
+    the full matrix, with neither the parity pin nor the completion check
+    that enumerate_solutions builds on it.
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
@@ -226,13 +228,15 @@ def enumerate_solutions(
     of one-line notation, stopping after ``limit`` items if given.
 
     Backtracking restricted to adjacency rows, on an explicit stack, so any
-    n the sieve covers runs without recursion. Apart from pinning the image
-    of 1 by parity, it only skips images already used, so it can still
-    descend into prefixes that no solution extends.
+    n the sieve covers runs without recursion. Once the image of 1 is
+    pinned by parity, odd and even positions take disjoint sets of values,
+    so the walk tries an image only if the positions of its own parity can
+    still be completed (see _walk): it never descends into a prefix that no
+    solution extends.
 
-    The n rows of n bits, and the walk's two masks per depth, take up to
-    3 n ceil(n / 8) bytes before the first solution, whatever the limit:
-    over DEFAULT_LIMIT_CAP (n > 18917) it raises MethodCapError before any
+    The n rows of n bits, the walk's two masks per depth and its completion
+    memo take up to 4 n ceil(n / 8) bytes, whatever the limit: over
+    DEFAULT_LIMIT_CAP (n > 16384) it raises MethodCapError before any
     work. Without a sieve, one to 2n is built after that check.
     """
     if n < 0:
@@ -242,30 +246,55 @@ def enumerate_solutions(
     if n == 0:
         # the empty permutation, the one solution count_solutions(0) counts
         return iter((Permutation(()),))
-    estimate = 3 * n * -(-n // 8)
+    estimate = 4 * n * -(-n // 8)
     if estimate > DEFAULT_LIMIT_CAP:
         raise MethodCapError(
-            f"enumeration at n = {n} is estimated at {estimate} bytes of rows "
-            f"and masks, over the cap of {DEFAULT_LIMIT_CAP} bytes"
+            f"enumeration at n = {n} is estimated at {estimate} bytes of rows, "
+            f"masks and memo, over the cap of {DEFAULT_LIMIT_CAP} bytes"
         )
     if sieve is None:
         sieve = build_sieve(2 * n)
-    rows = list(build_adjacency(n, sieve).rows)
-    # parity (see _half_rows): 1 -> 1 is forced for odd n, impossible for even n
-    rows[0] = 1 if n % 2 else rows[0] & ~1
-    stream = map(Permutation, _walk(rows))
+    stream = map(Permutation, _walk(_pinned_rows(n, sieve), prune=True))
     return stream if limit is None else itertools.islice(stream, limit)
 
 
-def _walk(rows: Sequence[int]) -> Iterator[tuple[int, ...]]:
+def _pinned_rows(n: int, sieve: PrimeSieve) -> tuple[int, ...]:
+    """The adjacency rows with the image of 1 pinned by parity (see
+    _half_rows): 1 -> 1 is forced for odd n, so no other position may take
+    1, and impossible for even n. Odd positions then take only even values
+    and even positions only odd ones, except 1 -> 1."""
+    rows = build_adjacency(n, sieve).rows
+    if n % 2:
+        return (1, *(row & ~1 for row in rows[1:]))
+    return (rows[0] & ~1, *rows[1:])
+
+
+def _walk(rows: Sequence[int], prune: bool = False) -> Iterator[tuple[int, ...]]:
     """Lowest-bit-first backtracking over bitset rows, yielding each leaf's
     image, with one slot per depth in two lists, so its depth is not bound
-    by the recursion limit."""
+    by the recursion limit.
+
+    With prune, the rows at even and at odd depths must hold disjoint sets
+    of values, as in enumerate_solutions. The two halves are then matched
+    independently, so an image keeps a leaf below iff its own half can
+    still be completed, which _completes answers and memoises by the set
+    of values that half has used. Without it, the walk skips only used
+    images.
+    """
     n = len(rows)
     image = [0] * n
     untried = [0] * n  # candidate bits at each depth not yet tried
     used = [0] * n  # images taken by the depths above each depth
     untried[0] = rows[0]
+    if prune:
+        halves = (rows[0::2], rows[1::2])
+        values = tuple(functools.reduce(or_, half, 0) for half in halves)
+        # The halves' values are disjoint and no key is empty, so one memo
+        # serves both. It gets the cap less rows and masks, in keys of
+        # ceil(n / 8) bytes: at least n keys, one per position.
+        alive: set[int] = set()
+        dead: set[int] = set()
+        room = DEFAULT_LIMIT_CAP // -(-n // 8) - 3 * n
     pos = 0
     while True:
         avail = untried[pos]
@@ -277,6 +306,12 @@ def _walk(rows: Sequence[int]) -> Iterator[tuple[int, ...]]:
         # lowest set bit first keeps the stream lexicographic
         bit = avail & -avail
         untried[pos] = avail ^ bit
+        if prune:
+            half = pos & 1
+            key = used[pos] & values[half] | bit
+            if key not in alive:
+                if key in dead or not _completes(halves[half], key, alive, dead, room):
+                    continue
         image[pos] = bit.bit_length()
         if pos + 1 == n:
             yield tuple(image)
@@ -285,6 +320,53 @@ def _walk(rows: Sequence[int]) -> Iterator[tuple[int, ...]]:
         pos += 1
         used[pos] = below
         untried[pos] = rows[pos] & ~below
+
+
+def _completes(
+    rows: Sequence[int], key: int, alive: set[int], dead: set[int], room: int
+) -> bool:
+    """Whether the rows past the first key.bit_count() can take distinct
+    values outside key, which those first rows took.
+
+    A lowest-bit-first search on an explicit stack that adds every state
+    it settles to alive or dead. Both are only a cache: past room entries
+    together, dead is cleared, and alive too if that is not enough.
+    """
+    depth = key.bit_count()
+    path: list[int] = []  # unsettled states from key down
+    untried: list[int] = []  # values not yet tried for each one's next row
+    state = key
+    while depth < len(rows) and state not in alive:
+        path.append(state)
+        untried.append(rows[depth] & ~state)
+        while True:
+            avail = untried[-1]
+            if avail:
+                bit = avail & -avail
+                untried[-1] = avail ^ bit
+                state = path[-1] | bit
+                if state not in dead:
+                    depth += 1
+                    break
+            else:
+                untried.pop()
+                _make_room(alive, dead, room, 1)
+                dead.add(path.pop())
+                if not path:
+                    return False
+                depth -= 1
+    path.append(state)
+    _make_room(alive, dead, room, len(path))
+    alive.update(path)
+    return True
+
+
+def _make_room(alive: set[int], dead: set[int], room: int, more: int) -> None:
+    """Clear dead, then alive too if need be, so that more states fit."""
+    if len(alive) + len(dead) + more > room:
+        dead.clear()
+        if len(alive) + more > room:
+            alive.clear()
 
 
 class SequenceRow(_Frozen):

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import io
 import itertools
 import json
@@ -6,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from unittest import mock
@@ -435,9 +437,36 @@ def test_enumerate_refuses_before_sieving(capsys, monkeypatch):
     assert run(capsys, "enumerate", "--n", "100000", "--limit", "1") == (
         EXIT_CAP,
         "",
-        "primeperm: enumeration at n = 100000 is estimated at 3750000000 bytes "
-        "of rows and masks, over the cap of 134217728 bytes\n",
+        "primeperm: enumeration at n = 100000 is estimated at 5000000000 bytes "
+        "of rows, masks and memo, over the cap of 134217728 bytes\n",
     )
+
+
+# SHA-256 of the one line (with its newline) that `enumerate --n N --limit 1`
+# prints, computed once with the walk that has no completion check: as
+# processes, that walk took 2.5 s at n = 253 and 16 s at n = 676 in dead
+# subtrees before its first line.
+FIRST_LINE_SHA256 = {
+    253: "252a6ac669d86dde78e543fc38373a7d5f944bfb34f4388c05dae70df5f81c6c",
+    676: "7ffb0392cf04ba6ea35850d29db33b92e6e438cc4f4d618ce41d55d31e2d222a",
+}
+
+
+@pytest.mark.parametrize("n", sorted(FIRST_LINE_SHA256))
+def test_enumerate_first_line_skips_dead_subtrees(n):
+    argv = ["enumerate", "--n", str(n), "--limit", "1"]
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-m", "primeperm.cli", *argv],
+        env=env,
+        capture_output=True,
+        timeout=60,
+    )
+    elapsed = time.perf_counter() - start
+    assert (done.returncode, done.stderr) == (EXIT_OK, b"")
+    assert hashlib.sha256(done.stdout).hexdigest() == FIRST_LINE_SHA256[n]
+    assert elapsed < 1.0, elapsed
 
 
 def test_enumerate_line_count_matches_count(capsys):
@@ -618,6 +647,35 @@ def test_unknown_command(capsys):
 
 def test_no_command(capsys):
     assert run(capsys)[0] == EXIT_USAGE
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["count", "--n", "x" * 100_000], "--n"),
+        (["count", "--n", "5", "--method", "x" * 100_000], "--method"),
+        (["enumerate", "--n", "5", "--limit", "9" * 100_000], "--limit"),
+        (["table", "--max", "5", "--format", "x" * 100_000], "--format"),
+        (["x" * 100_000], "<command>"),
+    ],
+)
+def test_usage_error_clips_the_token(capsys, argv, option):
+    # the message names the option and a clipped token, not all of it
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert f"argument {option}: " in err
+    assert len(err.encode()) < 300
+
+
+def test_usage_error_names_each_options_least_value(capsys):
+    for argv, least in (
+        (("enumerate", "--n", "-1"), 0),
+        (("enumerate", "--n", "5", "--limit", "-3"), 1),
+        (("table", "--max", "0"), 1),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.endswith(f": value must be >= {least}\n")
 
 
 # Every n is tiny, or past the sieve cap and the step budget, so no example

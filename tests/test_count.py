@@ -3,12 +3,14 @@ import os
 import re
 import subprocess
 import sys
+from functools import reduce
 from math import isqrt
+from operator import or_
 from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import primeperm.count as count_module
@@ -26,7 +28,7 @@ from primeperm import (
     is_valid_solution,
     sequence_table,
 )
-from primeperm.count import STEP_BUDGET, _half_rows, _steps
+from primeperm.count import STEP_BUDGET, _half_rows, _pinned_rows, _steps, _walk
 from primeperm.primes import DEFAULT_LIMIT_CAP
 
 from oracles import count_by_full_iteration, is_prime_trial, solutions_by_backtracking
@@ -357,6 +359,68 @@ def test_enumerate_matches_oracle_listing(sieve_small):
         assert ours == solutions_by_backtracking(n)
 
 
+def test_pinned_rows_split_by_parity(sieve_small):
+    # the completion check needs disjoint values at even and odd depths:
+    # 1 -> 1 is pinned or cut, and at odd n no other position keeps 1
+    for n in range(1, 301):
+        rows = _pinned_rows(n, sieve_small)
+        assert 0 not in rows, n
+        assert reduce(or_, rows[0::2], 0) & reduce(or_, rows[1::2], 0) == 0, n
+
+
+def test_enumerate_equals_the_unpruned_walk(sieve_small):
+    # the completion check only skips dead subtrees: the stream is the
+    # leaves of the same walk on the same pinned rows without it
+    for n in range(1, 15):
+        ours = [p.image for p in enumerate_solutions(n, sieve_small)]
+        assert ours == list(_walk(_pinned_rows(n, sieve_small))), n
+    for n in (15, 16):
+        ours = [p.image for p in enumerate_solutions(n, sieve_small, limit=50_000)]
+        leaves = itertools.islice(_walk(_pinned_rows(n, sieve_small)), 50_000)
+        assert ours == list(leaves), n
+
+
+# no deadline: the unpruned walk takes 0.5 s to its 20th leaf at n = 111
+@settings(deadline=None)
+@given(n=st.integers(1, 150), limit=st.integers(1, 20))
+def test_enumerate_is_a_prefix_of_the_unpruned_walk(sieve_small, n, limit):
+    ours = [p.image for p in enumerate_solutions(n, sieve_small, limit=limit)]
+    assert ours == list(itertools.islice(_walk(_pinned_rows(n, sieve_small)), limit))
+
+
+def test_enumerate_memo_is_only_a_cache(sieve_small, monkeypatch):
+    # with the cap at the estimate, the memo has room for n states only
+    # and is cleared again and again; the stream does not change
+    make_room = count_module._make_room
+    cleared = []
+
+    def checked(alive, dead, room, more):
+        before = len(alive) + len(dead)
+        make_room(alive, dead, room, more)
+        assert len(alive) + len(dead) + more <= room == n
+        cleared.append(len(alive) + len(dead) < before)
+
+    for n in (12, 13, 14):
+        full = [p.image for p in enumerate_solutions(n, sieve_small)]
+        with monkeypatch.context() as patch:
+            patch.setattr(count_module, "DEFAULT_LIMIT_CAP", 4 * n * -(-n // 8))
+            patch.setattr(count_module, "_make_room", checked)
+            assert [p.image for p in enumerate_solutions(n, sieve_small)] == full
+    assert any(cleared)
+
+
+def test_naive_count_walks_without_the_completion_check(sieve_small, monkeypatch):
+    # naive is the full-matrix oracle of the parity split, so it must not
+    # lean on the check built on that split
+    def no_check(*args):
+        raise AssertionError("naive counting used the completion check")
+
+    monkeypatch.setattr(count_module, "_completes", no_check)
+    assert [count_solutions_naive(n, sieve_small) for n in range(1, 11)] == KNOWN_COUNTS
+    with pytest.raises(AssertionError, match="completion check"):
+        next(enumerate_solutions(10, sieve_small))
+
+
 def test_enumerate_stream_properties(sieve_small):
     for n in range(1, 11):
         seen = []
@@ -397,20 +461,56 @@ def test_enumerate_preconditions(sieve_small):
 
 
 def test_enumerate_refuses_rows_over_the_cap(monkeypatch):
-    # 3 n ceil(n / 8) bytes of rows and masks: 134216115 at n = 18917,
-    # 134223210 at 18918, over the cap of 2^27 = 134217728
+    # 4 n ceil(n / 8) bytes of rows, masks and memo: exactly the cap of
+    # 2^27 = 134217728 at n = 16384, 134291460 at 16385
     def no_work(*args):
         raise AssertionError("enumeration work started before the memory check")
 
     monkeypatch.setattr(count_module, "build_adjacency", no_work)
     monkeypatch.setattr(count_module, "build_sieve", no_work)
-    for n, estimate in ((18918, 134223210), (10**5, 3750000000), (2**26, 3 * 2**49)):
+    for n, estimate in ((16385, 134291460), (10**5, 5000000000), (2**26, 2**51)):
         message = f"at n = {n} is estimated at {estimate} bytes .* cap of {DEFAULT_LIMIT_CAP}"
         for limit in (None, 1):
             with pytest.raises(MethodCapError, match=message):
                 enumerate_solutions(n, limit=limit)
     with pytest.raises(AssertionError, match="work started"):  # admitted
-        enumerate_solutions(18917, limit=1)
+        enumerate_solutions(16384, limit=1)
+
+
+def _readme_enumerate_peak():
+    """(n, MB) from the README's "`enumerate --n 16384 --limit 1` takes
+    1.9 s and peaks at 123 MB"."""
+    found = re.search(
+        r"`enumerate --n (\d+) --limit 1` takes [\d.]+ s and peaks at\s+([\d.]+) MB",
+        (ROOT / "README.md").read_text(),
+    )
+    return int(found[1]), float(found[2])
+
+
+def test_readme_enumerate_peak_rss():
+    # the largest n the memory estimate admits prints a solution within the
+    # MB the README states for it, and the next n is refused
+    largest, mb = _readme_enumerate_peak()
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    peaks = {}
+    for n in (largest, largest + 1):
+        argv = ["-m", "primeperm.cli", "enumerate", "--n", str(n), "--limit", "1"]
+        out = subprocess.run(
+            [sys.executable, "-c", _PEAK_RSS, *argv],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout.split("\n")
+        code, rss_kb = map(int, out[-2].split())
+        peaks[n] = code, out[:-2], rss_kb / 1024
+    code, lines, rss_mb = peaks[largest]
+    assert code == 0
+    image = list(map(int, lines[0].split(",")))
+    assert sorted(image) == list(range(1, largest + 1))
+    assert all(is_prime_trial(k + v) for k, v in enumerate(image, 1))
+    assert rss_mb <= 1.25 * mb, (largest, rss_mb, mb)
+    assert peaks[largest + 1][:2] == (65, [])
 
 
 # --- sequence table ---------------------------------------------------------
