@@ -12,8 +12,9 @@ Exit codes:
 
 import argparse
 import os
+import re
 import sys
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from itertools import chain, compress, islice
 from operator import add, not_
 
@@ -39,7 +40,8 @@ EXIT_NOT_PERMUTATION = 3
 EXIT_USAGE = 64
 EXIT_CAP = 65
 
-# Largest block of lines _write_lines joins into one write.
+# Largest block of lines _write_lines joins into one write, and the
+# number of positions construct and verify format at a time.
 BLOCK_LINES = 4096
 
 
@@ -53,14 +55,22 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
 
-    # argparse's own check, with the value clipped: the message would
-    # otherwise echo an argv token of any length
+    # argparse's own checks, with the values clipped: the messages would
+    # otherwise echo argv tokens of any length and number
     def _check_value(self, action, value):
         if action.choices is not None and value not in action.choices:
             choices = ", ".join(map(repr, action.choices))
             raise argparse.ArgumentError(
                 action, f"invalid choice: {_clip(value)} (choose from {choices})"
             )
+
+    def parse_args(self, args=None, namespace=None):
+        args, extras = self.parse_known_args(args, namespace)
+        if extras:
+            shown = " ".join(t if len(t) <= 40 else _clip(t) for t in extras[:3])
+            more = f" and {len(extras) - 3} more" if len(extras) > 3 else ""
+            self.error(f"unrecognized arguments: {shown}{more}")
+        return args
 
 
 def _nonnegative_int(text: str) -> int:
@@ -118,15 +128,19 @@ def _blocks(lines: Iterator[str]) -> Iterator[str]:
         size = min(2 * size, BLOCK_LINES)
 
 
-def _json_members(members: dict) -> Iterator[str]:
-    """The bytes of _dump(members) plus a newline, one member at a time, so
-    at most one encoded member (at n = 10^6, an array of 7 MB) is held."""
-    sep = "{"
-    for key, value in members.items():
-        yield f"{sep}{_dump(key)}:"
-        yield _dump(value)
+def _slices(values: Sequence[int]) -> Iterator[Sequence[int]]:
+    """values in consecutive slices of BLOCK_LINES entries."""
+    return (values[lo : lo + BLOCK_LINES] for lo in range(0, len(values), BLOCK_LINES))
+
+
+def _csv(parts: Iterable[Sequence[int]]) -> Iterator[str]:
+    """The ints of parts as comma-separated decimals, one string per part:
+    a JSON array's body, one write each. One %-format per part runs at C
+    speed, faster than json.dumps or str on each int."""
+    sep = ""
+    for part in parts:
+        yield sep + ",".join(["%d"] * len(part)) % tuple(part)
         sep = ","
-    yield "}\n"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -182,38 +196,53 @@ def _sieve_for(n: int) -> PrimeSieve:
 def _cmd_construct(args) -> int:
     perm = construct_prime_sum_permutation(args.n, _sieve_for(args.n))
     if args.format == "json":
-        _write_lines([_dump(perm.as_json_dict())])
+        # the bytes of _dump(perm.as_json_dict()), one slice at a time
+        head = f'{{"n":{perm.n},"image":['
+        _write(chain((head,), _csv(_slices(perm.image)), ("]}\n",)))
     else:
-        _write_lines([_rounds_table(perm)])
+        _write_lines(_rounds_rows(perm))
     return EXIT_OK
 
 
 def _rounds_table(perm: Permutation) -> str:
+    """The rounds table as one string, without its last newline."""
+    return "\n".join(_rounds_rows(perm))
+
+
+def _rounds_rows(perm: Permutation) -> Iterator[str]:
+    """The Round 1, Round 2 and Total rows, one at a time."""
     ks = range(1, perm.n + 1)
-    positions = list(map(str, ks))
-    images = list(map(str, perm.image))
     totals = list(map(str, map(add, ks, perm.image)))
     # Entries are ints >= 1, so k + v has at least the digits of k and of v:
-    # each total is the widest cell of its column.
-    widths = list(map(len, totals))
-    lines = []
-    for label, cells in (("Round 1", positions), ("Round 2", images), ("Total", totals)):
-        row = "  ".join(map(str.rjust, cells, widths))
-        lines.append(f"{label:<7} | {row}".rstrip())
-    return "\n".join(lines)
+    # each total is the widest cell of its column, and sets its width.
+    for label, cells in (("Round 1", ks), ("Round 2", perm.image)):
+        yield _row(label, map(str.rjust, map(str, cells), map(len, totals)))
+    yield _row("Total", iter(totals))
+
+
+def _row(label: str, cells: Iterator[str]) -> str:
+    # joined a slice at a time: one join of all n cells would hold a list
+    # of n strings (13 MB at n = 2 * 10^5)
+    parts = iter(lambda: "  ".join(islice(cells, BLOCK_LINES)), "")
+    return f"{label:<7} | {'  '.join(parts)}".rstrip()
 
 
 def _parse_perm(text: str) -> Permutation:
-    stripped = text.strip()
+    # No stripped copy of text (7 MB at n = 10^6) unless parsing needs one.
     try:
-        if not stripped.startswith("{"):
-            return Permutation.from_text(stripped)
+        if not text.startswith("{", re.match(r"\s*", text).end()):
+            return Permutation.from_text(text)  # which strips it
         import json  # here, not at the top: text input never loads it
 
         try:
-            obj = json.loads(stripped)
-        except json.JSONDecodeError as exc:
-            raise _UsageError(f"invalid JSON permutation: {exc}") from None
+            obj = json.loads(text)
+        except json.JSONDecodeError:
+            # json.loads skips only " \t\n\r", str.strip every Unicode
+            # space; the stripped text also sets the offsets the message gives
+            try:
+                obj = json.loads(text.strip())
+            except json.JSONDecodeError as exc:
+                raise _UsageError(f"invalid JSON permutation: {exc}") from None
         return Permutation.from_json(obj)
     except NotAPermutationError:
         raise
@@ -222,34 +251,62 @@ def _parse_perm(text: str) -> Permutation:
 
 
 def _cmd_verify(args) -> int:
-    # No name keeps the raw input alive: at n = 10^6 it is 7 MB more at the
-    # output, where verify peaks.
+    # No name keeps the raw input alive: at n = 10^6 it would hold 7 MB
+    # through the whole output.
     perm = _parse_perm(args.perm if args.perm is not None else sys.stdin.read())
-    ks = range(1, perm.n + 1)
-    sums = list(map(add, ks, perm.image))
-    flags = _sieve_for(perm.n).prime_flags(sums)
-    composite_at = list(compress(ks, map(not_, flags))) if 0 in flags else []
+    composite_at: list[int] = []
+    checked = _checked_slices(perm, _sieve_for(perm.n), composite_at)
     if args.format == "json":
-        members = {
-            "n": perm.n,
-            "image": perm.image,
-            "sums": sums,
-            "composite_positions": composite_at,
-            "valid": not composite_at,
-        }
-        _write(_json_members(members))
+        _write(_verify_json(perm, checked, composite_at))
     else:
-        labels = map(("composite", "prime").__getitem__, flags)
-        if composite_at:
-            verdict = "invalid: composite totals at positions " + ",".join(
-                map(str, composite_at)
-            )
-        else:
-            verdict = "valid: every total is prime"
-        _write_lines(
-            chain(map("{} + {} = {}  {}".format, ks, perm.image, sums, labels), (verdict,))
+        label = ("composite", "prime").__getitem__
+        lines = chain.from_iterable(
+            map("{} + {} = {}  {}".format, ks, vs, sums, map(label, flags))
+            for ks, vs, sums, flags in checked
         )
+        # the verdict line is made once every slice is checked
+        _write_lines(chain(lines, map(_verdict, (composite_at,))))
+    # a reader that stopped early left slices unchecked, but the exit code
+    # answers for every position
+    for _ in checked:
+        pass
     return EXIT_COMPOSITE if composite_at else EXIT_OK
+
+
+def _checked_slices(
+    perm: Permutation, sieve: PrimeSieve, composite_at: list[int]
+) -> Iterator[tuple[range, Sequence[int], list[int], bytes]]:
+    """Per slice of BLOCK_LINES positions: the positions, their images, the
+    sums and the sums' prime flags, from one prime_flags call. Appends the
+    slice's composite positions to composite_at before it is yielded."""
+    for lo in range(0, perm.n, BLOCK_LINES):
+        vs = perm.image[lo : lo + BLOCK_LINES]
+        ks = range(lo + 1, lo + len(vs) + 1)
+        sums = list(map(add, ks, vs))
+        flags = sieve.prime_flags(sums)
+        if 0 in flags:
+            composite_at.extend(compress(ks, map(not_, flags)))
+        yield ks, vs, sums, flags
+
+
+def _verify_json(perm, checked, composite_at) -> Iterator[str]:
+    """The bytes of one compact json.dumps of the members n, image, sums,
+    composite_positions and valid, plus a newline, one slice at a time."""
+    yield f'{{"n":{perm.n},"image":['
+    yield from _csv(_slices(perm.image))
+    yield '],"sums":['
+    yield from _csv(sums for _, _, sums, _ in checked)
+    yield '],"composite_positions":['
+    yield from _csv(_slices(composite_at))
+    yield f'],"valid":{"false" if composite_at else "true"}}}\n'
+
+
+def _verdict(composite_at: list[int]) -> str:
+    if composite_at:
+        return "invalid: composite totals at positions " + ",".join(
+            map(str, composite_at)
+        )
+    return "valid: every total is prime"
 
 
 def _cmd_count(args) -> int:

@@ -64,3 +64,20 @@ def solutions_by_backtracking(n: int) -> list[tuple[int, ...]]:
 
     go(1)
     return found
+
+
+def count_by_layered_dp(n: int) -> int:
+    """Count solutions position by position on the full n x n matrix: each
+    layer maps the frozenset of values taken by positions 1..k to the number
+    of ways to take them. No parity split, so it checks that reduction too."""
+    layer = {frozenset(): 1}
+    for k in range(1, n + 1):
+        images = [v for v in range(1, n + 1) if is_prime_trial(k + v)]
+        nxt: dict[frozenset, int] = {}
+        for used, ways in layer.items():
+            for v in images:
+                if v not in used:
+                    key = used | {v}
+                    nxt[key] = nxt.get(key, 0) + ways
+        layer = nxt
+    return sum(layer.values())

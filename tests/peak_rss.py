@@ -1,0 +1,35 @@
+"""Run a command line in a child process and measure its peak RSS."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# A child's ru_maxrss counts the resident size of the process that spawned
+# it, so a bare interpreter, not the test process, spawns the command and
+# reports its exit code and peak RSS (KiB) from os.wait4.
+_SPAWNER = """\
+import os, sys
+pid = os.posix_spawn(sys.executable, [sys.executable, *sys.argv[1:]], os.environ)
+_, status, usage = os.wait4(pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def run_cli(argv, stdin: str | None = None) -> tuple[int, str, float]:
+    """Run `python -m primeperm.cli *argv` with stdin; its exit code, its
+    stdout and its peak RSS in MB."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run(
+        [sys.executable, "-c", _SPAWNER, "-m", "primeperm.cli", *argv],
+        input=stdin,
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    stdout, _, last = out[:-1].rpartition("\n")
+    code, rss_kb = map(int, last.split())
+    return code, stdout + "\n" if stdout else "", rss_kb / 1024

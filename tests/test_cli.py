@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import is_prime_trial
+from peak_rss import run_cli
 from primeperm import build_sieve, construct_prime_sum_permutation
 from primeperm import cli
 from primeperm import count as count_module
@@ -233,6 +234,135 @@ def test_verify_json_golden(capsys, monkeypatch, text, expected):
     monkeypatch.setattr("sys.stdin", io.StringIO(text))
     code = EXIT_COMPOSITE if "false" in expected else EXIT_OK
     assert run(capsys, "verify", "--format", "json") == (code, expected, "")
+
+
+def _witness(n):
+    return list(construct_prime_sum_permutation(n, build_sieve(max(2, 2 * n))).image)
+
+
+def _composites(image):
+    return [k for k, v in enumerate(image, 1) if not is_prime_trial(k + v)]
+
+
+def _rounds_table_by_columns(image):
+    """The rounds table as first written: each column as wide as its widest
+    cell, every cell right-aligned with str.rjust."""
+    rows = [
+        [str(k) for k in range(1, len(image) + 1)],
+        [str(v) for v in image],
+        [str(k + v) for k, v in enumerate(image, 1)],
+    ]
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    lines = [
+        f"{label:<7} | " + "  ".join(map(str.rjust, cells, widths))
+        for label, cells in zip(("Round 1", "Round 2", "Total"), rows)
+    ]
+    return "".join(line.rstrip() + "\n" for line in lines)
+
+
+def _verify_text_by_lines(image):
+    bad = _composites(image)
+    lines = [
+        f"{k} + {v} = {k + v}  {'prime' if is_prime_trial(k + v) else 'composite'}"
+        for k, v in enumerate(image, 1)
+    ]
+    if bad:
+        positions = ",".join(map(str, bad))
+        lines.append(f"invalid: composite totals at positions {positions}")
+    else:
+        lines.append("valid: every total is prime")
+    return "".join(line + "\n" for line in lines)
+
+
+def _verify_json_by_dumps(image):
+    bad = _composites(image)
+    members = {
+        "n": len(image),
+        "image": image,
+        "sums": [k + v for k, v in enumerate(image, 1)],
+        "composite_positions": bad,
+        "valid": not bad,
+    }
+    return json.dumps(members, separators=(",", ":")) + "\n"
+
+
+def _swapped_at_a_boundary():
+    # positions BLOCK_LINES and BLOCK_LINES + 1 swap images: composite sums
+    # on both sides of the first slice boundary
+    image = _witness(2 * BLOCK_LINES + 1)
+    k = BLOCK_LINES - 1
+    image[k], image[k + 1] = image[k + 1], image[k]
+    assert _composites(image) == [BLOCK_LINES, BLOCK_LINES + 1]
+    return image
+
+
+@pytest.mark.parametrize(
+    "n", [BLOCK_LINES - 1, BLOCK_LINES, BLOCK_LINES + 1, 2 * BLOCK_LINES + 1, None]
+)
+def test_witness_commands_across_slice_boundaries(capsys, monkeypatch, n):
+    # construct and verify work a slice of BLOCK_LINES positions at a time;
+    # the bytes are those of one json.dumps, or one table of the whole image
+    image = _swapped_at_a_boundary() if n is None else _witness(n)
+    if n is not None:
+        construct = ("construct", "--n", str(n))
+        table = _rounds_table_by_columns(image)
+        assert run(capsys, *construct) == (EXIT_OK, table, "")
+        expected = json.dumps({"n": n, "image": image}, separators=(",", ":")) + "\n"
+        assert run(capsys, *construct, "--format", "json") == (EXIT_OK, expected, "")
+    code = EXIT_COMPOSITE if n is None else EXIT_OK
+    for fmt, expected in (
+        ("text", _verify_text_by_lines(image)),
+        ("json", _verify_json_by_dumps(image)),
+    ):
+        monkeypatch.setattr("sys.stdin", io.StringIO(",".join(map(str, image))))
+        assert run(capsys, "verify", "--format", fmt) == (code, expected, "")
+
+
+@pytest.mark.parametrize("space", [" \t\n\r", "\x0c", "\u00a0", "\u2028\x1c"])
+def test_verify_json_in_any_whitespace(capsys, space):
+    # str.strip's whitespace, not only the JSON kind, may wrap the input
+    text = space + '{"n":2,"image":[2,1]}' + space
+    assert run(capsys, "verify", "--perm", text, "--format", "json") == (
+        EXIT_OK,
+        '{"n":2,"image":[2,1],"sums":[3,3],"composite_positions":[],"valid":true}\n',
+        "",
+    )
+
+
+@pytest.mark.parametrize(
+    "text", ['   {"n":4,', '\t\n{"n":2,"image":[2,1,]}', '\x0c{"n":2,"image":[2,1]} x']
+)
+def test_verify_bad_json_quotes_offsets_past_the_whitespace(capsys, text):
+    # the message counts from the first character that is not whitespace
+    try:
+        json.loads(text.strip())
+    except json.JSONDecodeError as exc:
+        expected = f"primeperm: error: invalid JSON permutation: {exc}\n"
+    assert run(capsys, "verify", "--perm", text) == (EXIT_USAGE, "", expected)
+    if text == '   {"n":4,':
+        assert expected.endswith(": line 1 column 8 (char 7)\n")
+
+
+def _readme_witness_peak():
+    """MB from the README's "`verify --format json` of the n = 10^6 witness
+    peaks at 68 MB"."""
+    found = re.search(
+        r"`verify --format json` of the\s+n = 10\^6 witness peaks at\s+([\d.]+) MB",
+        README.read_text(),
+    )
+    return float(found[1])
+
+
+def test_readme_witness_peak_rss():
+    # the witness round trip at n = 10^6 stays within the memory the README
+    # states for it
+    mb = _readme_witness_peak()
+    code, witness, _ = run_cli(["construct", "--n", "1000000", "--format", "json"])
+    assert code == EXIT_OK
+    code, out, rss_mb = run_cli(["verify", "--format", "json"], stdin=witness)
+    assert code == EXIT_OK
+    assert out.startswith('{"n":1000000,"image":[') and out.endswith(',"valid":true}\n')
+    assert rss_mb <= 1.25 * mb, (rss_mb, mb)
 
 
 def test_verify_reads_stdin_csv(capsys, monkeypatch):
@@ -590,8 +720,9 @@ def test_output_leaves_in_doubling_blocks(monkeypatch, command):
     assert all(w.endswith("\n") for w in writes)
 
 
-def _closed_early(argv, stdin, buffered):
-    # read one line, then close the pipe while the CLI still has output
+def _closed_early(argv, stdin, buffered, read=io.BufferedReader.readline):
+    # read one line (or what read takes), then close the pipe while the CLI
+    # still has output
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     env.pop("PYTHONUNBUFFERED", None)
     if not buffered:
@@ -603,7 +734,7 @@ def _closed_early(argv, stdin, buffered):
         stderr=subprocess.PIPE,
         env=env,
     )
-    assert proc.stdout.readline()
+    assert read(proc.stdout)
     proc.stdout.close()
     err = proc.stderr.read()
     proc.stderr.close()
@@ -621,6 +752,19 @@ def test_closed_pipe_keeps_exit_code(tmp_path, buffered):
     # 36100 lines, 1.3 MB
     closed = _closed_early(["enumerate", "--n", "15"], subprocess.DEVNULL, buffered)
     assert closed == (EXIT_OK, b"")
+    # a witness whose only composite sums lie past the first slice: output
+    # stops before verify reaches them, and they still set the exit code
+    image = _witness(30000)
+    image[20000], image[20001] = image[20001], image[20000]
+    assert _composites(image) == [20001, 20002]
+    late = tmp_path / "late.txt"
+    late.write_text(",".join(map(str, image)))
+    for argv, read in (
+        (["verify"], io.BufferedReader.readline),
+        (["verify", "--format", "json"], lambda out: out.read(10)),
+    ):
+        with late.open("rb") as stdin:
+            assert _closed_early(argv, stdin, buffered, read) == (EXIT_COMPOSITE, b"")
 
 
 # --- shared behaviour -------------------------------------------------------------
@@ -631,6 +775,15 @@ def test_help_returns_ok(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert (code, err) == (EXIT_OK, "")
     assert out.startswith("usage: primeperm")
+
+
+def test_unrecognized_arguments_are_clipped(capsys):
+    # argparse would echo every leftover token whole: 100 043 bytes here
+    for junk in (["x" * 100_000], [str(k) * 50 for k in range(10_000)]):
+        code, out, err = run(capsys, "count", "--n", "5", *junk)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert "unrecognized arguments: " in err
+        assert len(err.encode()) < 300
 
 
 def test_unknown_command(capsys):

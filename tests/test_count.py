@@ -1,8 +1,5 @@
 import itertools
-import os
 import re
-import subprocess
-import sys
 from functools import reduce
 from math import isqrt
 from operator import or_
@@ -28,10 +25,23 @@ from primeperm import (
     is_valid_solution,
     sequence_table,
 )
-from primeperm.count import STEP_BUDGET, _half_rows, _pinned_rows, _steps, _walk
+from primeperm.count import (
+    METHODS,
+    STEP_BUDGET,
+    _half_rows,
+    _pinned_rows,
+    _steps,
+    _walk,
+)
 from primeperm.primes import DEFAULT_LIMIT_CAP
 
-from oracles import count_by_full_iteration, is_prime_trial, solutions_by_backtracking
+from oracles import (
+    count_by_full_iteration,
+    count_by_layered_dp,
+    is_prime_trial,
+    solutions_by_backtracking,
+)
+from peak_rss import run_cli
 
 # Counts for n = 1..10 as published; verified here against full iteration
 # and backtracking oracles as well.
@@ -122,6 +132,22 @@ def test_rows_are_sieve_windows(sieve_big):
         assert _half_rows(n, sieve_big) == expected
 
 
+def _trial_half_rows(n, prime):
+    """A by its definition, on primality by trial division: one row per odd
+    position that takes an even value (1, 3, ... for even n; 3, 5, ... for
+    odd n, where 1 -> 1 is forced), and bit c of row i iff i + 2(c + 1) is
+    prime, for the even values 2, 4, ..., 2 * (n // 2)."""
+    rows = range(3 if n % 2 else 1, n + 1, 2)
+    cols = range(2, n + 1, 2)
+    return tuple(sum(1 << c for c, j in enumerate(cols) if prime[i + j]) for i in rows)
+
+
+def test_half_rows_match_trial_division(sieve_small):
+    prime = [is_prime_trial(m) for m in range(401)]
+    for n in range(0, 201):
+        assert _half_rows(n, sieve_small) == _trial_half_rows(n, prime), n
+
+
 def test_rows_read_only_covered_sums():
     # every entry read is range-checked, no more: the largest sum is 2n in
     # M, and 2n - 1 in A (row n - 1 and column n for even n, row n and
@@ -163,6 +189,19 @@ def test_extended_counts_match_backtracking_oracle(sieve_small):
     assert count_solutions_dp(11, sieve_small) == COUNT_N11
     assert count_solutions_dp(12, sieve_small) == COUNT_N12
     assert count_solutions_naive(12, sieve_small) == COUNT_N12
+
+
+def test_counts_match_the_layered_dp_oracle():
+    # beyond the backtracking oracle's n = 12: every method the step budget
+    # admits against a route that shares no code with the package (n = 20
+    # would add 2 s to the suite)
+    for n in range(0, 20):
+        expected = count_by_layered_dp(n)
+        methods = [m for m in METHODS if _steps(n, m) <= STEP_BUDGET]
+        assert {"dp", "ryser", "auto"} <= set(methods)
+        assert ("naive" in methods) == (n <= 12)
+        for method in methods:
+            assert count_solutions(n, method=method) == expected, (n, method)
 
 
 def test_dp_equals_ryser_midrange(sieve_small):
@@ -209,7 +248,9 @@ def test_half_kernels_on_any_matrix(sieve_small, rows):
 
 
 def test_ryser_n40_pin(sieve_small):
-    assert count_solutions_ryser(40, sieve_small) == 3335164762941**2  # dp's per(A)
+    # a regression pin, not a cross-check: the value is dp's per(A), and dp
+    # shares _half_rows with ryser
+    assert count_solutions_ryser(40, sieve_small) == 3335164762941**2
 
 
 def test_counts_are_positive(sieve_small):
@@ -279,33 +320,13 @@ def test_readme_methods_table_matches_budget():
         assert largest == max(n for n in steps if steps[n] <= STEP_BUDGET)
 
 
-# A child's ru_maxrss counts the resident size of the process that spawned
-# it, so a bare interpreter, not this test process, spawns the CLI and
-# reports its exit code and peak RSS (KiB) from os.wait4.
-_PEAK_RSS = """\
-import os, sys
-pid = os.posix_spawn(sys.executable, [sys.executable, *sys.argv[1:]], os.environ)
-_, status, usage = os.wait4(pid, 0)
-print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
-"""
-
-
 def test_readme_methods_table_peak_rss():
     # bytes, not only steps: the largest n the budget admits stays within
     # the memory the README states for it
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     for method, largest, mb in _readme_methods_table():
-        argv = ["-m", "primeperm.cli", "count", "--n", str(largest), "--method", method]
-        out = subprocess.run(
-            [sys.executable, "-c", _PEAK_RSS, *argv],
-            env=env,
-            capture_output=True,
-            text=True,
-            check=True,
-        ).stdout
-        code, rss_kb = map(int, out.split()[-2:])
+        code, _, rss_mb = run_cli(["count", "--n", str(largest), "--method", method])
         assert code == 0, (method, largest)
-        assert rss_kb / 1024 <= 1.25 * mb, (method, largest, rss_kb / 1024, mb)
+        assert rss_mb <= 1.25 * mb, (method, largest, rss_mb, mb)
 
 
 def test_naive_estimate_unchanged_without_a_sieve():
@@ -491,19 +512,10 @@ def test_readme_enumerate_peak_rss():
     # the largest n the memory estimate admits prints a solution within the
     # MB the README states for it, and the next n is refused
     largest, mb = _readme_enumerate_peak()
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     peaks = {}
     for n in (largest, largest + 1):
-        argv = ["-m", "primeperm.cli", "enumerate", "--n", str(n), "--limit", "1"]
-        out = subprocess.run(
-            [sys.executable, "-c", _PEAK_RSS, *argv],
-            env=env,
-            capture_output=True,
-            text=True,
-            check=True,
-        ).stdout.split("\n")
-        code, rss_kb = map(int, out[-2].split())
-        peaks[n] = code, out[:-2], rss_kb / 1024
+        code, out, rss_mb = run_cli(["enumerate", "--n", str(n), "--limit", "1"])
+        peaks[n] = code, out.splitlines(), rss_mb
     code, lines, rss_mb = peaks[largest]
     assert code == 0
     image = list(map(int, lines[0].split(",")))
