@@ -15,7 +15,7 @@ import os
 import re
 import sys
 from collections.abc import Iterable, Iterator, Sequence
-from itertools import chain, compress, islice
+from itertools import chain, compress, groupby, islice
 from operator import add, not_
 
 from .construct import (
@@ -212,28 +212,38 @@ def _rounds_table(perm: Permutation) -> str:
 def _rounds_rows(perm: Permutation) -> Iterator[str]:
     """The Round 1, Round 2 and Total rows, one at a time."""
     ks = range(1, perm.n + 1)
-    totals = list(map(str, map(add, ks, perm.image)))
-    # Entries are ints >= 1, so k + v has at least the digits of k and of v:
-    # each total is the widest cell of its column, and sets its width.
-    for label, cells in (("Round 1", ks), ("Round 2", perm.image)):
-        yield _row(label, map(str.rjust, map(str, cells), map(len, totals)))
-    yield _row("Total", iter(totals))
+    # each run of equal totals k + v, as (total, length): one per block in a witness
+    runs = [(total, len(list(run))) for total, run in groupby(map(add, ks, perm.image))]
+    for label, row in (("Round 1", ks), ("Round 2", perm.image), ("Total", None)):
+        yield f"{label:<7} | {'  '.join(_row_parts(row, runs))}".rstrip()
 
 
-def _row(label: str, cells: Iterator[str]) -> str:
-    # joined a slice at a time: one join of all n cells would hold a list
-    # of n strings (13 MB at n = 2 * 10^5)
-    parts = iter(lambda: "  ".join(islice(cells, BLOCK_LINES)), "")
-    return f"{label:<7} | {'  '.join(parts)}".rstrip()
+def _row_parts(row: Sequence[int] | None, runs: list[tuple[int, int]]) -> Iterator[str]:
+    """The cells of row, or the totals if row is None, one %-format for each
+    run of equal totals, or BLOCK_LINES cells of a longer one. Entries are
+    ints >= 1, so k + v has at least the digits of k and of v: each total is
+    the widest cell of its column, and sets its width."""
+    at = 0
+    for total, size in runs:
+        text = str(total)
+        cell = text if row is None else f"%{len(text)}d"
+        for lo in range(at, at + size, BLOCK_LINES):
+            hi = min(lo + BLOCK_LINES, at + size)
+            part = "  ".join([cell] * (hi - lo))
+            yield part if row is None else part % tuple(row[lo:hi])
+        at += size
 
 
-def _parse_perm(text: str) -> Permutation:
-    # No stripped copy of text (7 MB at n = 10^6) unless parsing needs one.
+def _parse_perm(text: str | None) -> Permutation:
+    """The permutation in text, or in stdin if text is None. JSON text gets
+    no stripped copy unless parsing needs one, and is let go once decoded."""
+    import json  # here, not at the top: construct and count never load it
+
+    if text is None:
+        text = sys.stdin.read()
     try:
         if not text.startswith("{", re.match(r"\s*", text).end()):
             return Permutation.from_text(text)  # which strips it
-        import json  # here, not at the top: text input never loads it
-
         try:
             obj = json.loads(text)
         except json.JSONDecodeError:
@@ -243,6 +253,7 @@ def _parse_perm(text: str) -> Permutation:
                 obj = json.loads(text.strip())
             except json.JSONDecodeError as exc:
                 raise _UsageError(f"invalid JSON permutation: {exc}") from None
+        del text  # before from_json copies the decoded list into a tuple
         return Permutation.from_json(obj)
     except NotAPermutationError:
         raise
@@ -251,9 +262,7 @@ def _parse_perm(text: str) -> Permutation:
 
 
 def _cmd_verify(args) -> int:
-    # No name keeps the raw input alive: at n = 10^6 it would hold 7 MB
-    # through the whole output.
-    perm = _parse_perm(args.perm if args.perm is not None else sys.stdin.read())
+    perm = _parse_perm(args.perm)
     composite_at: list[int] = []
     checked = _checked_slices(perm, _sieve_for(perm.n), composite_at)
     if args.format == "json":

@@ -7,6 +7,7 @@ block so every position in it sums to that prime.
 """
 
 from collections.abc import Iterable, Sequence
+from itertools import chain
 from operator import add
 
 from .primes import BertrandViolationError, PrimeSieve
@@ -131,6 +132,19 @@ class Permutation(_Frozen):
         stripped = text.strip()
         if not stripped:
             return cls(())
+        import json  # here, not at the top: construct and count never load it
+
+        # JSON integers and whitespace are subsets of what int() and str.strip
+        # accept, with the same values, so the C scanner reads canonical
+        # input. Other input, 10^4 "[" among it (a RecursionError in the
+        # scanner), takes the token path, which alone words parse errors.
+        try:
+            values = json.loads(f"[{stripped}]")
+            canonical = set(map(type, values)) <= {int}
+        except (ValueError, RecursionError):
+            canonical = False
+        if canonical:
+            return cls(values)
         tokens = stripped.split(",")
         try:
             values = tuple(map(int, tokens))
@@ -216,10 +230,8 @@ def construct_prime_sum_permutation(n: int, sieve: PrimeSieve) -> Permutation:
         raise ValueError(f"n must be nonnegative, got {n}")
     if n == 0:
         return Permutation(())
-    image = []
-    for block in reversed(decompose_blocks(n, sieve)):
-        image.extend(range(block.hi, block.lo - 1, -1))
-    return Permutation(tuple(image))
+    blocks = reversed(decompose_blocks(n, sieve))
+    return Permutation(chain.from_iterable(range(b.hi, b.lo - 1, -1) for b in blocks))
 
 
 def is_valid_solution(perm: Permutation | Sequence[int], sieve: PrimeSieve) -> bool:

@@ -19,11 +19,14 @@ from collections.abc import Iterator, Sequence
 from operator import mul, or_
 
 from .construct import Permutation, _Frozen
-from .primes import DEFAULT_LIMIT_CAP, PrimeSieve, build_sieve, prime_pi
+from .primes import DEFAULT_LIMIT_CAP, PrimeSieve, build_sieve
 
 # Elementary steps a count may take: n <= 12 for backtracking, 43 for dp
 # and ryser (README, "Counting methods").
 STEP_BUDGET = 5 * 10**7
+
+# The largest n at which _steps reads the backtracking bound.
+NAIVE_ESTIMATE_N = 64
 
 METHODS = ("naive", "dp", "ryser", "auto")
 
@@ -53,12 +56,11 @@ class PrimeAdjacency(_Frozen):
 
 def build_adjacency(n: int, sieve: PrimeSieve) -> PrimeAdjacency:
     """Build the n x n prime-sum adjacency rows: row i is the sieve's
-    window i + 1 .. i + n."""
+    window i + 1 .. i + n, the window 2 .. 2n shifted down by i - 1."""
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    return PrimeAdjacency(
-        n, tuple(sieve.prime_bits(range(i + 1, i + n + 1)) for i in range(1, n + 1))
-    )
+    bits, mask = sieve.prime_bits(range(2, 2 * n + 1)), (1 << n) - 1
+    return PrimeAdjacency(n, tuple(bits >> i & mask for i in range(n)))
 
 
 def _steps(n: int, method: str) -> int:
@@ -66,12 +68,14 @@ def _steps(n: int, method: str) -> int:
     for dp and ryser on the m x m half matrix, m = n // 2; for
     backtracking, the sum over depths d of prod_{i <= d} deg(i), deg(i) =
     #primes in i + 1..i + n. It stops once past STEP_BUDGET, so refusing
-    any n is cheap: it reads only the first rows' degrees, from prime_pi,
-    and builds no sieve."""
+    any n is cheap. The backtracking bound never falls as n grows, so past
+    NAIVE_ESTIMATE_N, where it is over the budget, it is read there."""
     if method != "naive":
         partials = (n // 2 << k for k in range(n // 2 + 1))
     else:
-        degrees = (prime_pi(i + n) - prime_pi(i) for i in range(1, n + 1))
+        n = min(n, NAIVE_ESTIMATE_N)
+        below = PrimeSieve(2 * n).count_primes_below
+        degrees = (below(i + n + 1) - below(i + 1) for i in range(1, n + 1))
         partials = itertools.accumulate(itertools.accumulate(degrees, mul, initial=1))
     for steps in partials:
         if steps > STEP_BUDGET:
@@ -117,13 +121,12 @@ def _half_rows(n: int, sieve: PrimeSieve) -> tuple[int, ...]:
     one, so 1 -> 1 is forced: A has rows 3, 5, ..., n and columns
     2, 4, ..., n-1. The even-row x odd-column block is A transposed (the
     matrix is symmetric), and the two blocks are matched independently.
-    Row i is the sieve's window i + 2, i + 4, ..., i + 2 * (n // 2): bit
-    c is set iff i + 2(c + 1) is prime.
+    Row i is the sieve's window i + 2, i + 4, ..., i + 2 * (n // 2), one
+    stride-2 window to 2n - 1 shifted down a bit per row above the first.
     """
-    return tuple(
-        sieve.prime_bits(range(i + 2, i + 2 * (n // 2) + 1, 2))
-        for i in range(3 if n % 2 else 1, n + 1, 2)
-    )
+    first, m = 3 if n % 2 else 1, n // 2
+    bits, mask = sieve.prime_bits(range(first + 2, 2 * n, 2)), (1 << m) - 1
+    return tuple(bits >> s & mask for s in range(m))
 
 
 def count_solutions_dp(n: int, sieve: PrimeSieve) -> int:

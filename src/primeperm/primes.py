@@ -1,6 +1,6 @@
 """Primality infrastructure: an Eratosthenes sieve plus the prime queries
 the rest of the package needs (membership, prime windows as bitsets,
-least prime above, strict prime counting), and pi(x) without a sieve."""
+least prime above, strict prime counting)."""
 
 from collections.abc import Sequence
 from itertools import repeat
@@ -13,7 +13,7 @@ DEFAULT_LIMIT_CAP = 1 << 27
 
 
 class SieveCapError(Exception):
-    """Requested sieve, or prime count, is larger than DEFAULT_LIMIT_CAP."""
+    """Requested sieve is larger than DEFAULT_LIMIT_CAP."""
 
 
 class SieveRangeError(ValueError):
@@ -107,31 +107,6 @@ class PrimeSieve:
         if bound:
             self.is_prime(bound - 1)  # its range check on the last flag read
         return self._flags.count(1, 0, bound)
-
-
-def prime_pi(x: int) -> int:
-    """Number of primes p <= x by the Lucy-Legendre recursion, with no sieve
-    to x: O(x^(3/4)) steps, O(sqrt(x)) memory, about 0.07 s at x = 2^26 on
-    a 2-core VM. Refuses x past DEFAULT_LIMIT_CAP, like the sieve."""
-    if x > DEFAULT_LIMIT_CAP:
-        raise SieveCapError(
-            f"prime count to {x} exceeds the cap of {DEFAULT_LIMIT_CAP}"
-        )
-    r = isqrt(max(x, 0))
-    # S(v) counts the m in 2..v that are prime or have no prime factor
-    # below p, for each v = x // k: small[v] if v <= r, else large[k]
-    small = [0, *range(r)]
-    large = [0, *(x // k - 1 for k in range(1, r + 1))]
-    for p in range(2, r + 1):
-        if small[p] == small[p - 1]:  # p is not prime
-            continue
-        below, square = small[p - 1], p * p
-        for k in range(1, min(r, x // square) + 1):
-            d = k * p
-            large[k] -= (large[d] if d <= r else small[x // d]) - below
-        for v in range(r, square - 1, -1):
-            small[v] -= small[v // p] - below
-    return large[1] if x > 1 else 0
 
 
 def build_sieve(limit: int) -> PrimeSieve:

@@ -4,6 +4,7 @@ import io
 import itertools
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 
 from oracles import is_prime_trial
 from peak_rss import run_cli
-from primeperm import build_sieve, construct_prime_sum_permutation
+from primeperm import Permutation, build_sieve, construct_prime_sum_permutation
 from primeperm import cli
 from primeperm import count as count_module
 from primeperm.cli import (
@@ -28,6 +29,7 @@ from primeperm.cli import (
     EXIT_NOT_PERMUTATION,
     EXIT_OK,
     EXIT_USAGE,
+    _rounds_table,
     build_parser,
     main,
 )
@@ -309,6 +311,10 @@ def test_witness_commands_across_slice_boundaries(capsys, monkeypatch, n):
         assert run(capsys, *construct) == (EXIT_OK, table, "")
         expected = json.dumps({"n": n, "image": image}, separators=(",", ":")) + "\n"
         assert run(capsys, *construct, "--format", "json") == (EXIT_OK, expected, "")
+    # a shuffle has runs of one equal total, where a witness has long ones
+    shuffled = random.Random(len(image)).sample(image, len(image))
+    table = _rounds_table(Permutation(shuffled)) + "\n"
+    assert table == _rounds_table_by_columns(shuffled)
     code = EXIT_COMPOSITE if n is None else EXIT_OK
     for fmt, expected in (
         ("text", _verify_text_by_lines(image)),
@@ -343,26 +349,32 @@ def test_verify_bad_json_quotes_offsets_past_the_whitespace(capsys, text):
         assert expected.endswith(": line 1 column 8 (char 7)\n")
 
 
-def _readme_witness_peak():
-    """MB from the README's "`verify --format json` of the n = 10^6 witness
-    peaks at 68 MB"."""
-    found = re.search(
-        r"`verify --format json` of the\s+n = 10\^6 witness peaks at\s+([\d.]+) MB",
-        README.read_text(),
+def _readme_witness_peaks():
+    """MB from the README's "`construct --n 1000000 --format json` peaks at
+    57 MB" and "`verify --format json` of the n = 10^6 witness peaks at 62
+    MB"."""
+    text = README.read_text()
+    construct = re.search(
+        r"`construct --n 1000000 --format json` peaks at\s+([\d.]+) MB", text
     )
-    return float(found[1])
+    verify = re.search(
+        r"`verify --format json` of the\s+n = 10\^6 witness peaks at\s+([\d.]+) MB",
+        text,
+    )
+    return float(construct[1]), float(verify[1])
 
 
 def test_readme_witness_peak_rss():
-    # the witness round trip at n = 10^6 stays within the memory the README
-    # states for it
-    mb = _readme_witness_peak()
-    code, witness, _ = run_cli(["construct", "--n", "1000000", "--format", "json"])
+    # each process of the witness round trip at n = 10^6 stays within the
+    # memory the README states for it
+    construct_mb, verify_mb = _readme_witness_peaks()
+    code, witness, rss_mb = run_cli(["construct", "--n", "1000000", "--format", "json"])
     assert code == EXIT_OK
+    assert rss_mb <= 1.25 * construct_mb, (rss_mb, construct_mb)
     code, out, rss_mb = run_cli(["verify", "--format", "json"], stdin=witness)
     assert code == EXIT_OK
     assert out.startswith('{"n":1000000,"image":[') and out.endswith(',"valid":true}\n')
-    assert rss_mb <= 1.25 * mb, (rss_mb, mb)
+    assert rss_mb <= 1.25 * verify_mb, (rss_mb, verify_mb)
 
 
 def test_verify_reads_stdin_csv(capsys, monkeypatch):
@@ -480,7 +492,7 @@ def test_count_cap_exit(capsys):
 @pytest.mark.parametrize("method", ["auto", "dp", "ryser", "naive"])
 def test_count_refuses_before_sieving(capsys, monkeypatch, method):
     # a sieve to 2n = 2^27 entries is within its cap, and costs 134 MB; the
-    # naive estimate reads its first row degrees from prime_pi instead
+    # naive estimate reads its row degrees at n = 64 at most instead
     def no_sieve(limit):
         raise AssertionError("sieve built before the step estimate")
 

@@ -238,6 +238,69 @@ def test_from_text_parse_errors(text, token):
     )
 
 
+def _from_text_by_tokens(text):
+    """from_text as first written: split on commas, int() on each token."""
+    stripped = text.strip()
+    if not stripped:
+        return Permutation(())
+    tokens = stripped.split(",")
+    for k, token in enumerate(tokens, 1):
+        try:
+            int(token)
+        except ValueError:
+            shown = repr(token) if len(repr(token)) <= 40 else repr(token)[:37] + "..."
+            raise ValueError(
+                f"cannot parse token {k} of {len(tokens)} ({shown}): "
+                "expected comma-separated integers"
+            ) from None
+    return Permutation(tuple(map(int, tokens)))
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "2,1",
+        ",".join(map(str, random.Random(7).sample(range(1, 1001), 1000))),
+        " 2 , 1 ",
+        "2,\n1\n",
+        "2,\x0b1",
+        "\xa02,\xa01\xa0",
+        "+2,1",
+        "1_0,9,8,7,6,5,4,3,2,1",
+        "02,1",
+        "\u0662,\u0661",
+        "2,1,",
+        "2,,1",
+        "true",
+        "1,NaN",
+        "1.0",
+        "1e0",
+        "-1",
+        "2,3",
+        "[1],[2]",
+        "[" * 10**4,
+        "1," + "9" * 5000,
+    ],
+    ids=[
+        "canonical", "canonical-1000", "spaces", "newlines", "vertical-tab",
+        "no-break-space", "plus-sign", "underscore", "leading-zero",
+        "arabic-indic", "trailing-comma", "doubled-comma", "true", "NaN", "1.0",
+        "1e0", "-1", "out-of-range", "[1],[2]", "deep-brackets", "5000-digits",
+    ],
+)
+def test_from_text_matches_the_token_parser(text):
+    # the JSON scanner reads canonical input; every other input gets the
+    # token path's value or error
+    assert _outcome(Permutation.from_text, text) == _outcome(_from_text_by_tokens, text)
+
+
 def test_from_json():
     p = Permutation.from_json({"n": 5, "image": [1, 5, 4, 3, 2]})
     assert p.image == (1, 5, 4, 3, 2)

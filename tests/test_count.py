@@ -27,6 +27,7 @@ from primeperm import (
 )
 from primeperm.count import (
     METHODS,
+    NAIVE_ESTIMATE_N,
     STEP_BUDGET,
     _half_rows,
     _pinned_rows,
@@ -329,9 +330,14 @@ def test_readme_methods_table_peak_rss():
         assert rss_mb <= 1.25 * mb, (method, largest, rss_mb, mb)
 
 
-def test_naive_estimate_unchanged_without_a_sieve():
-    for n in [*range(1, 301), 10**5]:
-        assert _steps(n, "naive") == _naive_steps_on_sieve(n)
+def test_naive_estimate_is_read_at_most_at_naive_estimate_n():
+    # past NAIVE_ESTIMATE_N the estimate is read there, which is sound only
+    # while the budget refuses it: a budget raised past it trips this test
+    assert _steps(NAIVE_ESTIMATE_N, "naive") > STEP_BUDGET
+    for n in range(NAIVE_ESTIMATE_N, 301):
+        assert _naive_steps_on_sieve(n) > STEP_BUDGET, n
+    for n in [*range(0, 301), 10**5, 2**26]:
+        assert _steps(n, "naive") == _naive_steps_on_sieve(min(n, NAIVE_ESTIMATE_N))
 
 
 @pytest.mark.parametrize("max_n", [5, 10**6])
@@ -500,7 +506,7 @@ def test_enumerate_refuses_rows_over_the_cap(monkeypatch):
 
 def _readme_enumerate_peak():
     """(n, MB) from the README's "`enumerate --n 16384 --limit 1` takes
-    1.9 s and peaks at 123 MB"."""
+    0.38 s and peaks at 123 MB"."""
     found = re.search(
         r"`enumerate --n (\d+) --limit 1` takes [\d.]+ s and peaks at\s+([\d.]+) MB",
         (ROOT / "README.md").read_text(),

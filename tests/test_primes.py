@@ -6,7 +6,7 @@ from primeperm import (
     SieveRangeError,
     build_sieve,
 )
-from primeperm.primes import DEFAULT_LIMIT_CAP, prime_pi
+from primeperm.primes import DEFAULT_LIMIT_CAP
 
 from oracles import count_primes_below_trial, is_prime_trial, next_prime_trial
 
@@ -146,22 +146,6 @@ def test_count_primes_below_bounds(sieve_small):
         sieve_small.count_primes_below(limit + 2)
     with pytest.raises(ValueError):
         sieve_small.count_primes_below(-1)
-
-
-def test_prime_pi_matches_oracle_and_sieve():
-    assert [prime_pi(x) for x in range(-2, 2)] == [0, 0, 0, 0]
-    for x in range(2, 1000):
-        assert prime_pi(x) == count_primes_below_trial(x + 1)
-    sieve = build_sieve(200_000)
-    for x in [*range(1000, 200_001, 997), 199_999, 200_000]:
-        assert prime_pi(x) == sieve.count_primes_below(x + 1)
-    assert prime_pi(1 << 26) == 3957809  # pi(2^26), OEIS A007053
-
-
-def test_prime_pi_cap():
-    prime_pi(DEFAULT_LIMIT_CAP)
-    with pytest.raises(SieveCapError):
-        prime_pi(DEFAULT_LIMIT_CAP + 1)
 
 
 def test_memory_cap():
