@@ -91,12 +91,6 @@ def _int_at_least(text: str, least: int) -> int:
     return value
 
 
-def _dump(obj: object) -> str:
-    import json  # here, not at the top: text output never loads it
-
-    return json.dumps(obj, separators=(",", ":"))
-
-
 def _write(chunks: Iterable[str]) -> None:
     """Write and flush each chunk to stdout. If the reader has gone, point
     the stdout fd at os.devnull (the recipe in the Python signal docs), so
@@ -196,7 +190,7 @@ def _sieve_for(n: int) -> PrimeSieve:
 def _cmd_construct(args) -> int:
     perm = construct_prime_sum_permutation(args.n, _sieve_for(args.n))
     if args.format == "json":
-        # the bytes of _dump(perm.as_json_dict()), one slice at a time
+        # a compact json.dumps of perm.as_json_dict(), one slice at a time
         head = f'{{"n":{perm.n},"image":['
         _write(chain((head,), _csv(_slices(perm.image)), ("]}\n",)))
     else:
@@ -237,21 +231,21 @@ def _row_parts(row: Sequence[int] | None, runs: list[tuple[int, int]]) -> Iterat
 def _parse_perm(text: str | None) -> Permutation:
     """The permutation in text, or in stdin if text is None. JSON text gets
     no stripped copy unless parsing needs one, and is let go once decoded."""
-    import json  # here, not at the top: construct and count never load it
+    import json  # here, not at the top: only verify reads JSON
 
-    if text is None:
-        text = sys.stdin.read()
     try:
+        if text is None:
+            text = sys.stdin.read()  # a strict decoder's error is a ValueError
         if not text.startswith("{", re.match(r"\s*", text).end()):
             return Permutation.from_text(text)  # which strips it
         try:
             obj = json.loads(text)
-        except json.JSONDecodeError:
+        except (json.JSONDecodeError, RecursionError):  # or nested too deep
             # json.loads skips only " \t\n\r", str.strip every Unicode
             # space; the stripped text also sets the offsets the message gives
             try:
                 obj = json.loads(text.strip())
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, RecursionError) as exc:
                 raise _UsageError(f"invalid JSON permutation: {exc}") from None
         del text  # before from_json copies the decoded list into a tuple
         return Permutation.from_json(obj)
@@ -312,8 +306,8 @@ def _verify_json(perm, checked, composite_at) -> Iterator[str]:
 
 def _verdict(composite_at: list[int]) -> str:
     if composite_at:
-        return "invalid: composite totals at positions " + ",".join(
-            map(str, composite_at)
+        return "invalid: composite totals at positions " + "".join(
+            _csv(_slices(composite_at))
         )
     return "valid: every total is prime"
 
@@ -323,7 +317,9 @@ def _cmd_count(args) -> int:
     # so an n over the budget is refused without sieving to 2n
     count = count_solutions(args.n, method=args.method)
     if args.format == "json":
-        _write_lines([_dump({"n": args.n, "method": args.method, "count": str(count)})])
+        # the count as a string: JSON consumers commonly lose precision
+        # past 53 bits. Every value is an int or a METHODS name: no escaping.
+        _write_lines([f'{{"n":{args.n},"method":"{args.method}","count":"{count}"}}'])
     else:
         _write_lines([str(count)])
     return EXIT_OK
@@ -333,12 +329,10 @@ def _cmd_enumerate(args) -> int:
     # no sieve passed: enumerate_solutions builds it after its memory
     # estimate, so an n whose rows would not fit is refused without sieving
     solutions = enumerate_solutions(args.n, limit=args.limit)
+    line = ",".join(["%d"] * args.n)  # Permutation.to_text, made once per n
     if args.format == "json":
-        _write_lines(_dump(perm.as_json_dict()) for perm in solutions)
-    else:
-        # Permutation.to_text, with each entry's digits made once per n
-        digits = list(map(str, range(args.n + 1))).__getitem__
-        _write_lines(",".join(map(digits, perm.image)) for perm in solutions)
+        line = f'{{"n":{args.n},"image":[{line}]}}'
+    _write_lines(line % perm.image for perm in solutions)
     return EXIT_OK
 
 
@@ -347,7 +341,10 @@ def _cmd_table(args) -> int:
     if args.format == "bfile":
         _write_lines(f"{row.n} {row.count}" for row in rows)
     elif args.format == "json":
-        _write_lines(_dump(row.as_json_dict()) for row in rows)
+        _write_lines(
+            f'{{"n":{r.n},"count":"{r.count}","primes_below_2n":{r.primes_below_2n}}}'
+            for r in rows
+        )
     else:
         n_w = max(len(str(rows[-1].n)), 1)
         c_w = max(max(len(str(r.count)) for r in rows), len("count"))

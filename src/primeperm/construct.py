@@ -123,8 +123,8 @@ class Permutation(_Frozen):
         return self.image[k - 1]
 
     def to_text(self) -> str:
-        """Comma-separated one-line notation, e.g. '1,5,4,3,2'."""
-        return ",".join(map(str, self.image))
+        """Comma-separated one-line notation by %d, e.g. '1,5,4,3,2'."""
+        return ",".join(["%d"] * self.n) % self.image
 
     @classmethod
     def from_text(cls, text: str) -> "Permutation":

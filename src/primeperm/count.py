@@ -249,7 +249,8 @@ def enumerate_solutions(
     if n == 0:
         # the empty permutation, the one solution count_solutions(0) counts
         return iter((Permutation(()),))
-    estimate = 4 * n * -(-n // 8)
+    width = -(-n // 8)  # bytes per row, mask or memo key
+    estimate = 4 * n * width
     if estimate > DEFAULT_LIMIT_CAP:
         raise MethodCapError(
             f"enumeration at n = {n} is estimated at {estimate} bytes of rows, "
@@ -257,7 +258,9 @@ def enumerate_solutions(
         )
     if sieve is None:
         sieve = build_sieve(2 * n)
-    stream = map(Permutation, _walk(_pinned_rows(n, sieve), prune=True))
+    # the memo gets the cap less rows and masks: at least n keys, as admitted
+    room = DEFAULT_LIMIT_CAP // width - 3 * n
+    stream = map(Permutation, _walk(_pinned_rows(n, sieve), room))
     return stream if limit is None else itertools.islice(stream, limit)
 
 
@@ -272,32 +275,30 @@ def _pinned_rows(n: int, sieve: PrimeSieve) -> tuple[int, ...]:
     return (rows[0] & ~1, *rows[1:])
 
 
-def _walk(rows: Sequence[int], prune: bool = False) -> Iterator[tuple[int, ...]]:
+def _walk(rows: Sequence[int], room: int = 0) -> Iterator[tuple[int, ...]]:
     """Lowest-bit-first backtracking over bitset rows, yielding each leaf's
     image, with one slot per depth in two lists, so its depth is not bound
     by the recursion limit.
 
-    With prune, the rows at even and at odd depths must hold disjoint sets
+    With room, the rows at even and at odd depths must hold disjoint sets
     of values, as in enumerate_solutions. The two halves are then matched
     independently, so an image keeps a leaf below iff its own half can
     still be completed, which _completes answers and memoises by the set
-    of values that half has used. Without it, the walk skips only used
-    images.
+    of values that half has used, in at most room keys. Without it, the
+    walk skips only used images.
     """
     n = len(rows)
     image = [0] * n
     untried = [0] * n  # candidate bits at each depth not yet tried
     used = [0] * n  # images taken by the depths above each depth
     untried[0] = rows[0]
-    if prune:
+    if room:
         halves = (rows[0::2], rows[1::2])
         values = tuple(functools.reduce(or_, half, 0) for half in halves)
         # The halves' values are disjoint and no key is empty, so one memo
-        # serves both. It gets the cap less rows and masks, in keys of
-        # ceil(n / 8) bytes: at least n keys, one per position.
+        # serves both.
         alive: set[int] = set()
         dead: set[int] = set()
-        room = DEFAULT_LIMIT_CAP // -(-n // 8) - 3 * n
     pos = 0
     while True:
         avail = untried[pos]
@@ -309,7 +310,7 @@ def _walk(rows: Sequence[int], prune: bool = False) -> Iterator[tuple[int, ...]]
         # lowest set bit first keeps the stream lexicographic
         bit = avail & -avail
         untried[pos] = avail ^ bit
-        if prune:
+        if room:
             half = pos & 1
             key = used[pos] & values[half] | bit
             if key not in alive:
@@ -382,15 +383,6 @@ class SequenceRow(_Frozen):
 
     def __init__(self, n: int, count: int, primes_below_2n: int):
         self._set(n, count, primes_below_2n)
-
-    def as_json_dict(self) -> dict:
-        # count rides as a string: JSON consumers commonly lose precision
-        # past 53 bits
-        return {
-            "n": self.n,
-            "count": str(self.count),
-            "primes_below_2n": self.primes_below_2n,
-        }
 
 
 def sequence_table(max_n: int, method: str = "auto") -> list[SequenceRow]:

@@ -414,6 +414,37 @@ def test_verify_json_input_exit_codes(capsys, text, code):
     assert run(capsys, "verify", "--perm", text)[:2] == (code, "")
 
 
+@pytest.mark.parametrize(
+    "text", ['{"a":' * 10**5, '{"n":1,"image":' + "[" * 10**5], ids=["dict", "list"]
+)
+def test_verify_deep_json_is_a_usage_error(capsys, monkeypatch, text):
+    # past its nesting limit json.loads raises RecursionError, not
+    # JSONDecodeError
+    expected = "primeperm: error: invalid JSON permutation: maximum recursion depth"
+    code, out, err = run(capsys, "verify", "--perm", text)
+    assert (code, out) == (EXIT_USAGE, "") and err.startswith(expected)
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    assert run(capsys, "verify") == (code, out, err)
+
+
+def test_verify_undecodable_stdin_is_a_usage_error():
+    # a strict stdin decoder raises UnicodeDecodeError, a ValueError, on read
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    env["PYTHONIOENCODING"] = "utf-8:strict"
+    done = subprocess.run(
+        [sys.executable, "-m", "primeperm.cli", "verify"],
+        input=b"1,\xff,2",
+        env=env,
+        capture_output=True,
+        timeout=60,
+    )
+    assert (done.returncode, done.stdout) == (EXIT_USAGE, b"")
+    assert done.stderr == (
+        b"primeperm: error: 'utf-8' codec can't decode byte 0xff in position 2: "
+        b"invalid start byte\n"
+    )
+
+
 def test_construct_verify_round_trip(capsys, monkeypatch):
     for n in (0, 1, 2, 3, 10, 97):
         code, out, _ = run(capsys, "construct", "--n", str(n), "--format", "json")
@@ -664,6 +695,44 @@ def test_table_json_lines(capsys):
     assert rows[2] == {"n": 3, "count": "1", "primes_below_2n": 3}
 
 
+def _dumps_line(obj) -> str:
+    """The reference for every JSON line, which the CLI formats by hand."""
+    return json.dumps(obj, separators=(",", ":")) + "\n"
+
+
+def test_count_json_is_compact_json_dumps(capsys):
+    for n in range(31):
+        for method in count_module.METHODS:
+            try:
+                count = count_module.count_solutions(n, method=method)
+            except count_module.MethodCapError:
+                continue
+            expected = _dumps_line({"n": n, "method": method, "count": str(count)})
+            argv = ("count", "--n", str(n), "--method", method, "--format", "json")
+            assert run(capsys, *argv) == (EXIT_OK, expected, ""), argv
+
+
+@pytest.mark.parametrize(
+    "n,limit", [(n, None) for n in range(13)] + [(15, 1000), (16, 1000)]
+)
+def test_enumerate_json_is_compact_json_dumps(capsys, n, limit):
+    solutions = count_module.enumerate_solutions(n, limit=limit)
+    expected = "".join(_dumps_line({"n": n, "image": list(p.image)}) for p in solutions)
+    argv = ("enumerate", "--n", str(n), "--format", "json")
+    if limit:
+        argv += ("--limit", str(limit))
+    assert run(capsys, *argv) == (EXIT_OK, expected, "")
+
+
+def test_table_json_is_compact_json_dumps(capsys):
+    expected = "".join(
+        _dumps_line(dict(n=r.n, count=str(r.count), primes_below_2n=r.primes_below_2n))
+        for r in count_module.sequence_table(20)
+    )
+    code, out, err = run(capsys, "table", "--max", "20", "--format", "json")
+    assert (code, out, err) == (EXIT_OK, expected, "")
+
+
 def test_table_cap(capsys):
     code, _, err = run(capsys, "table", "--max", "40")
     assert code == EXIT_CAP
@@ -911,24 +980,42 @@ IMPORT_PROBE = """
 import sys
 bare = set(sys.modules)
 from primeperm.cli import main
-main(["count", "--n", "22"])
-main(["construct", "--n", "1"])
+for argv in {argvs!r}:
+    main(argv)
 print(*sorted(set(sys.modules) - bare))
 """
 
 
-def test_text_commands_import_no_json_or_dataclasses():
-    # start-up cost of every process (README, "Start-up"); modules, not times
+def _modules_imported_by(*argvs) -> set[str]:
+    """The modules that importing the CLI and running argvs add, in a fresh
+    interpreter."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     done = subprocess.run(
-        [sys.executable, "-c", IMPORT_PROBE],
+        [sys.executable, "-c", IMPORT_PROBE.format(argvs=argvs)],
         env=env,
         capture_output=True,
         text=True,
         timeout=60,
         check=True,
     )
-    added = set(done.stdout.splitlines()[-1].split())
+    return set(done.stdout.splitlines()[-1].split())
+
+
+def test_text_commands_import_no_json_or_dataclasses():
+    # start-up cost of every process (README, "Start-up"); modules, not times
+    added = _modules_imported_by(["count", "--n", "22"], ["construct", "--n", "1"])
+    assert "primeperm.cli" in added
+    assert not added & {"dataclasses", "inspect", "json"}
+
+
+def test_json_output_imports_no_json():
+    # every line is written by %-format; only verify loads json, to read
+    added = _modules_imported_by(
+        ["count", "--n", "22", "--format", "json"],
+        ["enumerate", "--n", "6", "--format", "json"],
+        ["table", "--max", "8", "--format", "json"],
+        ["construct", "--n", "1", "--format", "json"],
+    )
     assert "primeperm.cli" in added
     assert not added & {"dataclasses", "inspect", "json"}
 

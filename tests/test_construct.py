@@ -22,7 +22,6 @@ from primeperm import (
     is_valid_solution,
 )
 
-from primeperm.cli import _dump
 
 from oracles import is_prime_trial, next_prime_trial
 
@@ -208,7 +207,16 @@ def test_from_text_round_trip():
 def test_codecs_round_trip(image):
     p = Permutation(image)
     assert Permutation.from_text(p.to_text()) == p
-    assert Permutation.from_json(json.loads(_dump(p.as_json_dict()))) == p
+    wire = json.dumps(p.as_json_dict(), separators=(",", ":"))
+    assert Permutation.from_json(json.loads(wire)) == p
+
+
+def test_to_text_writes_a_bool_entry_as_an_int():
+    # True is an int in 1..1, so it is a valid entry; %d writes it as 1,
+    # which from_text reads back (str would write "True")
+    p = Permutation([True])
+    assert p.to_text() == "1"
+    assert Permutation.from_text(p.to_text()) == p
 
 
 def test_from_text_tolerates_spaces():

@@ -559,11 +559,6 @@ def test_sequence_table_methods_agree():
         assert [r.count for r in sequence_table(9, method)] == KNOWN_COUNTS[:9]
 
 
-def test_sequence_row_json():
-    rows = sequence_table(10)
-    assert rows[9].as_json_dict() == {"n": 10, "count": "676", "primes_below_2n": 8}
-
-
 def test_sequence_table_rejects_bad_max():
     with pytest.raises(ValueError):
         sequence_table(0)
