@@ -28,6 +28,12 @@ STEP_BUDGET = 5 * 10**7
 # The largest n at which _steps reads the backtracking bound.
 NAIVE_ESTIMATE_N = 64
 
+# The rows each half may have left when enumeration lists the leaves below
+# as a product instead of walking to them (see _walk). In-process at n = 15
+# on a 2-core VM, the walk took 123, 43, 31 and 33 ms with 3, 4, 5 and 6
+# (medians of 15 alternating runs), and about 180 ms walking to every leaf.
+_TAIL_ROWS = 5
+
 METHODS = ("naive", "dp", "ryser", "auto")
 
 
@@ -237,10 +243,12 @@ def enumerate_solutions(
     still be completed (see _walk): it never descends into a prefix that no
     solution extends.
 
-    The n rows of n bits, the walk's two masks per depth and its completion
-    memo take up to 4 n ceil(n / 8) bytes, whatever the limit: over
-    DEFAULT_LIMIT_CAP (n > 16384) it raises MethodCapError before any
-    work. Without a sieve, one to 2n is built after that check.
+    Near the leaves, the walk lists each subtree's solutions as the product
+    of its two halves' completions (see _walk). The n rows of n bits, the
+    walk's two masks per depth, and its completion memo and lists take up
+    to 4 n ceil(n / 8) bytes, whatever the limit: over DEFAULT_LIMIT_CAP
+    (n > 16384) it raises MethodCapError before any work. Without a sieve,
+    one to 2n is built after that check.
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
@@ -258,7 +266,8 @@ def enumerate_solutions(
         )
     if sieve is None:
         sieve = build_sieve(2 * n)
-    # the memo gets the cap less rows and masks: at least n keys, as admitted
+    # the memo and the completion lists get the cap less rows and masks: at
+    # least n units of a key's width, as admitted
     room = DEFAULT_LIMIT_CAP // width - 3 * n
     stream = map(Permutation, _walk(_pinned_rows(n, sieve), room))
     return stream if limit is None else itertools.islice(stream, limit)
@@ -284,21 +293,33 @@ def _walk(rows: Sequence[int], room: int = 0) -> Iterator[tuple[int, ...]]:
     of values, as in enumerate_solutions. The two halves are then matched
     independently, so an image keeps a leaf below iff its own half can
     still be completed, which _completes answers and memoises by the set
-    of values that half has used, in at most room keys. Without it, the
-    walk skips only used images.
+    of values that half has used. Once each half has at most _TAIL_ROWS
+    rows left, and past depth 0, the walk stops descending: the leaves
+    below are the prefix followed by each pair of the two halves'
+    _completions, interleaved, and sorted they come in the order the walk
+    would reach them. Those lists are memoised by half state too. The memo
+    and the lists hold at most room units, one per state and one per list
+    and tuple, and the lists at most half of them, so one search path of
+    _completes always fits beside them. Without room, the walk skips only
+    used images.
     """
     n = len(rows)
     image = [0] * n
     untried = [0] * n  # candidate bits at each depth not yet tried
     used = [0] * n  # images taken by the depths above each depth
     untried[0] = rows[0]
+    cut = n
     if room:
         halves = (rows[0::2], rows[1::2])
         values = tuple(functools.reduce(or_, half, 0) for half in halves)
         # The halves' values are disjoint and no key is empty, so one memo
-        # serves both.
+        # serves both. The cut is past depth 0, so at most the odd half's
+        # key is empty there, and one dict holds both halves' lists.
         alive: set[int] = set()
         dead: set[int] = set()
+        cut = max(1, n - 2 * _TAIL_ROWS)
+        lists: dict[int, list[tuple[int, ...]]] = {}
+        held = 0  # units in lists
     pos = 0
     while True:
         avail = untried[pos]
@@ -314,27 +335,49 @@ def _walk(rows: Sequence[int], room: int = 0) -> Iterator[tuple[int, ...]]:
             half = pos & 1
             key = used[pos] & values[half] | bit
             if key not in alive:
-                if key in dead or not _completes(halves[half], key, alive, dead, room):
+                if key in dead or not _completes(
+                    halves[half], key, alive, dead, room, held
+                ):
                     continue
         image[pos] = bit.bit_length()
-        if pos + 1 == n:
-            yield tuple(image)
-            continue
         below = used[pos] | bit
+        if pos + 1 == cut:
+            if not room:
+                yield tuple(image)
+                continue
+            pair = []
+            for half in (cut & 1, ~cut & 1):
+                key = below & values[half]
+                found = lists.get(key)
+                if found is None:
+                    found = _completions(halves[half], key)
+                    if held + len(found) + 1 > room // 2:
+                        lists.clear()
+                        held = 0
+                    if held + len(found) + 1 <= room // 2:
+                        lists[key] = found
+                        held += len(found) + 1
+                        _make_room(alive, dead, room, held)
+                pair.append(found)
+            # the prefix goes on as each leaf is yielded, so the product
+            # holds at most _TAIL_ROWS! ** 2 short tuples, not n-tuples
+            yield from map(tuple(image[:cut]).__add__, _interleaved(*pair, n - cut))
+            continue
         pos += 1
         used[pos] = below
         untried[pos] = rows[pos] & ~below
 
 
 def _completes(
-    rows: Sequence[int], key: int, alive: set[int], dead: set[int], room: int
+    rows: Sequence[int], key: int, alive: set[int], dead: set[int], room: int, held: int
 ) -> bool:
     """Whether the rows past the first key.bit_count() can take distinct
     values outside key, which those first rows took.
 
     A lowest-bit-first search on an explicit stack that adds every state
-    it settles to alive or dead. Both are only a cache: past room entries
-    together, dead is cleared, and alive too if that is not enough.
+    it settles to alive or dead. Both are only a cache: past room units
+    together with the held ones, dead is cleared, and alive too if that is
+    not enough.
     """
     depth = key.bit_count()
     path: list[int] = []  # unsettled states from key down
@@ -354,19 +397,52 @@ def _completes(
                     break
             else:
                 untried.pop()
-                _make_room(alive, dead, room, 1)
+                _make_room(alive, dead, room, held + 1)
                 dead.add(path.pop())
                 if not path:
                     return False
                 depth -= 1
     path.append(state)
-    _make_room(alive, dead, room, len(path))
+    _make_room(alive, dead, room, held + len(path))
     alive.update(path)
     return True
 
 
+def _completions(rows: Sequence[int], key: int) -> list[tuple[int, ...]]:
+    """Every way for the rows past the first key.bit_count() to take
+    distinct values outside key, which those first rows took, as tuples of
+    values in lexicographic order."""
+    partial = [((), key)]
+    for row in rows[key.bit_count() :]:
+        grown = []
+        for taken, used in partial:
+            avail = row & ~used
+            while avail:
+                bit = avail & -avail
+                avail ^= bit
+                grown.append(((*taken, bit.bit_length()), used | bit))
+        partial = grown
+    return [taken for taken, _ in partial]
+
+
+def _interleaved(
+    firsts: list[tuple[int, ...]], seconds: list[tuple[int, ...]], size: int
+) -> list[tuple[int, ...]]:
+    """Each pair of a first and a second, interleaved from the first's
+    values, in sorted order."""
+    end = [0] * size
+    ends = []
+    for first in firsts:
+        end[0::2] = first
+        for second in seconds:
+            end[1::2] = second
+            ends.append(tuple(end))
+    ends.sort()
+    return ends
+
+
 def _make_room(alive: set[int], dead: set[int], room: int, more: int) -> None:
-    """Clear dead, then alive too if need be, so that more states fit."""
+    """Clear dead, then alive too if need be, so that more units fit."""
     if len(alive) + len(dead) + more > room:
         dead.clear()
         if len(alive) + more > room:

@@ -436,12 +436,88 @@ def test_enumerate_memo_is_only_a_cache(sieve_small, monkeypatch):
     assert any(cleared)
 
 
+def test_enumerate_tail_product_at_every_cut(sieve_small, monkeypatch):
+    # wherever the walk hands the last rows to the tail product, the stream
+    # is the unpruned walk's; test_enumerate_equals_the_unpruned_walk checks
+    # the first 50 000 leaves at n = 15 and 16 with the shipped _TAIL_ROWS
+    for n in range(1, 14):
+        leaves = list(_walk(_pinned_rows(n, sieve_small)))
+        for tail_rows in range(1, max(1, n // 2) + 1):
+            monkeypatch.setattr(count_module, "_TAIL_ROWS", tail_rows)
+            ours = [p.image for p in enumerate_solutions(n, sieve_small)]
+            assert ours == leaves, (n, tail_rows)
+
+
+@st.composite
+def _split_rows(draw):
+    """Rows whose even and odd depths take disjoint sets of values, any of
+    them empty, and a room of at least one unit per row."""
+    n = draw(st.integers(1, 12))
+    side = draw(st.lists(st.sampled_from((0, 1, None)), min_size=n, max_size=n))
+    values = [sum(1 << v for v in range(n) if side[v] == half) for half in (0, 1)]
+    rows = [draw(st.integers(0, 2**n - 1)) & values[d & 1] for d in range(n)]
+    return rows, draw(st.integers(n, 8 * n)), draw(st.integers(1, 6))
+
+
+@settings(deadline=None)
+@given(case=_split_rows())
+def test_walk_with_room_is_the_unpruned_walk(case):
+    # the completion check, its memo and the tail product change no leaf,
+    # also where a half has no completion, or where the cut is at depth 1
+    # and the odd half's key is empty there
+    rows, room, tail_rows = case
+    with mock.patch.object(count_module, "_TAIL_ROWS", tail_rows):
+        assert list(_walk(rows, room)) == list(_walk(rows))
+
+
+def test_enumerate_completion_lists_stay_within_room(sieve_small, monkeypatch):
+    # with the cap at the estimate, the memo and the completion lists share
+    # room for n units, the lists at most half of them; the stream does not
+    # change
+    walk, make_room = count_module._walk, count_module._make_room
+    walks, held = [], []
+
+    def watched(rows, room):
+        walks.append(walk(rows, room))
+        for leaf in walks[-1]:
+            state = walks[-1].gi_frame.f_locals
+            lists = state["lists"]
+            units = len(lists) + sum(map(len, lists.values()))
+            assert units == state["held"] <= room // 2, (units, room)
+            assert len(state["alive"]) + len(state["dead"]) + units <= room == len(rows)
+            held.append(units)
+            yield leaf
+
+    def checked(alive, dead, room, more):
+        # each call makes room for the lists too, not only for new states
+        make_room(alive, dead, room, more)
+        assert walks[-1].gi_frame.f_locals["held"] <= more
+        assert len(alive) + len(dead) + more <= room
+
+    for n in (12, 13, 14):
+        full = [p.image for p in enumerate_solutions(n, sieve_small)]
+        with monkeypatch.context() as patch:
+            patch.setattr(count_module, "DEFAULT_LIMIT_CAP", 4 * n * -(-n // 8))
+            patch.setattr(count_module, "_walk", watched)
+            patch.setattr(count_module, "_make_room", checked)
+            assert [p.image for p in enumerate_solutions(n, sieve_small)] == full
+    # the lists were kept, and cleared again when they outgrew their share
+    assert max(held) > 0
+    assert any(after < before for before, after in itertools.pairwise(held))
+
+
 def test_naive_count_walks_without_the_completion_check(sieve_small, monkeypatch):
     # naive is the full-matrix oracle of the parity split, so it must not
-    # lean on the check built on that split
+    # lean on the check built on that split, nor on the tail product
     def no_check(*args):
         raise AssertionError("naive counting used the completion check")
 
+    def no_tail(*args):
+        raise AssertionError("naive counting used the tail product")
+
+    monkeypatch.setattr(count_module, "_completions", no_tail)
+    with pytest.raises(AssertionError, match="tail product"):
+        next(enumerate_solutions(10, sieve_small))
     monkeypatch.setattr(count_module, "_completes", no_check)
     assert [count_solutions_naive(n, sieve_small) for n in range(1, 11)] == KNOWN_COUNTS
     with pytest.raises(AssertionError, match="completion check"):
