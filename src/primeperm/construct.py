@@ -6,7 +6,7 @@ for every k. One always exists: partition {1..n} into descending blocks
 block so every position in it sums to that prime.
 """
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from itertools import chain
 from operator import add
 
@@ -111,6 +111,30 @@ class Permutation(_Frozen):
             if seen.count(1) == n:
                 return
         raise NotAPermutationError(_first_fault(self.image))
+
+    @classmethod
+    def _joined(cls, prefix: tuple, tails: list[tuple]) -> Iterator["Permutation"]:
+        """Permutation(prefix + tail) for each tail, the first as soon as it
+        is asked for. If the other tails hold only ints, each with the first
+        tail's length and set of values, each joins into a bijection like
+        the first and is stored unchecked; if not, they are built one by
+        one, so a fault raises where it would there."""
+        if not tails:
+            return
+        yield cls(prefix + tails[0])
+        rest, size, values = tails[1:], len(tails[0]), frozenset(tails[0])
+        if not (
+            set(map(type, chain.from_iterable(rest))) <= {int}
+            and set(map(len, rest)) <= {size}
+            and all(map(values.__eq__, map(frozenset, rest)))
+        ):
+            yield from map(cls, map(prefix.__add__, rest))
+            return
+        new, store = object.__new__, object.__setattr__
+        for image in map(prefix.__add__, rest):
+            perm = new(cls)
+            store(perm, "image", image)
+            yield perm
 
     @property
     def n(self) -> int:

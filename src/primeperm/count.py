@@ -103,16 +103,16 @@ def _require_budget(ns: range, method: str) -> None:
 def count_solutions_naive(n: int, sieve: PrimeSieve) -> int:
     """Count solutions by backtracking; the ground-truth oracle.
 
-    It counts the leaves of the enumerator's walk over legal images, on
-    the full matrix, with neither the parity pin nor the completion check
-    that enumerate_solutions builds on it.
+    It counts the leaves of the enumerator's walk over legal images (one
+    per block without room), on the full matrix, with neither the parity
+    pin nor the completion check that enumerate_solutions builds on it.
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
     if n == 0:
         return 1
     _require_budget(range(n, n + 1), "naive")
-    return sum(1 for _ in _walk(build_adjacency(n, sieve).rows))
+    return sum(len(tails) for _, tails in _walk(build_adjacency(n, sieve).rows))
 
 
 def _half_rows(n: int, sieve: PrimeSieve) -> tuple[int, ...]:
@@ -244,11 +244,13 @@ def enumerate_solutions(
     solution extends.
 
     Near the leaves, the walk lists each subtree's solutions as the product
-    of its two halves' completions (see _walk). The n rows of n bits, the
-    walk's two masks per depth, and its completion memo and lists take up
-    to 4 n ceil(n / 8) bytes, whatever the limit: over DEFAULT_LIMIT_CAP
-    (n > 16384) it raises MethodCapError before any work. Without a sieve,
-    one to 2n is built after that check.
+    of its two halves' completions (see _walk), in one block that
+    Permutation._joined builds: the first solution is validated as any
+    Permutation, the others by a few passes of builtins over the block.
+    The n rows of n bits, the walk's two masks per depth, and its
+    completion memo and lists take up to 4 n ceil(n / 8) bytes, whatever
+    the limit: over DEFAULT_LIMIT_CAP (n > 16384) it raises MethodCapError
+    before any work. Without a sieve, one to 2n is built after that check.
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
@@ -269,7 +271,9 @@ def enumerate_solutions(
     # the memo and the completion lists get the cap less rows and masks: at
     # least n units of a key's width, as admitted
     room = DEFAULT_LIMIT_CAP // width - 3 * n
-    stream = map(Permutation, _walk(_pinned_rows(n, sieve), room))
+    blocks = _walk(_pinned_rows(n, sieve), room)
+    joined = itertools.starmap(Permutation._joined, blocks)
+    stream = itertools.chain.from_iterable(joined)
     return stream if limit is None else itertools.islice(stream, limit)
 
 
@@ -284,10 +288,11 @@ def _pinned_rows(n: int, sieve: PrimeSieve) -> tuple[int, ...]:
     return (rows[0] & ~1, *rows[1:])
 
 
-def _walk(rows: Sequence[int], room: int = 0) -> Iterator[tuple[int, ...]]:
-    """Lowest-bit-first backtracking over bitset rows, yielding each leaf's
-    image, with one slot per depth in two lists, so its depth is not bound
-    by the recursion limit.
+def _walk(rows: Sequence[int], room: int = 0) -> Iterator[tuple[tuple, list]]:
+    """Lowest-bit-first backtracking over bitset rows, with one slot per
+    depth in two lists, so its depth is not bound by the recursion limit.
+    It yields the leaves in blocks (prefix, tails): each leaf's image is
+    the prefix followed by one of the tails, in order.
 
     With room, the rows at even and at odd depths must hold disjoint sets
     of values, as in enumerate_solutions. The two halves are then matched
@@ -295,13 +300,15 @@ def _walk(rows: Sequence[int], room: int = 0) -> Iterator[tuple[int, ...]]:
     still be completed, which _completes answers and memoises by the set
     of values that half has used. Once each half has at most _TAIL_ROWS
     rows left, and past depth 0, the walk stops descending: the leaves
-    below are the prefix followed by each pair of the two halves'
-    _completions, interleaved, and sorted they come in the order the walk
-    would reach them. Those lists are memoised by half state too. The memo
-    and the lists hold at most room units, one per state and one per list
-    and tuple, and the lists at most half of them, so one search path of
-    _completes always fits beside them. Without room, the walk skips only
-    used images.
+    below are one block, the prefix followed by each pair of the two
+    halves' _completions, interleaved, and sorted they come in the order
+    the walk would reach them. The prefix is not joined to them here, so a
+    block holds at most _TAIL_ROWS! ** 2 short tuples, not n-tuples. The
+    lists are memoised by half state too. The memo and the lists hold at
+    most room units, one per state and one per list and tuple, and the
+    lists at most half of them, so one search path of _completes always
+    fits beside them. Without room, the walk skips only used images, and
+    each block is one leaf, (image, [()]).
     """
     n = len(rows)
     image = [0] * n
@@ -343,7 +350,7 @@ def _walk(rows: Sequence[int], room: int = 0) -> Iterator[tuple[int, ...]]:
         below = used[pos] | bit
         if pos + 1 == cut:
             if not room:
-                yield tuple(image)
+                yield tuple(image), [()]
                 continue
             pair = []
             for half in (cut & 1, ~cut & 1):
@@ -359,9 +366,7 @@ def _walk(rows: Sequence[int], room: int = 0) -> Iterator[tuple[int, ...]]:
                         held += len(found) + 1
                         _make_room(alive, dead, room, held)
                 pair.append(found)
-            # the prefix goes on as each leaf is yielded, so the product
-            # holds at most _TAIL_ROWS! ** 2 short tuples, not n-tuples
-            yield from map(tuple(image[:cut]).__add__, _interleaved(*pair, n - cut))
+            yield tuple(image[:cut]), _interleaved(*pair, n - cut)
             continue
         pos += 1
         used[pos] = below

@@ -181,6 +181,63 @@ def test_permutation_validation_matches_reference(image):
             Permutation(image)
 
 
+@st.composite
+def joined_blocks(draw):
+    """A prefix and a list of tails, as the enumerator hands Permutation
+    one block: the tails rearrange the values the prefix leaves out, but
+    one of them may have an entry replaced (by 0, n + 1, a bool, a float),
+    made a float of equal value, dropped, added, or added again, which
+    keeps the tail's set of values."""
+    n = draw(st.integers(0, 8))
+    image = draw(st.permutations(range(1, n + 1)))
+    cut = draw(st.integers(0, n))
+    prefix, values = tuple(image[:cut]), image[cut:]
+    count = draw(st.integers(0, 6))
+    tails = [tuple(draw(st.permutations(values))) for _ in range(count)]
+    fault = draw(st.sampled_from(("none", "replace", "float", "drop", "add", "again")))
+    if fault == "none" or not tails:
+        return prefix, tails
+    k = draw(st.integers(0, len(tails) - 1))
+    tail = list(tails[k])
+    at = draw(st.integers(0, max(len(tail) - 1, 0)))
+    if fault == "add" or not tail:
+        tail.insert(at, draw(_entries(n)))
+    elif fault == "again":
+        tail.insert(at, tail[-1])
+    elif fault == "drop":
+        del tail[at]
+    else:
+        tail[at] = draw(_entries(n)) if fault == "replace" else float(tail[at])
+    tails[k] = tuple(tail)
+    return prefix, tails
+
+
+def _built(perms):
+    """Each permutation's image and entry types, then the message of the
+    NotAPermutationError that stopped them, if one did."""
+    out = []
+    try:
+        for perm in perms:
+            out.append((perm.image, tuple(map(type, perm.image))))
+    except NotAPermutationError as error:
+        out.append(str(error))
+    return out
+
+
+@given(joined_blocks())
+def test_joined_matches_one_permutation_per_tail(block):
+    prefix, tails = block
+    one_by_one = _built(Permutation(prefix + tail) for tail in tails)
+    assert _built(Permutation._joined(prefix, tails)) == one_by_one
+
+
+def test_joined_yields_the_first_before_it_reads_the_others():
+    # so enumerate --limit 1 checks no tail past the first: here the
+    # second is not even a tuple
+    joined = Permutation._joined((1,), [(2, 3), None])
+    assert next(joined).image == (1, 2, 3)
+
+
 @given(
     st.integers(1, 9).flatmap(lambda n: st.permutations(range(1, n + 1))),
     st.data(),

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import primeperm.count as count_module
 from primeperm import (
     MethodCapError,
+    NotAPermutationError,
     SieveRangeError,
     build_adjacency,
     build_sieve,
@@ -395,15 +396,22 @@ def test_pinned_rows_split_by_parity(sieve_small):
         assert reduce(or_, rows[0::2], 0) & reduce(or_, rows[1::2], 0) == 0, n
 
 
+def _leaves(blocks):
+    """The leaf images of _walk's blocks (prefix, tails), in order."""
+    for prefix, tails in blocks:
+        for tail in tails:
+            yield prefix + tail
+
+
 def test_enumerate_equals_the_unpruned_walk(sieve_small):
     # the completion check only skips dead subtrees: the stream is the
     # leaves of the same walk on the same pinned rows without it
     for n in range(1, 15):
         ours = [p.image for p in enumerate_solutions(n, sieve_small)]
-        assert ours == list(_walk(_pinned_rows(n, sieve_small))), n
+        assert ours == list(_leaves(_walk(_pinned_rows(n, sieve_small)))), n
     for n in (15, 16):
         ours = [p.image for p in enumerate_solutions(n, sieve_small, limit=50_000)]
-        leaves = itertools.islice(_walk(_pinned_rows(n, sieve_small)), 50_000)
+        leaves = itertools.islice(_leaves(_walk(_pinned_rows(n, sieve_small))), 50_000)
         assert ours == list(leaves), n
 
 
@@ -412,7 +420,8 @@ def test_enumerate_equals_the_unpruned_walk(sieve_small):
 @given(n=st.integers(1, 150), limit=st.integers(1, 20))
 def test_enumerate_is_a_prefix_of_the_unpruned_walk(sieve_small, n, limit):
     ours = [p.image for p in enumerate_solutions(n, sieve_small, limit=limit)]
-    assert ours == list(itertools.islice(_walk(_pinned_rows(n, sieve_small)), limit))
+    leaves = _leaves(_walk(_pinned_rows(n, sieve_small)))
+    assert ours == list(itertools.islice(leaves, limit))
 
 
 def test_enumerate_memo_is_only_a_cache(sieve_small, monkeypatch):
@@ -441,7 +450,7 @@ def test_enumerate_tail_product_at_every_cut(sieve_small, monkeypatch):
     # is the unpruned walk's; test_enumerate_equals_the_unpruned_walk checks
     # the first 50 000 leaves at n = 15 and 16 with the shipped _TAIL_ROWS
     for n in range(1, 14):
-        leaves = list(_walk(_pinned_rows(n, sieve_small)))
+        leaves = list(_leaves(_walk(_pinned_rows(n, sieve_small))))
         for tail_rows in range(1, max(1, n // 2) + 1):
             monkeypatch.setattr(count_module, "_TAIL_ROWS", tail_rows)
             ours = [p.image for p in enumerate_solutions(n, sieve_small)]
@@ -467,7 +476,7 @@ def test_walk_with_room_is_the_unpruned_walk(case):
     # and the odd half's key is empty there
     rows, room, tail_rows = case
     with mock.patch.object(count_module, "_TAIL_ROWS", tail_rows):
-        assert list(_walk(rows, room)) == list(_walk(rows))
+        assert list(_leaves(_walk(rows, room))) == list(_leaves(_walk(rows)))
 
 
 def test_enumerate_completion_lists_stay_within_room(sieve_small, monkeypatch):
@@ -479,14 +488,14 @@ def test_enumerate_completion_lists_stay_within_room(sieve_small, monkeypatch):
 
     def watched(rows, room):
         walks.append(walk(rows, room))
-        for leaf in walks[-1]:
+        for block in walks[-1]:
             state = walks[-1].gi_frame.f_locals
             lists = state["lists"]
             units = len(lists) + sum(map(len, lists.values()))
             assert units == state["held"] <= room // 2, (units, room)
             assert len(state["alive"]) + len(state["dead"]) + units <= room == len(rows)
             held.append(units)
-            yield leaf
+            yield block
 
     def checked(alive, dead, room, more):
         # each call makes room for the lists too, not only for new states
@@ -504,6 +513,35 @@ def test_enumerate_completion_lists_stay_within_room(sieve_small, monkeypatch):
     # the lists were kept, and cleared again when they outgrew their share
     assert max(held) > 0
     assert any(after < before for before, after in itertools.pairwise(held))
+
+
+@pytest.mark.parametrize(
+    "fault, message",
+    [
+        # the second value written over by the first: a repeat
+        (lambda tail: (tail[0], tail[0], *tail[2:]), "repeats an earlier entry"),
+        # the smallest value left out: the leaf is one short, and its
+        # largest entry is past its length
+        (lambda tail: tuple(v for v in tail if v != min(tail)), "is outside 1..11"),
+    ],
+    ids=["repeat", "missing"],
+)
+def test_enumerate_checks_every_tail_of_a_block(
+    sieve_small, monkeypatch, fault, message
+):
+    # a faulty tail past the first of a block, as a slip in the walk would
+    # make one, raises as it would had each leaf been built on its own
+    interleaved = count_module._interleaved
+
+    def faulty(firsts, seconds, size):
+        ends = interleaved(firsts, seconds, size)
+        if len(ends) > 1:
+            ends[1] = fault(ends[1])
+        return ends
+
+    monkeypatch.setattr(count_module, "_interleaved", faulty)
+    with pytest.raises(NotAPermutationError, match=re.escape(message)):
+        list(enumerate_solutions(12, sieve_small))
 
 
 def test_naive_count_walks_without_the_completion_check(sieve_small, monkeypatch):
