@@ -11,6 +11,7 @@ Exit codes:
 """
 
 import argparse
+import codecs
 import os
 import re
 import sys
@@ -43,6 +44,9 @@ EXIT_CAP = 65
 # Largest block of lines _write_lines joins into one write, and the
 # number of positions construct and verify format at a time.
 BLOCK_LINES = 4096
+
+# Bytes of stdin verify reads and decodes at a time.
+STDIN_PIECE = 1 << 16
 
 
 class _UsageError(Exception):
@@ -235,7 +239,7 @@ def _parse_perm(text: str | None) -> Permutation:
 
     try:
         if text is None:
-            text = sys.stdin.read()  # a strict decoder's error is a ValueError
+            text = _read_stdin()  # a strict decoder's error is a ValueError
         if not text.startswith("{", re.match(r"\s*", text).end()):
             return Permutation.from_text(text)  # which strips it
         try:
@@ -253,6 +257,35 @@ def _parse_perm(text: str | None) -> Permutation:
         raise
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
+
+
+def _read_stdin() -> str:
+    """All of stdin, decoded as sys.stdin decodes it, from STDIN_PIECE bytes
+    at a time: one whole read would free its bytes only after decoding
+    them, and how much the heap then grows for the parse depends on its
+    layout. A decoding error gives its offsets within the whole input, as
+    one read would."""
+    stream = getattr(sys.stdin, "buffer", None)
+    if stream is None:  # a text stream with no bytes below it, e.g. io.StringIO
+        return sys.stdin.read()
+    decoder = codecs.getincrementaldecoder(sys.stdin.encoding)(sys.stdin.errors)
+    parts, done = [], 0
+    while True:
+        piece = stream.read(STDIN_PIECE)
+        held = len(decoder.getstate()[0])  # undecoded bytes from earlier pieces
+        try:
+            parts.append(decoder.decode(piece, final=not piece))
+        except UnicodeDecodeError as exc:
+            # the message reads the offending bytes from the object at the
+            # offsets, so both are moved to where they are in the input
+            shift = done - held
+            raise UnicodeDecodeError(
+                exc.encoding, bytes(shift) + exc.object,
+                exc.start + shift, exc.end + shift, exc.reason,
+            ) from None
+        if not piece:
+            return "".join(parts)
+        done += len(piece)
 
 
 def _cmd_verify(args) -> int:
@@ -328,11 +361,9 @@ def _cmd_count(args) -> int:
 def _cmd_enumerate(args) -> int:
     # no sieve passed: enumerate_solutions builds it after its memory
     # estimate, so an n whose rows would not fit is refused without sieving
-    solutions = enumerate_solutions(args.n, limit=args.limit)
-    line = ",".join(["%d"] * args.n)  # Permutation.to_text, made once per n
-    if args.format == "json":
-        line = f'{{"n":{args.n},"image":[{line}]}}'
-    _write_lines(line % perm.image for perm in solutions)
+    # each line is Permutation.to_text, or in JSON its compact json.dumps
+    line = "%s" if args.format == "text" else f'{{"n":{args.n},"image":[%s]}}'
+    _write_lines(enumerate_solutions(args.n, limit=args.limit, line=line))
     return EXIT_OK
 
 

@@ -113,25 +113,13 @@ class Permutation(_Frozen):
         raise NotAPermutationError(_first_fault(self.image))
 
     @classmethod
-    def _joined(cls, prefix: tuple, tails: list[tuple]) -> Iterator["Permutation"]:
-        """Permutation(prefix + tail) for each tail, the first as soon as it
-        is asked for. If the other tails hold only ints, each with the first
-        tail's length and set of values, each joins into a bijection like
-        the first and is stored unchecked; if not, they are built one by
-        one, so a fault raises where it would there."""
-        if not tails:
-            return
-        yield cls(prefix + tails[0])
-        rest, size, values = tails[1:], len(tails[0]), frozenset(tails[0])
-        if not (
-            set(map(type, chain.from_iterable(rest))) <= {int}
-            and set(map(len, rest)) <= {size}
-            and all(map(values.__eq__, map(frozenset, rest)))
-        ):
-            yield from map(cls, map(prefix.__add__, rest))
-            return
+    def _block(
+        cls, prefix: tuple, firsts: list, seconds: list
+    ) -> Iterator["Permutation"]:
+        """Permutation(prefix + tail) for each tail of _checked_tails, which
+        proves each a bijection, stored without a second check."""
         new, store = object.__new__, object.__setattr__
-        for image in map(prefix.__add__, rest):
+        for image in map(prefix.__add__, _checked_tails(prefix, firsts, seconds)):
             perm = new(cls)
             store(perm, "image", image)
             yield perm
@@ -201,6 +189,69 @@ class Permutation(_Frozen):
                 f"declared n={_clip(n)} does not match image length {len(image)}"
             )
         return cls(tuple(image))
+
+
+def _checked_tails(prefix: tuple, firsts: list, seconds: list) -> Iterable[tuple]:
+    """The tails of one block of the enumerator: each first interleaved
+    with each second, in sorted order, each proven to complete prefix to a
+    bijection on 1..n before it is yielded.
+
+    Passes of builtins read each list once: its entries hold only ints
+    (not bools), all of one length and one set of values, and a first is
+    as long as a second or one longer. Then every prefix + tail is n ints
+    with the set of values of the first, so once Permutation has accepted
+    the first, whose n values are distinct and in 1..n, each is a
+    bijection too. If a pass fails, each prefix + tail is built as a
+    Permutation before its tail is yielded, so a fault raises where one
+    Permutation per tail would.
+    """
+    if not (firsts and seconds):
+        return []
+    longer_by = len(firsts[0]) - len(seconds[0])
+    if _uniform(firsts) and _uniform(seconds) and longer_by in (0, 1):
+        tails = _interleaved(firsts, seconds)
+        Permutation(prefix + tails[0])
+        return tails
+    tails = sorted(_interleave(first, second) for first in firsts for second in seconds)
+    return _one_by_one(prefix, tails)
+
+
+def _uniform(entries: list) -> bool:
+    """Whether entries hold only ints (not bools), all of one length and
+    one set of values."""
+    return (
+        set(map(type, chain.from_iterable(entries))) <= {int}
+        and set(map(len, entries)) == {len(entries[0])}
+        and set(map(frozenset, entries)) == {frozenset(entries[0])}
+    )
+
+
+def _interleaved(firsts: list[tuple], seconds: list[tuple]) -> list[tuple]:
+    """_interleave of each first with each second, sorted, for firsts of
+    one length and seconds as long or one shorter."""
+    end = [0] * (len(firsts[0]) + len(seconds[0]))
+    ends = []
+    for first in firsts:
+        end[0::2] = first
+        for second in seconds:
+            end[1::2] = second
+            ends.append(tuple(end))
+    ends.sort()
+    return ends
+
+
+def _interleave(first: tuple, second: tuple) -> tuple:
+    """first's values at the even offsets and second's at the odd ones,
+    then the rest of the longer."""
+    pairs = chain.from_iterable(zip(first, second))
+    return (*pairs, *first[len(second) :], *second[len(first) :])
+
+
+def _one_by_one(prefix: tuple, tails: Iterable[tuple]) -> Iterator[tuple]:
+    """Each tail, once Permutation has accepted prefix + tail."""
+    for tail in tails:
+        Permutation(prefix + tail)
+        yield tail
 
 
 class Block(_Frozen):

@@ -18,7 +18,7 @@ from collections import defaultdict
 from collections.abc import Iterator, Sequence
 from operator import mul, or_
 
-from .construct import Permutation, _Frozen
+from .construct import Permutation, _Frozen, _checked_tails
 from .primes import DEFAULT_LIMIT_CAP, PrimeSieve, build_sieve
 
 # Elementary steps a count may take: n <= 12 for backtracking, 43 for dp
@@ -112,7 +112,8 @@ def count_solutions_naive(n: int, sieve: PrimeSieve) -> int:
     if n == 0:
         return 1
     _require_budget(range(n, n + 1), "naive")
-    return sum(len(tails) for _, tails in _walk(build_adjacency(n, sieve).rows))
+    blocks = _walk(build_adjacency(n, sieve).rows)
+    return sum(len(firsts) * len(seconds) for _, firsts, seconds in blocks)
 
 
 def _half_rows(n: int, sieve: PrimeSieve) -> tuple[int, ...]:
@@ -232,9 +233,12 @@ def enumerate_solutions(
     n: int,
     sieve: PrimeSieve | None = None,
     limit: int | None = None,
-) -> Iterator[Permutation]:
+    line: str | None = None,
+) -> Iterator[Permutation] | Iterator[str]:
     """Yield every valid permutation exactly once, in lexicographic order
-    of one-line notation, stopping after ``limit`` items if given.
+    of one-line notation, stopping after ``limit`` items if given. With a
+    ``line``, a %-format whose one %s takes the comma-separated one-line
+    notation, each solution comes as that text instead of a Permutation.
 
     Backtracking restricted to adjacency rows, on an explicit stack, so any
     n the sieve covers runs without recursion. Once the image of 1 is
@@ -243,14 +247,18 @@ def enumerate_solutions(
     still be completed (see _walk): it never descends into a prefix that no
     solution extends.
 
-    Near the leaves, the walk lists each subtree's solutions as the product
-    of its two halves' completions (see _walk), in one block that
-    Permutation._joined builds: the first solution is validated as any
-    Permutation, the others by a few passes of builtins over the block.
-    The n rows of n bits, the walk's two masks per depth, and its
-    completion memo and lists take up to 4 n ceil(n / 8) bytes, whatever
-    the limit: over DEFAULT_LIMIT_CAP (n > 16384) it raises MethodCapError
-    before any work. Without a sieve, one to 2n is built after that check.
+    Near the leaves, the walk hands over each subtree as one block: a
+    prefix and the two halves' completion lists, whose sorted interleaved
+    product is the subtree's solutions (see _walk). construct's
+    _checked_tails checks each list once and the first solution as any
+    Permutation, which proves every solution of the block a bijection;
+    each is then stored as a Permutation without a second check, or, with
+    a line, formatted from a format that holds the prefix's digits, so
+    each line formats only its tail. The n rows of n bits, the walk's two
+    masks per depth, and its completion memo and lists take up to
+    4 n ceil(n / 8) bytes, whatever the limit: over DEFAULT_LIMIT_CAP
+    (n > 16384) it raises MethodCapError before any work. Without a sieve,
+    one to 2n is built after that check.
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
@@ -258,7 +266,7 @@ def enumerate_solutions(
         raise ValueError(f"limit must be positive, got {limit}")
     if n == 0:
         # the empty permutation, the one solution count_solutions(0) counts
-        return iter((Permutation(()),))
+        return iter((Permutation(()) if line is None else line % "",))
     width = -(-n // 8)  # bytes per row, mask or memo key
     estimate = 4 * n * width
     if estimate > DEFAULT_LIMIT_CAP:
@@ -272,9 +280,22 @@ def enumerate_solutions(
     # least n units of a key's width, as admitted
     room = DEFAULT_LIMIT_CAP // width - 3 * n
     blocks = _walk(_pinned_rows(n, sieve), room)
-    joined = itertools.starmap(Permutation._joined, blocks)
-    stream = itertools.chain.from_iterable(joined)
+    if line is None:
+        solutions = itertools.starmap(Permutation._block, blocks)
+    else:
+        solutions = (_lines(line, n, *block) for block in blocks)
+    stream = itertools.chain.from_iterable(solutions)
     return stream if limit is None else itertools.islice(stream, limit)
+
+
+def _lines(
+    line: str, n: int, prefix: tuple, firsts: list, seconds: list
+) -> Iterator[str]:
+    """line % csv for each solution of one block, from one format that
+    holds the prefix's digits and a %d for each entry of a tail."""
+    tails = _checked_tails(prefix, firsts, seconds)
+    fmt = line % ",".join([*map("%d".__mod__, prefix), *["%d"] * (n - len(prefix))])
+    return map(fmt.__mod__, tails)
 
 
 def _pinned_rows(n: int, sieve: PrimeSieve) -> tuple[int, ...]:
@@ -288,11 +309,13 @@ def _pinned_rows(n: int, sieve: PrimeSieve) -> tuple[int, ...]:
     return (rows[0] & ~1, *rows[1:])
 
 
-def _walk(rows: Sequence[int], room: int = 0) -> Iterator[tuple[tuple, list]]:
+def _walk(rows: Sequence[int], room: int = 0) -> Iterator[tuple[tuple, list, list]]:
     """Lowest-bit-first backtracking over bitset rows, with one slot per
     depth in two lists, so its depth is not bound by the recursion limit.
-    It yields the leaves in blocks (prefix, tails): each leaf's image is
-    the prefix followed by one of the tails, in order.
+    It yields the leaves in blocks (prefix, firsts, seconds): each leaf's
+    image is the prefix followed by a first and a second interleaved, the
+    first's values at the even offsets, and sorted the leaves of a block
+    come in the order the walk would reach them.
 
     With room, the rows at even and at odd depths must hold disjoint sets
     of values, as in enumerate_solutions. The two halves are then matched
@@ -300,15 +323,15 @@ def _walk(rows: Sequence[int], room: int = 0) -> Iterator[tuple[tuple, list]]:
     still be completed, which _completes answers and memoises by the set
     of values that half has used. Once each half has at most _TAIL_ROWS
     rows left, and past depth 0, the walk stops descending: the leaves
-    below are one block, the prefix followed by each pair of the two
-    halves' _completions, interleaved, and sorted they come in the order
-    the walk would reach them. The prefix is not joined to them here, so a
-    block holds at most _TAIL_ROWS! ** 2 short tuples, not n-tuples. The
-    lists are memoised by half state too. The memo and the lists hold at
-    most room units, one per state and one per list and tuple, and the
-    lists at most half of them, so one search path of _completes always
-    fits beside them. Without room, the walk skips only used images, and
-    each block is one leaf, (image, [()]).
+    below are one block, whose firsts and seconds are the _completions of
+    the half that takes the next depth and of the other half. Neither the
+    product nor the prefix is built here, so a block holds two lists of at
+    most _TAIL_ROWS! short tuples, which the walk memoises by half state
+    and hands to many blocks; construct's _checked_tails checks them. The
+    memo and the lists hold at most room units, one per state and one per
+    list and tuple, and the lists at most half of them, so one search path
+    of _completes always fits beside them. Without room, the walk skips
+    only used images, and each block is one leaf, (image, [()], [()]).
     """
     n = len(rows)
     image = [0] * n
@@ -350,7 +373,7 @@ def _walk(rows: Sequence[int], room: int = 0) -> Iterator[tuple[tuple, list]]:
         below = used[pos] | bit
         if pos + 1 == cut:
             if not room:
-                yield tuple(image), [()]
+                yield tuple(image), [()], [()]
                 continue
             pair = []
             for half in (cut & 1, ~cut & 1):
@@ -366,7 +389,7 @@ def _walk(rows: Sequence[int], room: int = 0) -> Iterator[tuple[tuple, list]]:
                         held += len(found) + 1
                         _make_room(alive, dead, room, held)
                 pair.append(found)
-            yield tuple(image[:cut]), _interleaved(*pair, n - cut)
+            yield tuple(image[:cut]), *pair
             continue
         pos += 1
         used[pos] = below
@@ -428,22 +451,6 @@ def _completions(rows: Sequence[int], key: int) -> list[tuple[int, ...]]:
                 grown.append(((*taken, bit.bit_length()), used | bit))
         partial = grown
     return [taken for taken, _ in partial]
-
-
-def _interleaved(
-    firsts: list[tuple[int, ...]], seconds: list[tuple[int, ...]], size: int
-) -> list[tuple[int, ...]]:
-    """Each pair of a first and a second, interleaved from the first's
-    values, in sorted order."""
-    end = [0] * size
-    ends = []
-    for first in firsts:
-        end[0::2] = first
-        for second in seconds:
-            end[1::2] = second
-            ends.append(tuple(end))
-    ends.sort()
-    return ends
 
 
 def _make_room(alive: set[int], dead: set[int], room: int, more: int) -> None:

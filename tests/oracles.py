@@ -81,3 +81,16 @@ def count_by_layered_dp(n: int) -> int:
                     nxt[key] = nxt.get(key, 0) + ways
         layer = nxt
     return sum(layer.values())
+
+
+def interleaved_product(prefix: tuple, firsts: list, seconds: list) -> list[tuple]:
+    """prefix followed by each first and second interleaved, first[0],
+    second[0], first[1], ..., then the rest of the longer, in sorted
+    order: the leaves of one block of the enumerator's walk."""
+    leaves = []
+    for first, second in itertools.product(firsts, seconds):
+        end = []
+        for k in range(max(len(first), len(second))):
+            end += [*first[k : k + 1], *second[k : k + 1]]
+        leaves.append((*prefix, *end))
+    return sorted(leaves)

@@ -445,6 +445,33 @@ def test_verify_undecodable_stdin_is_a_usage_error():
     )
 
 
+@pytest.mark.parametrize("at", [0, 1, 2, 3, 4])
+def test_verify_undecodable_stdin_names_its_offset_in_the_input(at):
+    # stdin is read and decoded STDIN_PIECE bytes at a time; an error names
+    # the same offsets as one read of the whole input: a bad byte, or a
+    # 3-byte sequence cut short by a comma, just before, across and just
+    # after the boundary of two pieces
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    env["PYTHONIOENCODING"] = "utf-8:strict"
+    offset = cli.STDIN_PIECE - 2 + at
+    for bad, reason, width in ((b"\xff", "byte 0xff", 1), (b"\xe2\x82", "bytes", 2)):
+        data = b"1," * cli.STDIN_PIECE
+        data = data[:offset] + bad + data[offset:]
+        done = subprocess.run(
+            [sys.executable, "-m", "primeperm.cli", "verify"],
+            input=data,
+            env=env,
+            capture_output=True,
+            timeout=60,
+        )
+        where = f"{offset}" if width == 1 else f"{offset}-{offset + 1}"
+        reason += f" in position {where}: "
+        reason += "invalid start byte" if width == 1 else "invalid continuation byte"
+        assert (done.returncode, done.stdout) == (EXIT_USAGE, b"")
+        expected = f"primeperm: error: 'utf-8' codec can't decode {reason}\n"
+        assert done.stderr.decode() == expected, at
+
+
 def test_construct_verify_round_trip(capsys, monkeypatch):
     for n in (0, 1, 2, 3, 10, 97):
         code, out, _ = run(capsys, "construct", "--n", str(n), "--format", "json")
@@ -597,6 +624,41 @@ def test_enumerate_deep_n(capsys, n):
     image = list(map(int, line.split(",")))
     assert sorted(image) == list(range(1, n + 1))
     assert all(is_prime_trial(k + v) for k, v in enumerate(image, 1))
+
+
+def _counted_blocks(monkeypatch) -> list[int]:
+    """The number of solutions of each block the line writer checks, as it
+    checks them."""
+    checked, sizes = count_module._checked_tails, []
+
+    def counted(prefix, firsts, seconds):
+        sizes.append(len(firsts) * len(seconds))
+        return checked(prefix, firsts, seconds)
+
+    monkeypatch.setattr(count_module, "_checked_tails", counted)
+    return sizes
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_enumerate_limit_cuts_the_stream_at_any_line(capsys, monkeypatch, fmt):
+    # lines leave block by block: a limit at a block's last line, or one
+    # past it, cuts the full stream there, and checks no block past it
+    sizes = _counted_blocks(monkeypatch)
+    argv = ("enumerate", "--n", "15", "--format", fmt)
+    code, out, _ = run(capsys, *argv)
+    full, first = out.splitlines(keepends=True), sizes[0]
+    assert code == EXIT_OK and len(full) == 36100 and first > 1
+    for limit, blocks in ((1, 1), (first, 1), (first + 1, 2)):
+        sizes.clear()
+        expected = (EXIT_OK, "".join(full[:limit]), "")
+        assert run(capsys, *argv, "--limit", str(limit)) == expected
+        assert len(sizes) == blocks, limit
+
+
+def test_enumerate_limit_1_checks_one_block(capsys, monkeypatch):
+    sizes = _counted_blocks(monkeypatch)
+    assert run(capsys, "enumerate", "--n", "16", "--limit", "1")[0] == EXIT_OK
+    assert len(sizes) == 1
 
 
 def test_enumerate_refuses_before_sieving(capsys, monkeypatch):

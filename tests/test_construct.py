@@ -23,7 +23,7 @@ from primeperm import (
 )
 
 
-from oracles import is_prime_trial, next_prime_trial
+from oracles import interleaved_product, is_prime_trial, next_prime_trial
 
 
 # --- Permutation type ---------------------------------------------------
@@ -182,34 +182,39 @@ def test_permutation_validation_matches_reference(image):
 
 
 @st.composite
-def joined_blocks(draw):
-    """A prefix and a list of tails, as the enumerator hands Permutation
-    one block: the tails rearrange the values the prefix leaves out, but
-    one of them may have an entry replaced (by 0, n + 1, a bool, a float),
-    made a float of equal value, dropped, added, or added again, which
-    keeps the tail's set of values."""
-    n = draw(st.integers(0, 8))
+def product_blocks(draw):
+    """A prefix and two completion lists, as the enumerator hands one block
+    to the check: the firsts rearrange some of the values the prefix leaves
+    out, as many as the seconds or one more, and the seconds the rest. One
+    entry of either list may have a value replaced (by 0, n + 1, a bool, a
+    float), made a float of equal value, dropped, added, or added again,
+    which keeps the entry's set of values."""
+    n = draw(st.integers(0, 9))
     image = draw(st.permutations(range(1, n + 1)))
     cut = draw(st.integers(0, n))
-    prefix, values = tuple(image[:cut]), image[cut:]
-    count = draw(st.integers(0, 6))
-    tails = [tuple(draw(st.permutations(values))) for _ in range(count)]
+    prefix, rest = tuple(image[:cut]), image[cut:]
+    halves = (rest[: (len(rest) + 1) // 2], rest[(len(rest) + 1) // 2 :])
+    lists = [
+        [tuple(draw(st.permutations(half))) for _ in range(draw(st.integers(0, 4)))]
+        for half in halves
+    ]
     fault = draw(st.sampled_from(("none", "replace", "float", "drop", "add", "again")))
-    if fault == "none" or not tails:
-        return prefix, tails
-    k = draw(st.integers(0, len(tails) - 1))
-    tail = list(tails[k])
-    at = draw(st.integers(0, max(len(tail) - 1, 0)))
-    if fault == "add" or not tail:
-        tail.insert(at, draw(_entries(n)))
+    entries = lists[draw(st.integers(0, 1))]
+    if fault == "none" or not entries:
+        return prefix, *lists
+    k = draw(st.integers(0, len(entries) - 1))
+    entry = list(entries[k])
+    at = draw(st.integers(0, max(len(entry) - 1, 0)))
+    if fault == "add" or not entry:
+        entry.insert(at, draw(_entries(n)))
     elif fault == "again":
-        tail.insert(at, tail[-1])
+        entry.insert(at, entry[-1])
     elif fault == "drop":
-        del tail[at]
+        del entry[at]
     else:
-        tail[at] = draw(_entries(n)) if fault == "replace" else float(tail[at])
-    tails[k] = tuple(tail)
-    return prefix, tails
+        entry[at] = draw(_entries(n)) if fault == "replace" else float(entry[at])
+    entries[k] = tuple(entry)
+    return prefix, *lists
 
 
 def _built(perms):
@@ -224,18 +229,10 @@ def _built(perms):
     return out
 
 
-@given(joined_blocks())
-def test_joined_matches_one_permutation_per_tail(block):
-    prefix, tails = block
-    one_by_one = _built(Permutation(prefix + tail) for tail in tails)
-    assert _built(Permutation._joined(prefix, tails)) == one_by_one
-
-
-def test_joined_yields_the_first_before_it_reads_the_others():
-    # so enumerate --limit 1 checks no tail past the first: here the
-    # second is not even a tuple
-    joined = Permutation._joined((1,), [(2, 3), None])
-    assert next(joined).image == (1, 2, 3)
+@given(product_blocks())
+def test_block_matches_one_permutation_per_leaf(block):
+    one_by_one = _built(map(Permutation, interleaved_product(*block)))
+    assert _built(Permutation._block(*block)) == one_by_one
 
 
 @given(

@@ -14,6 +14,7 @@ import primeperm.count as count_module
 from primeperm import (
     MethodCapError,
     NotAPermutationError,
+    Permutation,
     SieveRangeError,
     build_adjacency,
     build_sieve,
@@ -40,6 +41,7 @@ from primeperm.primes import DEFAULT_LIMIT_CAP
 from oracles import (
     count_by_full_iteration,
     count_by_layered_dp,
+    interleaved_product,
     is_prime_trial,
     solutions_by_backtracking,
 )
@@ -397,10 +399,10 @@ def test_pinned_rows_split_by_parity(sieve_small):
 
 
 def _leaves(blocks):
-    """The leaf images of _walk's blocks (prefix, tails), in order."""
-    for prefix, tails in blocks:
-        for tail in tails:
-            yield prefix + tail
+    """The leaf images of _walk's blocks (prefix, firsts, seconds), in
+    order, by the oracle's own product and sort."""
+    for block in blocks:
+        yield from interleaved_product(*block)
 
 
 def test_enumerate_equals_the_unpruned_walk(sieve_small):
@@ -519,29 +521,52 @@ def test_enumerate_completion_lists_stay_within_room(sieve_small, monkeypatch):
     "fault, message",
     [
         # the second value written over by the first: a repeat
-        (lambda tail: (tail[0], tail[0], *tail[2:]), "repeats an earlier entry"),
+        (lambda entry: (entry[0], entry[0], *entry[2:]), "repeats an earlier entry"),
         # the smallest value left out: the leaf is one short, and its
         # largest entry is past its length
-        (lambda tail: tuple(v for v in tail if v != min(tail)), "is outside 1..11"),
+        (lambda entry: tuple(v for v in entry if v != min(entry)), "is outside 1..11"),
+        # the first value as a float of equal value
+        (lambda entry: (float(entry[0]), *entry[1:]), "is not an int"),
+        # the largest value, never 1, as True, which equals 1: a repeat
+        (lambda entry: tuple(True if v == max(entry) else v for v in entry), "repeats"),
     ],
-    ids=["repeat", "missing"],
+    ids=["repeat", "missing", "float", "bool"],
 )
 def test_enumerate_checks_every_tail_of_a_block(
     sieve_small, monkeypatch, fault, message
 ):
-    # a faulty tail past the first of a block, as a slip in the walk would
-    # make one, raises as it would had each leaf been built on its own
-    interleaved = count_module._interleaved
+    # a faulty last entry in each completion list, as a slip in the walk
+    # would make one, raises as it would had each leaf been built on its
+    # own: at the first faulty leaf, after every leaf before it
+    completions, walk = count_module._completions, count_module._walk
+    blocks = []
 
-    def faulty(firsts, seconds, size):
-        ends = interleaved(firsts, seconds, size)
-        if len(ends) > 1:
-            ends[1] = fault(ends[1])
-        return ends
+    def faulty(rows, key):
+        found = completions(rows, key)
+        if len(found) > 1:
+            found[-1] = fault(found[-1])
+        return found
 
-    monkeypatch.setattr(count_module, "_interleaved", faulty)
-    with pytest.raises(NotAPermutationError, match=re.escape(message)):
-        list(enumerate_solutions(12, sieve_small))
+    def recorded(rows, room):
+        for block in walk(rows, room):
+            blocks.append(block)
+            yield block
+
+    monkeypatch.setattr(count_module, "_completions", faulty)
+    monkeypatch.setattr(count_module, "_walk", recorded)
+    got = []
+    with pytest.raises(NotAPermutationError, match=re.escape(message)) as raised:
+        for perm in enumerate_solutions(12, sieve_small):
+            got.append(perm.image)
+    expected = []
+    for leaf in _leaves(blocks):
+        try:
+            Permutation(leaf)
+        except NotAPermutationError as error:
+            assert str(raised.value) == str(error)
+            break
+        expected.append(leaf)
+    assert got == expected and got
 
 
 def test_naive_count_walks_without_the_completion_check(sieve_small, monkeypatch):
