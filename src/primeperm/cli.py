@@ -16,6 +16,7 @@ import os
 import re
 import sys
 from collections.abc import Iterable, Iterator, Sequence
+from functools import cache
 from itertools import chain, compress, groupby, islice
 from operator import add, not_
 
@@ -42,7 +43,7 @@ EXIT_USAGE = 64
 EXIT_CAP = 65
 
 # Largest block of lines _write_lines joins into one write, and the
-# number of positions construct and verify format at a time.
+# number of positions verify formats at a time.
 BLOCK_LINES = 4096
 
 # Bytes of stdin verify reads and decodes at a time.
@@ -193,43 +194,92 @@ def _sieve_for(n: int) -> PrimeSieve:
 
 def _cmd_construct(args) -> int:
     perm = construct_prime_sum_permutation(args.n, _sieve_for(args.n))
+    # the witness reverses blocks [lo, hi] that tile 1..n in order: the
+    # image at lo is hi, so one entry per block gives its run of totals
+    runs, lo = [], 1
+    while lo <= perm.n:
+        hi = perm.image[lo - 1]
+        runs.append((lo + hi, hi - lo + 1))
+        lo = hi + 1
     if args.format == "json":
-        # a compact json.dumps of perm.as_json_dict(), one slice at a time
+        # a compact json.dumps of {"n": n, "image": [...]}
         head = f'{{"n":{perm.n},"image":['
-        _write(chain((head,), _csv(_slices(perm.image)), ("]}\n",)))
+        _write(chain((head,), _cells(runs, -1, ",", padded=False), ("]}\n",)))
     else:
-        _write_lines(_rounds_rows(perm))
+        _write(_rounds_pieces(runs))
     return EXIT_OK
 
 
 def _rounds_table(perm: Permutation) -> str:
     """The rounds table as one string, without its last newline."""
-    return "\n".join(_rounds_rows(perm))
-
-
-def _rounds_rows(perm: Permutation) -> Iterator[str]:
-    """The Round 1, Round 2 and Total rows, one at a time."""
+    # each run of equal totals k + v, as (total, length)
     ks = range(1, perm.n + 1)
-    # each run of equal totals k + v, as (total, length): one per block in a witness
     runs = [(total, len(list(run))) for total, run in groupby(map(add, ks, perm.image))]
-    for label, row in (("Round 1", ks), ("Round 2", perm.image), ("Total", None)):
-        yield f"{label:<7} | {'  '.join(_row_parts(row, runs))}".rstrip()
+    return "".join(_rounds_pieces(runs))[:-1]
 
 
-def _row_parts(row: Sequence[int] | None, runs: list[tuple[int, int]]) -> Iterator[str]:
-    """The cells of row, or the totals if row is None, one %-format for each
-    run of equal totals, or BLOCK_LINES cells of a longer one. Entries are
-    ints >= 1, so k + v has at least the digits of k and of v: each total is
-    the widest cell of its column, and sets its width."""
-    at = 0
+def _rounds_pieces(runs: list[tuple[int, int]]) -> Iterator[str]:
+    """The Round 1, Round 2 and Total rows of a permutation whose runs of
+    equal totals k + v are runs, as (total, length), newlines included, in
+    pieces of at most 1000 cells. Entries are ints >= 1, so a
+    total has at least the digits of k and of v: it is the widest cell of
+    its column, and sets its width."""
+    for label, step in (("Round 1", 1), ("Round 2", -1), ("Total", 0)):
+        yield f"{label:<7} |" + (" " if runs else "")
+        yield from _cells(runs, step, "  ", padded=True)
+        yield "\n"
+
+
+def _cells(
+    runs: list[tuple[int, int]], step: int, sep: str, padded: bool
+) -> Iterator[str]:
+    """One row of the runs' cells, joined by sep: the positions (step 1),
+    the images (step -1) or the totals (step 0). A run at positions
+    lo..lo+L-1 with total t has images t-lo down to t-lo-L+1. A padded
+    cell is right-aligned to the width of its run's total."""
+    lo = 1
     for total, size in runs:
-        text = str(total)
-        cell = text if row is None else f"%{len(text)}d"
-        for lo in range(at, at + size, BLOCK_LINES):
-            hi = min(lo + BLOCK_LINES, at + size)
-            part = "  ".join([cell] * (hi - lo))
-            yield part if row is None else part % tuple(row[lo:hi])
-        at += size
+        if lo > 1:
+            yield sep
+        width = len(str(total)) if padded else 0
+        if step:
+            yield from _run(lo if step == 1 else total - lo, size, step, width, sep)
+        else:
+            cell = sep + str(total)
+            for at in range(0, size, 1000):
+                yield (cell * min(1000, size - at))[0 if at else len(sep) :]
+        lo += size
+
+
+def _run(first: int, size: int, step: int, width: int, sep: str) -> Iterator[str]:
+    """sep.join("%*d" % (width, v) for v in range(first, first + size * step,
+    step)), for step 1 or -1, values >= 0 and a sep without "@", in pieces
+    of at most 1000 cells. The values below 1000 take one %-format. Each
+    group of values that share their digits above the last three is one
+    slice of _template, whose one str.replace writes those digits,
+    right-aligned to width: no Python step per value."""
+    order = range(1000)[::step]  # the last three digits, in the run's order
+    last = first + (size - 1) * step
+    stride, skip = len(sep) + 4, len(sep)  # the first piece has no sep before it
+    for high in range(first // 1000, last // 1000 + step, step) if size else ():
+        # the group's first and last values: the run's, clamped to the group
+        a, b = (min(max(v, 1000 * high), 1000 * high + 999) for v in (first, last))
+        if high:
+            i, j = order.index(a % 1000), order.index(b % 1000)
+            piece = _template(sep, step)[i * stride + skip : (j + 1) * stride]
+            yield piece.replace("@", str(high).rjust(width - 3))
+        else:
+            values = range(a, b + step, step)
+            yield sep[skip:] + sep.join([f"%{width}d"] * len(values)) % tuple(values)
+        skip = 0
+
+
+@cache
+def _template(sep: str, step: int) -> str:
+    """sep + "@ddd" for ddd from 000 up to 999 (step 1) or down (step -1):
+    with "@" replaced, the cells of the values with those digits above
+    the last three. Built on first use: construct --n 1 never needs it."""
+    return "".join(map(f"{sep}@%03d".__mod__, range(1000)[::step]))
 
 
 def _parse_perm(text: str | None) -> Permutation:

@@ -300,13 +300,33 @@ def decompose_blocks(n: int, sieve: PrimeSieve) -> list[Block]:
 def construct_prime_sum_permutation(n: int, sieve: PrimeSieve) -> Permutation:
     """Build a witness permutation of {1..n} with every positional sum
     prime. Deterministic, and always an involution: each block [lo, hi]
-    maps i to lo + hi - i. n = 0 yields the empty permutation."""
+    maps i to lo + hi - i. n = 0 yields the empty permutation.
+
+    The blocks are checked, one step each, to tile 1..n in order and to
+    sum to a prime of the sieve. The image, each block's reversed range,
+    is then a bijection whose sums are all prime, so it is stored without
+    Permutation's loop over its entries. A failed check raises
+    RuntimeError: the decomposition itself is broken."""
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
     if n == 0:
         return Permutation(())
-    blocks = reversed(decompose_blocks(n, sieve))
-    return Permutation(chain.from_iterable(range(b.hi, b.lo - 1, -1) for b in blocks))
+    blocks = decompose_blocks(n, sieve)[::-1]
+    end = 0
+    for b in blocks:
+        if b.lo != end + 1:
+            raise RuntimeError(
+                f"{b} does not start at {end + 1}: blocks do not tile 1..{n}"
+            )
+        if not sieve.is_prime(b.prime):
+            raise RuntimeError(f"{b} sums to a composite")
+        end = b.hi
+    if end != n:
+        raise RuntimeError(f"blocks end at {end}: they do not tile 1..{n}")
+    perm = object.__new__(Permutation)
+    image = chain.from_iterable(range(b.hi, b.lo - 1, -1) for b in blocks)
+    object.__setattr__(perm, "image", tuple(image))
+    return perm
 
 
 def is_valid_solution(perm: Permutation | Sequence[int], sieve: PrimeSieve) -> bool:

@@ -14,18 +14,20 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import is_prime_trial
 from peak_rss import run_cli
-from primeperm import Permutation, build_sieve, construct_prime_sum_permutation
+from primeperm import Block, Permutation, build_sieve, construct_prime_sum_permutation
 from primeperm import cli
+from primeperm import construct as construct_module
 from primeperm import count as count_module
 from primeperm.cli import (
     BLOCK_LINES,
     EXIT_CAP,
     EXIT_COMPOSITE,
+    EXIT_ERROR,
     EXIT_NOT_PERMUTATION,
     EXIT_OK,
     EXIT_USAGE,
@@ -84,6 +86,82 @@ def test_construct_json(capsys):
     code, out, err = run(capsys, "construct", "--n", "4", "--format", "json")
     assert code == EXIT_OK and err == ""
     assert out.strip() == '{"n":4,"image":[4,3,2,1]}'
+
+
+# Starts and ends of runs: at and around multiples of 1000 and powers of ten.
+_RUN_ANCHORS = [0, 1, 9, 10, 99, 100, 999, 1000, 1999, 2000, 9999, 10**4, 10**5, 10**7]
+
+
+@given(
+    anchor=st.sampled_from(_RUN_ANCHORS),
+    offset=st.integers(-2, 2),
+    anchor_is_first=st.booleans(),
+    size=st.sampled_from([0, 1, 2, 999, 1000, 1001, 2500]),
+    step=st.sampled_from([1, -1]),
+    width=st.integers(0, 8),
+    sep=st.sampled_from(["  ", ","]),
+)
+@example(
+    anchor=1000, offset=0, anchor_is_first=True, size=1000, step=1, width=4, sep="  "
+)
+@example(
+    anchor=9999, offset=0, anchor_is_first=True, size=2500, step=-1, width=0, sep=","
+)
+@example(
+    anchor=10**4, offset=0, anchor_is_first=False, size=1001, step=1, width=8, sep="  "
+)
+def test_run_matches_one_format_per_cell(
+    anchor, offset, anchor_is_first, size, step, width, sep
+):
+    # a run of consecutive values is written one piece per group of values
+    # that share their digits above the last three, with the bytes of one
+    # %-format per cell
+    first = anchor + offset
+    if not anchor_is_first:  # the anchor is the run's last value
+        first -= (size - 1) * step
+    values = range(first, first + size * step, step)
+    assume(min(values, default=0) >= 0)
+    pieces = list(cli._run(first, size, step, width, sep))
+    assert "".join(pieces) == sep.join("%*d" % (width, v) for v in values)
+    assert len(pieces) == len({v // 1000 for v in values})
+
+
+_NO_TILE = "blocks do not tile 1..7"
+
+
+def _blocks_of_7(case):
+    # the witness of n = 7 has the blocks [4, 7], [2, 3] and [1, 1]
+    return {
+        "gap": [Block(4, 7, 11), Block(1, 1, 2)],
+        "overlap": [Block(4, 7, 11), Block(3, 4, 7), Block(1, 2, 3)],
+        "short": [Block(2, 3, 5), Block(1, 1, 2)],
+        "composite": [Block(3, 7, 10), Block(1, 2, 3)],
+    }[case]
+
+
+@pytest.mark.parametrize(
+    "case,message",
+    [
+        ("gap", "Block(lo=4, hi=7, prime=11) does not start at 2: " + _NO_TILE),
+        ("overlap", "Block(lo=4, hi=7, prime=11) does not start at 5: " + _NO_TILE),
+        ("short", "blocks end at 3: they do not tile 1..7"),
+        ("composite", "Block(lo=3, hi=7, prime=10) sums to a composite"),
+    ],
+)
+def test_construct_refuses_blocks_that_are_no_witness(
+    capsys, monkeypatch, case, message
+):
+    # construct proves its blocks a solution before it stores the image
+    # without Permutation's check: a decomposition with a gap, an overlap,
+    # a missing end or a composite sum is an internal error, with no output
+    blocks = _blocks_of_7(case)
+    monkeypatch.setattr(construct_module, "decompose_blocks", lambda n, sieve: blocks)
+    with pytest.raises(RuntimeError) as raised:
+        construct_prime_sum_permutation(7, build_sieve(14))
+    assert str(raised.value) == message
+    for fmt in ("text", "json"):
+        expected = (EXIT_ERROR, "", f"primeperm: internal error: {message}\n")
+        assert run(capsys, "construct", "--n", "7", "--format", fmt) == expected
 
 
 def test_construct_rejects_bfile(capsys):
@@ -299,11 +377,15 @@ def _swapped_at_a_boundary():
 
 
 @pytest.mark.parametrize(
-    "n", [BLOCK_LINES - 1, BLOCK_LINES, BLOCK_LINES + 1, 2 * BLOCK_LINES + 1, None]
+    "n",
+    [999, 1000, 1001, 10**4 + 1]
+    + [BLOCK_LINES - 1, BLOCK_LINES, BLOCK_LINES + 1, 2 * BLOCK_LINES + 1, None],
 )
 def test_witness_commands_across_slice_boundaries(capsys, monkeypatch, n):
-    # construct and verify work a slice of BLOCK_LINES positions at a time;
-    # the bytes are those of one json.dumps, or one table of the whole image
+    # verify works a slice of BLOCK_LINES positions at a time, construct a
+    # group of values that share their digits above the last three (the
+    # first four n put a block edge next to a multiple of 1000); the bytes
+    # are those of one json.dumps, or one table of the whole image
     image = _swapped_at_a_boundary() if n is None else _witness(n)
     if n is not None:
         construct = ("construct", "--n", str(n))
@@ -1098,3 +1180,20 @@ def test_readme_cli_table_matches_parser():
         for cmd, p in commands.choices.items()
     }
     assert documented == parsed
+
+
+def test_benchmark_traced_round_runs():
+    # perfbench's traced mode times the CLI by wrapping module attributes
+    # it calls, such as cli.construct_prime_sum_permutation and
+    # cli.enumerate_solutions, and reads every span they record: a command
+    # that stops calling one of them fails this round with a KeyError
+    done = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "count",
+         "--seconds", "0", "--trace", "1"],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert json.loads(done.stdout.splitlines()[-1])["failed"] == 0
