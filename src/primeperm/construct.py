@@ -114,14 +114,24 @@ class Permutation(_Frozen):
 
     @classmethod
     def _block(
-        cls, prefix: tuple, firsts: list, seconds: list
+        cls, prefix: tuple, firsts: tuple, seconds: tuple, order: tuple
     ) -> Iterator["Permutation"]:
-        """Permutation(prefix + tail) for each tail of _checked_tails, which
-        proves each a bijection, stored without a second check."""
+        """Permutation(prefix + tail) for each tail of one block of the
+        enumerator, in its order: once _proven, each is stored without a
+        second check, from a list per first whose second's slots each
+        solution writes over, else each is built as a Permutation."""
+        (entries, *_), (others, *_), (fi, sj) = firsts, seconds, order
+        if not _proven(prefix, firsts, seconds, order):
+            pairs = map(entries.__getitem__, fi), map(others.__getitem__, sj)
+            yield from map(cls, map(prefix.__add__, map(_interleave, *pairs)))
+            return
         new, store = object.__new__, object.__setattr__
-        for image in map(prefix.__add__, _checked_tails(prefix, firsts, seconds)):
+        images = [[*prefix, *_interleave(entry, others[0])] for entry in entries if fi]
+        start = len(prefix) + 1
+        for image, j in zip(map(images.__getitem__, fi), sj):
+            image[start::2] = others[j]
             perm = new(cls)
-            store(perm, "image", image)
+            store(perm, "image", tuple(image))
             yield perm
 
     @property
@@ -191,53 +201,37 @@ class Permutation(_Frozen):
         return cls(tuple(image))
 
 
-def _checked_tails(prefix: tuple, firsts: list, seconds: list) -> Iterable[tuple]:
-    """The tails of one block of the enumerator: each first interleaved
-    with each second, in sorted order, each proven to complete prefix to a
-    bijection on 1..n before it is yielded.
+def _proven(prefix: tuple, firsts: tuple, seconds: tuple, order: tuple) -> bool:
+    """Whether one Permutation has proven every tail of a block of the
+    enumerator: prefix followed by a first and a second interleaved, for
+    the pairs of indices into the firsts and the seconds that order lists.
 
-    Passes of builtins read each list once: its entries hold only ints
-    (not bools), all of one length and one set of values, and a first is
-    as long as a second or one longer. Then every prefix + tail is n ints
-    with the set of values of the first, so once Permutation has accepted
-    the first, whose n values are distinct and in 1..n, each is a
-    bijection too. If a pass fails, each prefix + tail is built as a
-    Permutation before its tail is yielded, so a fault raises where one
-    Permutation per tail would.
+    firsts and seconds are (entries, keys, cells), as count's _keyed
+    builds them once per list, with keys None unless the entries passed
+    _uniform and are as long as their offsets of the tail. If both passed,
+    every prefix + tail is n ints with the set of values of the first in
+    order, so once Permutation has accepted that one, whose n values are
+    distinct and in 1..n, each is a bijection too. If a list failed, False:
+    each prefix + tail is then built as a Permutation before it is used,
+    so a fault raises where one Permutation per tail would.
     """
-    if not (firsts and seconds):
-        return []
-    longer_by = len(firsts[0]) - len(seconds[0])
-    if _uniform(firsts) and _uniform(seconds) and longer_by in (0, 1):
-        tails = _interleaved(firsts, seconds)
-        Permutation(prefix + tails[0])
-        return tails
-    tails = sorted(_interleave(first, second) for first in firsts for second in seconds)
-    return _one_by_one(prefix, tails)
+    if firsts[1] is None or seconds[1] is None:
+        return False
+    fi, sj = order
+    if fi:
+        Permutation(prefix + _interleave(firsts[0][fi[0]], seconds[0][sj[0]]))
+    return True
 
 
-def _uniform(entries: list) -> bool:
-    """Whether entries hold only ints (not bools), all of one length and
-    one set of values."""
+def _uniform(entries: list, n: int) -> bool:
+    """Whether entries hold only ints (not bools) in 1..n, all of one
+    length and one set of values."""
     return (
         set(map(type, chain.from_iterable(entries))) <= {int}
         and set(map(len, entries)) == {len(entries[0])}
         and set(map(frozenset, entries)) == {frozenset(entries[0])}
+        and all(0 < v <= n for v in entries[0])
     )
-
-
-def _interleaved(firsts: list[tuple], seconds: list[tuple]) -> list[tuple]:
-    """_interleave of each first with each second, sorted, for firsts of
-    one length and seconds as long or one shorter."""
-    end = [0] * (len(firsts[0]) + len(seconds[0]))
-    ends = []
-    for first in firsts:
-        end[0::2] = first
-        for second in seconds:
-            end[1::2] = second
-            ends.append(tuple(end))
-    ends.sort()
-    return ends
 
 
 def _interleave(first: tuple, second: tuple) -> tuple:
@@ -245,13 +239,6 @@ def _interleave(first: tuple, second: tuple) -> tuple:
     then the rest of the longer."""
     pairs = chain.from_iterable(zip(first, second))
     return (*pairs, *first[len(second) :], *second[len(first) :])
-
-
-def _one_by_one(prefix: tuple, tails: Iterable[tuple]) -> Iterator[tuple]:
-    """Each tail, once Permutation has accepted prefix + tail."""
-    for tail in tails:
-        Permutation(prefix + tail)
-        yield tail
 
 
 class Block(_Frozen):

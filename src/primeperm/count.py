@@ -18,7 +18,7 @@ from collections import defaultdict
 from collections.abc import Iterator, Sequence
 from operator import mul, or_
 
-from .construct import Permutation, _Frozen, _checked_tails
+from .construct import Permutation, _Frozen, _interleave, _proven, _uniform
 from .primes import DEFAULT_LIMIT_CAP, PrimeSieve, build_sieve
 
 # Elementary steps a count may take: n <= 12 for backtracking, 43 for dp
@@ -29,9 +29,11 @@ STEP_BUDGET = 5 * 10**7
 NAIVE_ESTIMATE_N = 64
 
 # The rows each half may have left when enumeration lists the leaves below
-# as a product instead of walking to them (see _walk). In-process at n = 15
-# on a 2-core VM, the walk took 123, 43, 31 and 33 ms with 3, 4, 5 and 6
-# (medians of 15 alternating runs), and about 180 ms walking to every leaf.
+# as a product instead of walking to them (see _walk). In-process on a
+# 2-core VM, `enumerate --n 15` into a null writer took 59-61, 30-32 and
+# 28-30 ms with 4, 5 and 6 (two rounds of medians of 15 alternating runs),
+# and the n = 16 stream 1.95, 0.83 and 0.85 s. With 6, a list may hold 6!
+# tuples and a pair's order (6!)^2 indices.
 _TAIL_ROWS = 5
 
 METHODS = ("naive", "dp", "ryser", "auto")
@@ -112,8 +114,7 @@ def count_solutions_naive(n: int, sieve: PrimeSieve) -> int:
     if n == 0:
         return 1
     _require_budget(range(n, n + 1), "naive")
-    blocks = _walk(build_adjacency(n, sieve).rows)
-    return sum(len(firsts) * len(seconds) for _, firsts, seconds in blocks)
+    return sum(len(order[0]) for *_, order in _walk(build_adjacency(n, sieve).rows))
 
 
 def _half_rows(n: int, sieve: PrimeSieve) -> tuple[int, ...]:
@@ -248,13 +249,14 @@ def enumerate_solutions(
     solution extends.
 
     Near the leaves, the walk hands over each subtree as one block: a
-    prefix and the two halves' completion lists, whose sorted interleaved
-    product is the subtree's solutions (see _walk). construct's
-    _checked_tails checks each list once and the first solution as any
-    Permutation, which proves every solution of the block a bijection;
-    each is then stored as a Permutation without a second check, or, with
-    a line, formatted from a format that holds the prefix's digits, so
-    each line formats only its tail. The n rows of n bits, the walk's two
+    prefix, the two halves' completion lists and the order of their
+    interleaved product, which is the subtree's solutions (see _walk).
+    Each list is checked, keyed and rendered once per call (see _keyed),
+    and each pair's order sorted once. construct's _proven then checks
+    the first solution of a block as any Permutation, which proves every
+    solution of the block a bijection; each is then stored as a
+    Permutation without a second check, or, with a line, written as one
+    %-format (see _lines). The n rows of n bits, the walk's two
     masks per depth, and its completion memo and lists take up to
     4 n ceil(n / 8) bytes, whatever the limit: over DEFAULT_LIMIT_CAP
     (n > 16384) it raises MethodCapError before any work. Without a sieve,
@@ -283,19 +285,27 @@ def enumerate_solutions(
     if line is None:
         solutions = itertools.starmap(Permutation._block, blocks)
     else:
-        solutions = (_lines(line, n, *block) for block in blocks)
+        solutions = (_lines(line, *block) for block in blocks)
     stream = itertools.chain.from_iterable(solutions)
     return stream if limit is None else itertools.islice(stream, limit)
 
 
 def _lines(
-    line: str, n: int, prefix: tuple, firsts: list, seconds: list
+    line: str, prefix: tuple, firsts: tuple, seconds: tuple, order: tuple
 ) -> Iterator[str]:
-    """line % csv for each solution of one block, from one format that
-    holds the prefix's digits and a %d for each entry of a tail."""
-    tails = _checked_tails(prefix, firsts, seconds)
-    fmt = line % ",".join([*map("%d".__mod__, prefix), *["%d"] * (n - len(prefix))])
-    return map(fmt.__mod__, tails)
+    """line % csv for each solution of one block, in its order. Once the
+    block is _proven, each line is one %-format: its first's template, line
+    holding the prefix's digits and the first's cell, filled in with its
+    second's digits. Else each is line % a Permutation's to_text. The
+    prefix is not empty, and line holds no % but its %s."""
+    if not _proven(prefix, firsts, seconds, order):
+        block = Permutation._block(prefix, firsts, seconds, order)
+        return map(line.__mod__, map(Permutation.to_text, block))
+    head = line % (",".join(map("%d".__mod__, prefix)) + "%s")
+    templates = list(map(head.__mod__, firsts[2]))
+    fi, sj = order
+    cells = map(templates.__getitem__, fi), map(seconds[2].__getitem__, sj)
+    return map(str.__mod__, *cells)
 
 
 def _pinned_rows(n: int, sieve: PrimeSieve) -> tuple[int, ...]:
@@ -309,13 +319,14 @@ def _pinned_rows(n: int, sieve: PrimeSieve) -> tuple[int, ...]:
     return (rows[0] & ~1, *rows[1:])
 
 
-def _walk(rows: Sequence[int], room: int = 0) -> Iterator[tuple[tuple, list, list]]:
+def _walk(rows: Sequence[int], room: int = 0) -> Iterator[tuple[tuple, ...]]:
     """Lowest-bit-first backtracking over bitset rows, with one slot per
     depth in two lists, so its depth is not bound by the recursion limit.
-    It yields the leaves in blocks (prefix, firsts, seconds): each leaf's
-    image is the prefix followed by a first and a second interleaved, the
-    first's values at the even offsets, and sorted the leaves of a block
-    come in the order the walk would reach them.
+    It yields the leaves in blocks (prefix, firsts, seconds, order), firsts
+    and seconds as _keyed lists: each leaf's image is the prefix followed
+    by a first and a second interleaved, the first's values at the even
+    offsets, and the pairs of indices into the entries that order lists,
+    by _order, come in the order the walk would reach their leaves.
 
     With room, the rows at even and at odd depths must hold disjoint sets
     of values, as in enumerate_solutions. The two halves are then matched
@@ -324,14 +335,16 @@ def _walk(rows: Sequence[int], room: int = 0) -> Iterator[tuple[tuple, list, lis
     of values that half has used. Once each half has at most _TAIL_ROWS
     rows left, and past depth 0, the walk stops descending: the leaves
     below are one block, whose firsts and seconds are the _completions of
-    the half that takes the next depth and of the other half. Neither the
-    product nor the prefix is built here, so a block holds two lists of at
-    most _TAIL_ROWS! short tuples, which the walk memoises by half state
-    and hands to many blocks; construct's _checked_tails checks them. The
-    memo and the lists hold at most room units, one per state and one per
-    list and tuple, and the lists at most half of them, so one search path
-    of _completes always fits beside them. Without room, the walk skips
-    only used images, and each block is one leaf, (image, [()], [()]).
+    the half that takes the next depth and of the other half. The product
+    is not built here, so a block holds two lists of at most _TAIL_ROWS!
+    short tuples, which the walk keys and memoises by half state and hands
+    to many blocks, and their order, memoised by the pair of states;
+    construct's _proven checks them. The memo, the lists and the orders
+    hold at most room units, one per state, one per list or order and one
+    per entry of each of their parts, and the lists and orders at most
+    half of them, so one search path of _completes always fits beside
+    them. Without room, the walk skips only used images, and each block is
+    one leaf, (image, *_LEAF).
     """
     n = len(rows)
     image = [0] * n
@@ -344,11 +357,12 @@ def _walk(rows: Sequence[int], room: int = 0) -> Iterator[tuple[tuple, list, lis
         values = tuple(functools.reduce(or_, half, 0) for half in halves)
         # The halves' values are disjoint and no key is empty, so one memo
         # serves both. The cut is past depth 0, so at most the odd half's
-        # key is empty there, and one dict holds both halves' lists.
+        # key is empty there, and one dict holds both halves' lists and,
+        # by the pair of their keys, their orders.
         alive: set[int] = set()
         dead: set[int] = set()
         cut = max(1, n - 2 * _TAIL_ROWS)
-        lists: dict[int, list[tuple[int, ...]]] = {}
+        lists: dict[int | tuple[int, int], tuple] = {}
         held = 0  # units in lists
     pos = 0
     while True:
@@ -373,23 +387,29 @@ def _walk(rows: Sequence[int], room: int = 0) -> Iterator[tuple[tuple, list, lis
         below = used[pos] | bit
         if pos + 1 == cut:
             if not room:
-                yield tuple(image), [()], [()]
+                yield tuple(image), *_LEAF
                 continue
-            pair = []
-            for half in (cut & 1, ~cut & 1):
-                key = below & values[half]
+            pair = (below & values[cut & 1], below & values[~cut & 1])
+            block = []
+            for key in (*pair, pair):
                 found = lists.get(key)
                 if found is None:
-                    found = _completions(halves[half], key)
-                    if held + len(found) + 1 > room // 2:
+                    if key is pair:
+                        found = _order(*block)
+                    else:
+                        offset = len(block)  # 0 for the firsts
+                        entries = _completions(halves[(cut + offset) & 1], key)
+                        found = _keyed(entries, n, offset, n - cut)
+                    units = 1 + sum(map(len, filter(None, found)))
+                    if held + units > room // 2:
                         lists.clear()
                         held = 0
-                    if held + len(found) + 1 <= room // 2:
+                    if held + units <= room // 2:
                         lists[key] = found
-                        held += len(found) + 1
+                        held += units
                         _make_room(alive, dead, room, held)
-                pair.append(found)
-            yield tuple(image[:cut]), *pair
+                block.append(found)
+            yield tuple(image[:cut]), *block
             continue
         pos += 1
         used[pos] = below
@@ -451,6 +471,48 @@ def _completions(rows: Sequence[int], key: int) -> list[tuple[int, ...]]:
                 grown.append(((*taken, bit.bit_length()), used | bit))
         partial = grown
     return [taken for taken, _ in partial]
+
+
+def _keyed(entries: list, n: int, offset: int, length: int) -> tuple:
+    """(entries, keys, cells) for a completion list whose values go at
+    offsets offset, offset + 2, ... of tails of the given length.
+
+    An entry's key is its values as digits in base n + 1 at those offsets,
+    so a tail's key is its first's plus its second's, and sorting the keys
+    sorts the tails. A first's cell is a %-format of its digits with a %s
+    at each odd offset, and a second's cell the tuple of its digits. keys
+    and cells are None unless the entries pass _uniform and are as long as
+    their offsets.
+    """
+    powers = range(length - 1 - offset, -1, -2)
+    if entries and not (_uniform(entries, n) and len(entries[0]) == len(powers)):
+        return entries, None, None
+    weights = [(n + 1) ** power for power in powers]
+    keys = [sum(map(mul, entry, weights)) for entry in entries]
+    if offset:
+        return entries, keys, [tuple(map("%d".__mod__, entry)) for entry in entries]
+    cell = ",%d,%%s" * (length // 2) + ",%d" * (length % 2)
+    return entries, keys, list(map(cell.__mod__, entries))
+
+
+def _order(firsts: tuple, seconds: tuple) -> tuple[Sequence[int], Sequence[int]]:
+    """The tails of a pair of _keyed lists as the indices of their firsts
+    and of their seconds, in sorted order: by the sums of their keys, or,
+    where a list failed its checks, by the interleaved tuples themselves.
+    Indices below 256, as with _TAIL_ROWS <= 5, take a byte each."""
+    if firsts[1] is None or seconds[1] is None:
+        keys = [_interleave(a, b) for a in firsts[0] for b in seconds[0]]
+    else:
+        keys = [a + b for a in firsts[1] for b in seconds[1]]
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    m = len(seconds[0])
+    pack = bytes if max(len(firsts[0]), m) <= 256 else list  # a byte per index
+    return pack(map(m.__rfloordiv__, order)), pack(map(m.__rmod__, order))
+
+
+# An empty first and second, _keyed, and their one tail: the leaf that
+# closes each block of a walk without room.
+_LEAF = (([()], [0], [""]), ([()], [0], [()]), ([0], [0]))
 
 
 def _make_room(alive: set[int], dead: set[int], room: int, more: int) -> None:

@@ -711,13 +711,13 @@ def test_enumerate_deep_n(capsys, n):
 def _counted_blocks(monkeypatch) -> list[int]:
     """The number of solutions of each block the line writer checks, as it
     checks them."""
-    checked, sizes = count_module._checked_tails, []
+    proven, sizes = count_module._proven, []
 
-    def counted(prefix, firsts, seconds):
-        sizes.append(len(firsts) * len(seconds))
-        return checked(prefix, firsts, seconds)
+    def counted(prefix, firsts, seconds, order):
+        sizes.append(len(order[0]))
+        return proven(prefix, firsts, seconds, order)
 
-    monkeypatch.setattr(count_module, "_checked_tails", counted)
+    monkeypatch.setattr(count_module, "_proven", counted)
     return sizes
 
 
@@ -856,13 +856,27 @@ def test_count_json_is_compact_json_dumps(capsys):
             assert run(capsys, *argv) == (EXIT_OK, expected, ""), argv
 
 
-@pytest.mark.parametrize(
-    "n,limit", [(n, None) for n in range(13)] + [(15, 1000), (16, 1000)]
-)
+# The Permutation stream of enumerate_solutions, which
+# test_count.py::test_enumerate_equals_the_unpruned_walk pins to the walk's
+# leaves, against the lines the CLI writes from it: whole streams to n = 15.
+ENUMERATE_CASES = [(n, None) for n in range(13)] + [(15, None), (15, 1000), (16, 1000)]
+
+
+@pytest.mark.parametrize("n,limit", ENUMERATE_CASES)
 def test_enumerate_json_is_compact_json_dumps(capsys, n, limit):
     solutions = count_module.enumerate_solutions(n, limit=limit)
     expected = "".join(_dumps_line({"n": n, "image": list(p.image)}) for p in solutions)
     argv = ("enumerate", "--n", str(n), "--format", "json")
+    if limit:
+        argv += ("--limit", str(limit))
+    assert run(capsys, *argv) == (EXIT_OK, expected, "")
+
+
+@pytest.mark.parametrize("n,limit", ENUMERATE_CASES)
+def test_enumerate_text_is_the_permutation_stream(capsys, n, limit):
+    solutions = count_module.enumerate_solutions(n, limit=limit)
+    expected = "".join(",".join(map(str, p.image)) + "\n" for p in solutions)
+    argv = ("enumerate", "--n", str(n))
     if limit:
         argv += ("--limit", str(limit))
     assert run(capsys, *argv) == (EXIT_OK, expected, "")

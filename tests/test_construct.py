@@ -3,6 +3,7 @@ import json
 import pickle
 import random
 import re
+from itertools import chain, starmap
 
 import pytest
 from hypothesis import example, given
@@ -22,6 +23,8 @@ from primeperm import (
     is_valid_solution,
 )
 
+
+from primeperm.count import _keyed, _lines, _order
 
 from oracles import interleaved_product, is_prime_trial, next_prime_trial
 
@@ -183,8 +186,8 @@ def test_permutation_validation_matches_reference(image):
 
 @st.composite
 def product_blocks(draw):
-    """A prefix and two completion lists, as the enumerator hands one block
-    to the check: the firsts rearrange some of the values the prefix leaves
+    """n, a prefix and two completion lists, as the enumerator lists one
+    block: the firsts rearrange some of the values the prefix leaves
     out, as many as the seconds or one more, and the seconds the rest. One
     entry of either list may have a value replaced (by 0, n + 1, a bool, a
     float), made a float of equal value, dropped, added, or added again,
@@ -201,7 +204,7 @@ def product_blocks(draw):
     fault = draw(st.sampled_from(("none", "replace", "float", "drop", "add", "again")))
     entries = lists[draw(st.integers(0, 1))]
     if fault == "none" or not entries:
-        return prefix, *lists
+        return n, prefix, *lists
     k = draw(st.integers(0, len(entries) - 1))
     entry = list(entries[k])
     at = draw(st.integers(0, max(len(entry) - 1, 0)))
@@ -214,16 +217,17 @@ def product_blocks(draw):
     else:
         entry[at] = draw(_entries(n)) if fault == "replace" else float(entry[at])
     entries[k] = tuple(entry)
-    return prefix, *lists
+    return n, prefix, *lists
 
 
-def _built(perms):
-    """Each permutation's image and entry types, then the message of the
-    NotAPermutationError that stopped them, if one did."""
+def _built(perms, show=lambda perm: (perm.image, tuple(map(type, perm.image)))):
+    """Each permutation's image and entry types (or what show makes of it),
+    then the message of the NotAPermutationError that stopped them, if one
+    did."""
     out = []
     try:
         for perm in perms:
-            out.append((perm.image, tuple(map(type, perm.image))))
+            out.append(show(perm))
     except NotAPermutationError as error:
         out.append(str(error))
     return out
@@ -231,8 +235,21 @@ def _built(perms):
 
 @given(product_blocks())
 def test_block_matches_one_permutation_per_leaf(block):
-    one_by_one = _built(map(Permutation, interleaved_product(*block)))
-    assert _built(Permutation._block(*block)) == one_by_one
+    # as Permutations, and as lines where there is a prefix, as in the walk
+    n, prefix, firsts, seconds = block
+    leaves = interleaved_product(prefix, firsts, seconds)
+    length = n - len(prefix)
+    keyed = _keyed(firsts, n, 0, length), _keyed(seconds, n, 1, length)
+    order = _order(*keyed)
+    one_by_one = _built(map(Permutation, leaves))
+    assert _built(Permutation._block(prefix, *keyed, order)) == one_by_one
+    if prefix:
+        # called when the stream reaches the block, as enumerate_solutions does
+        block = ("[%s]", prefix, *keyed, order)
+        lines = chain.from_iterable(starmap(_lines, [block]))
+        text = "[{}]".format
+        one_by_one = _built(map(Permutation, leaves), lambda p: text(p.to_text()))
+        assert _built(lines, str) == one_by_one
 
 
 @given(

@@ -32,6 +32,9 @@ from primeperm.count import (
     NAIVE_ESTIMATE_N,
     STEP_BUDGET,
     _half_rows,
+    _keyed,
+    _lines,
+    _order,
     _pinned_rows,
     _steps,
     _walk,
@@ -399,10 +402,68 @@ def test_pinned_rows_split_by_parity(sieve_small):
 
 
 def _leaves(blocks):
-    """The leaf images of _walk's blocks (prefix, firsts, seconds), in
-    order, by the oracle's own product and sort."""
-    for block in blocks:
-        yield from interleaved_product(*block)
+    """The leaf images of _walk's blocks (prefix, firsts, seconds, order),
+    in order, by the oracle's own product and sort of their entries, once
+    each block's order has been found to list them so."""
+    for prefix, (firsts, *_), (seconds, *_), (fi, sj) in blocks:
+        leaves = interleaved_product(prefix, firsts, seconds)
+        pairs = zip(fi, sj)
+        ordered = [interleaved_product(prefix, [firsts[i]], [seconds[j]]) for i, j in pairs]
+        assert sum(ordered, []) == leaves
+        yield from leaves
+
+
+@st.composite
+def _sorted_lists(draw):
+    """n, and sorted lists of firsts and of seconds over 1..n, as _keyed
+    takes them: each list the distinct orders of one tuple, so of one set
+    of values, n often among them, and a first as long as a second or one
+    longer."""
+    n = draw(st.one_of(st.integers(1, 6), st.integers(1, 16384)))
+    values = st.one_of(st.just(n), st.integers(1, n))
+    shorter = draw(st.integers(0, 5))
+    lists = []
+    for size in (shorter + draw(st.integers(0, 1)), shorter):
+        base = draw(st.lists(values, min_size=size, max_size=size))
+        orders = st.lists(st.permutations(base).map(tuple), min_size=1, max_size=8)
+        lists.append(sorted(set(draw(orders))))
+    return n, *lists
+
+
+@given(_sorted_lists())
+def test_tail_keys_sort_as_the_interleaved_tails(case):
+    # a tail's key is its first's plus its second's: digits in base n + 1
+    n, firsts, seconds = case
+    length = len(firsts[0]) + len(seconds[0])
+    keyed = _keyed(firsts, n, 0, length), _keyed(seconds, n, 1, length)
+    assert keyed[0][1] is not None and keyed[1][1] is not None
+    fi, sj = _order(*keyed)
+    tails = [interleaved_product((), [firsts[i]], [seconds[j]]) for i, j in zip(fi, sj)]
+    assert sum(tails, []) == interleaved_product((), firsts, seconds)
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [
+        [(3, 1), (1, 3)],  # sound: keyed
+        [(0, 1), (1, 0)],  # 0 is below 1..n
+        [(5, 1), (1, 5)],  # 5 is past 1..n, n = 4
+        [(True, 3), (3, 1)],  # a bool
+        [(1.0, 3), (3, 1)],  # a float
+        [(1, 3), (3,)],  # two lengths
+        [(1, 3), (3, 2)],  # two sets of values
+        [(1, 3, 2)],  # longer than its offsets
+    ],
+    ids=["sound", "zero", "past-n", "bool", "float", "lengths", "sets", "length"],
+)
+def test_keyed_refuses_what_its_keys_cannot_sort(entries):
+    # firsts of a tail of length 3 at n = 4: keys and cells only for ints
+    # in 1..4 of one length and one set of values, two of them
+    entries, keys, cells = _keyed(entries, 4, 0, 3)
+    if entries[0] == (3, 1):
+        assert keys == [3 * 25 + 1, 1 * 25 + 3] and cells == [",3,%s,1", ",1,%s,3"]
+    else:
+        assert keys is None and cells is None
 
 
 def test_enumerate_equals_the_unpruned_walk(sieve_small):
@@ -481,22 +542,36 @@ def test_walk_with_room_is_the_unpruned_walk(case):
         assert list(_leaves(_walk(rows, room))) == list(_leaves(_walk(rows)))
 
 
+def _units(key, kept) -> int:
+    """The units a list or an order the walk keeps counts against its room:
+    one, and one for each entry, key and cell of a list that passed its
+    checks (entry alone of one that failed), or for each index of an
+    order, into the firsts and into the seconds."""
+    if isinstance(key, tuple):
+        return 1 + 2 * len(kept[0])
+    entries, keys, cells = kept
+    return 1 + len(entries) * (1 if keys is None else 3)
+
+
 def test_enumerate_completion_lists_stay_within_room(sieve_small, monkeypatch):
-    # with the cap at the estimate, the memo and the completion lists share
-    # room for n units, the lists at most half of them; the stream does not
-    # change
+    # with the cap at the estimate, or 7 n units over it, the memo and the
+    # completion lists, with their keys and cells and the orders of their
+    # pairs, share room for n (or 8 n) units, the lists and orders at most
+    # half of them, and are dropped together; the stream does not change
     walk, make_room = count_module._walk, count_module._make_room
-    walks, held = [], []
+    walks, rooms, held, orders = [], [], [], []
 
     def watched(rows, room):
         walks.append(walk(rows, room))
+        rooms.append(room)
         for block in walks[-1]:
             state = walks[-1].gi_frame.f_locals
             lists = state["lists"]
-            units = len(lists) + sum(map(len, lists.values()))
+            units = sum(_units(key, kept) for key, kept in lists.items())
             assert units == state["held"] <= room // 2, (units, room)
-            assert len(state["alive"]) + len(state["dead"]) + units <= room == len(rows)
+            assert len(state["alive"]) + len(state["dead"]) + units <= room
             held.append(units)
+            orders.append(sum(isinstance(key, tuple) for key in lists))
             yield block
 
     def checked(alive, dead, room, more):
@@ -505,16 +580,46 @@ def test_enumerate_completion_lists_stay_within_room(sieve_small, monkeypatch):
         assert walks[-1].gi_frame.f_locals["held"] <= more
         assert len(alive) + len(dead) + more <= room
 
-    for n in (12, 13, 14):
+    for n, room in itertools.product((12, 13, 14), ("n", "8 n")):
         full = [p.image for p in enumerate_solutions(n, sieve_small)]
+        extra = 7 * n if room == "8 n" else 0
         with monkeypatch.context() as patch:
-            patch.setattr(count_module, "DEFAULT_LIMIT_CAP", 4 * n * -(-n // 8))
+            cap = (4 * n + extra) * -(-n // 8)
+            patch.setattr(count_module, "DEFAULT_LIMIT_CAP", cap)
             patch.setattr(count_module, "_walk", watched)
             patch.setattr(count_module, "_make_room", checked)
             assert [p.image for p in enumerate_solutions(n, sieve_small)] == full
-    # the lists were kept, and cleared again when they outgrew their share
-    assert max(held) > 0
+            assert rooms[-1] == n + extra
+    # lists and orders were kept, and cleared again when they outgrew their
+    # share
+    assert max(held) > 0 and max(orders) > 0
     assert any(after < before for before, after in itertools.pairwise(held))
+    assert any(after < before for before, after in itertools.pairwise(orders))
+
+
+def _streamed(solutions, line) -> tuple[list, str | None]:
+    """The solutions as images (or lines), up to the NotAPermutationError
+    that stopped them, and its message, if one did."""
+    out = []
+    try:
+        for solution in solutions:
+            out.append(solution if line else solution.image)
+    except NotAPermutationError as error:
+        return out, str(error)
+    return out, None
+
+
+def _one_by_one(blocks, line) -> tuple[list, str | None]:
+    """The leaves of blocks as _streamed would give them, had each been
+    built as a Permutation on its own."""
+    out = []
+    for leaf in _leaves(blocks):
+        try:
+            perm = Permutation(leaf)
+        except NotAPermutationError as error:
+            return out, str(error)
+        out.append(line % perm.to_text() if line else perm.image)
+    return out, None
 
 
 @pytest.mark.parametrize(
@@ -535,38 +640,53 @@ def test_enumerate_completion_lists_stay_within_room(sieve_small, monkeypatch):
 def test_enumerate_checks_every_tail_of_a_block(
     sieve_small, monkeypatch, fault, message
 ):
-    # a faulty last entry in each completion list, as a slip in the walk
-    # would make one, raises as it would had each leaf been built on its
-    # own: at the first faulty leaf, after every leaf before it
+    # a faulty last entry in each completion list, or only in the first of
+    # more than one entry, as a slip in the walk would make one, raises as
+    # it would had each leaf been built on its own: at the first faulty
+    # leaf, after every leaf before it, as Permutations and as lines. So
+    # does each later block with a faulty list, also one that reuses the
+    # list the stream stopped at with sound partners: the list's failed
+    # verdict is kept, not taken as checked.
+    for line, every in itertools.product((None, "%s"), (True, False)):
+        with monkeypatch.context() as patch:
+            _check_every_tail(sieve_small, patch, fault, message, line, every)
+
+
+def _check_every_tail(sieve_small, monkeypatch, fault, message, line, every):
     completions, walk = count_module._completions, count_module._walk
-    blocks = []
+    walks, blocks, faulted = [], [], []
 
     def faulty(rows, key):
         found = completions(rows, key)
-        if len(found) > 1:
+        if len(found) > 1 and (every or not faulted):
             found[-1] = fault(found[-1])
+            faulted.append(found)
         return found
 
     def recorded(rows, room):
-        for block in walk(rows, room):
+        walks.append(walk(rows, room))
+        for block in walks[-1]:
             blocks.append(block)
             yield block
 
     monkeypatch.setattr(count_module, "_completions", faulty)
     monkeypatch.setattr(count_module, "_walk", recorded)
-    got = []
-    with pytest.raises(NotAPermutationError, match=re.escape(message)) as raised:
-        for perm in enumerate_solutions(12, sieve_small):
-            got.append(perm.image)
-    expected = []
-    for leaf in _leaves(blocks):
-        try:
-            Permutation(leaf)
-        except NotAPermutationError as error:
-            assert str(raised.value) == str(error)
-            break
-        expected.append(leaf)
-    assert got == expected and got
+    got, error = _streamed(enumerate_solutions(12, sieve_small, line=line), line)
+    assert (got, error) == _one_by_one(blocks, line) and got
+    assert re.search(re.escape(message), error)
+    later = [
+        block
+        for block in walks[0]
+        if any(kept[0] is entries for kept in block[1:3] for entries in faulted)
+    ]
+    assert later
+    for block in later:
+        if line is None:
+            solutions = Permutation._block(*block)
+        else:
+            solutions = itertools.chain.from_iterable([_lines(line, *block)])
+        got, error = _streamed(solutions, line)
+        assert (got, error) == _one_by_one([block], line) and error
 
 
 def test_naive_count_walks_without_the_completion_check(sieve_small, monkeypatch):
