@@ -17,7 +17,7 @@ import re
 import sys
 from collections.abc import Iterable, Iterator, Sequence
 from functools import cache
-from itertools import chain, compress, groupby, islice
+from itertools import chain, compress, groupby, islice, starmap
 from operator import add, not_
 
 from .construct import (
@@ -132,14 +132,19 @@ def _slices(values: Sequence[int]) -> Iterator[Sequence[int]]:
     return (values[lo : lo + BLOCK_LINES] for lo in range(0, len(values), BLOCK_LINES))
 
 
-def _csv(parts: Iterable[Sequence[int]]) -> Iterator[str]:
-    """The ints of parts as comma-separated decimals, one string per part:
-    a JSON array's body, one write each. One %-format per part runs at C
-    speed, faster than json.dumps or str on each int."""
+def _csv(pieces: Iterable[str]) -> Iterator[str]:
+    """pieces joined by commas, one string per piece: a JSON array's body,
+    one write each."""
     sep = ""
-    for part in parts:
-        yield sep + ",".join(["%d"] * len(part)) % tuple(part)
+    for piece in pieces:
+        yield sep + piece
         sep = ","
+
+
+def _ints(part: Sequence[int]) -> str:
+    """The ints of part as comma-separated decimals. One %-format runs at
+    C speed, faster than json.dumps or str on each int."""
+    return ",".join(["%d"] * len(part)) % tuple(part)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -345,11 +350,7 @@ def _cmd_verify(args) -> int:
     if args.format == "json":
         _write(_verify_json(perm, checked, composite_at))
     else:
-        label = ("composite", "prime").__getitem__
-        lines = chain.from_iterable(
-            map("{} + {} = {}  {}".format, ks, vs, sums, map(label, flags))
-            for ks, vs, sums, flags in checked
-        )
+        lines = chain.from_iterable(starmap(_verify_lines, checked))
         # the verdict line is made once every slice is checked
         _write_lines(chain(lines, map(_verdict, (composite_at,))))
     # a reader that stopped early left slices unchecked, but the exit code
@@ -359,38 +360,74 @@ def _cmd_verify(args) -> int:
     return EXIT_COMPOSITE if composite_at else EXIT_OK
 
 
+def _is_run(vs: tuple[int, ...]) -> bool:
+    """Whether the images vs of a slice count down by one, that is, whether
+    all the slice's totals k + v are equal: first at both ends, then at
+    every entry."""
+    return vs[-1] == vs[0] - len(vs) + 1 and vs == tuple(range(vs[0], vs[-1] - 1, -1))
+
+
 def _checked_slices(
     perm: Permutation, sieve: PrimeSieve, composite_at: list[int]
 ) -> Iterator[tuple[range, Sequence[int], list[int], bytes]]:
     """Per slice of BLOCK_LINES positions: the positions, their images, the
-    sums and the sums' prime flags, from one prime_flags call. Appends the
-    slice's composite positions to composite_at before it is yielded."""
+    sums and the sums' prime flags, from one prime_flags call. A slice
+    whose totals are all equal (_is_run), as every slice of a witness but
+    the one that holds a block edge is, has one sum and one flag, and its
+    positions are all composite or none. Appends the slice's composite
+    positions to composite_at before it is yielded. Each slice is decided
+    here, whatever its reader has already decided."""
     for lo in range(0, perm.n, BLOCK_LINES):
         vs = perm.image[lo : lo + BLOCK_LINES]
         ks = range(lo + 1, lo + len(vs) + 1)
-        sums = list(map(add, ks, vs))
+        sums = [lo + 1 + vs[0]] if _is_run(vs) else list(map(add, ks, vs))
         flags = sieve.prime_flags(sums)
-        if 0 in flags:
-            composite_at.extend(compress(ks, map(not_, flags)))
+        if 0 in flags:  # a run slice has one flag for all its positions
+            composite_at.extend(compress(ks, map(not_, flags)) if flags[1:] else ks)
         yield ks, vs, sums, flags
+
+
+def _verify_lines(
+    ks: range, vs: Sequence[int], sums: list[int], flags: bytes
+) -> list[str]:
+    """The text lines of one checked slice, from one %-format: a slice with
+    one sum has its sum and label in the format, and fills in only each
+    position and image."""
+    label = ("composite", "prime")
+    if len(sums) > 1:
+        line = "%d + %d = %d  %s\n"
+        cells = zip(ks, vs, sums, map(label.__getitem__, flags))
+    else:
+        line, cells = f"%d + %d = {sums[0]}  {label[flags[0]]}\n", zip(ks, vs)
+    return (line * len(vs) % tuple(chain.from_iterable(cells))).splitlines()
 
 
 def _verify_json(perm, checked, composite_at) -> Iterator[str]:
     """The bytes of one compact json.dumps of the members n, image, sums,
-    composite_positions and valid, plus a newline, one slice at a time."""
+    composite_positions and valid, plus a newline, one slice at a time. A
+    slice whose images count down by one is written as construct writes a
+    run, and its sums as one total repeated: the image phase decides
+    _is_run apart from checked, which a reader that stops early may leave
+    unread."""
     yield f'{{"n":{perm.n},"image":['
-    yield from _csv(_slices(perm.image))
+    yield from _csv(
+        "".join(_run(vs[0], len(vs), -1, 0, ",")) if _is_run(vs) else _ints(vs)
+        for vs in _slices(perm.image)
+    )
     yield '],"sums":['
-    yield from _csv(sums for _, _, sums, _ in checked)
+    yield from _csv(
+        _ints(sums) if len(sums) > 1 else ",".join([str(sums[0])] * len(vs))
+        for _, vs, sums, _ in checked
+    )
     yield '],"composite_positions":['
-    yield from _csv(_slices(composite_at))
+    yield from _csv(map(_ints, _slices(composite_at)))
     yield f'],"valid":{"false" if composite_at else "true"}}}\n'
 
 
 def _verdict(composite_at: list[int]) -> str:
     if composite_at:
-        return "invalid: composite totals at positions " + "".join(
-            _csv(_slices(composite_at))
+        return "invalid: composite totals at positions " + ",".join(
+            map(_ints, _slices(composite_at))
         )
     return "valid: every total is prime"
 

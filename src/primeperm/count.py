@@ -17,6 +17,7 @@ import math
 from collections import defaultdict
 from collections.abc import Iterator, Sequence
 from operator import mul, or_
+from os.path import commonprefix
 
 from .construct import Permutation, _Frozen, _interleave, _proven, _uniform
 from .primes import DEFAULT_LIMIT_CAP, PrimeSieve, build_sieve
@@ -239,7 +240,8 @@ def enumerate_solutions(
     """Yield every valid permutation exactly once, in lexicographic order
     of one-line notation, stopping after ``limit`` items if given. With a
     ``line``, a %-format whose one %s takes the comma-separated one-line
-    notation, each solution comes as that text instead of a Permutation.
+    notation (its text may hold %% escapes), each solution comes as that
+    text instead of a Permutation.
 
     Backtracking restricted to adjacency rows, on an explicit stack, so any
     n the sieve covers runs without recursion. Once the image of 1 is
@@ -269,6 +271,13 @@ def enumerate_solutions(
     if n == 0:
         # the empty permutation, the one solution count_solutions(0) counts
         return iter((Permutation(()) if line is None else line % "",))
+    if line is not None:
+        # the text around line's %s, where line % "\0" and line % "\1"
+        # first differ, with its %% resolved once and escaped again for
+        # the two passes of _lines
+        a, b = line % "\0", line % "\1"
+        cut = len(commonprefix((a, b)))
+        line = "%s".join(text.replace("%", "%%%%") for text in (a[:cut], a[cut + 1 :]))
     width = -(-n // 8)  # bytes per row, mask or memo key
     estimate = 4 * n * width
     if estimate > DEFAULT_LIMIT_CAP:
@@ -293,16 +302,17 @@ def enumerate_solutions(
 def _lines(
     line: str, prefix: tuple, firsts: tuple, seconds: tuple, order: tuple
 ) -> Iterator[str]:
-    """line % csv for each solution of one block, in its order. Once the
-    block is _proven, each line is one %-format: its first's template, line
-    holding the prefix's digits and the first's cell, filled in with its
-    second's digits. Else each is line % a Permutation's to_text. The
-    prefix is not empty, and line holds no % but its %s."""
+    """The text of each solution of one block, in its order: line's text,
+    which is escaped for two % passes (each % as %%%%), around its csv.
+    Once the block is _proven, each line is one %-format: its first's
+    template, line holding the prefix's digits and the first's cell,
+    filled in with its second's digits. Else each is a Permutation's
+    to_text in line. The prefix is not empty."""
     if not _proven(prefix, firsts, seconds, order):
         block = Permutation._block(prefix, firsts, seconds, order)
-        return map(line.__mod__, map(Permutation.to_text, block))
-    head = line % (",".join(map("%d".__mod__, prefix)) + "%s")
-    templates = list(map(head.__mod__, firsts[2]))
+        return map((line % "%s").__mod__, map(Permutation.to_text, block))
+    head = ",".join(map("%d".__mod__, prefix))
+    templates = list(map(line.__mod__, map(head.__add__, firsts[2])))
     fi, sj = order
     cells = map(templates.__getitem__, fi), map(seconds[2].__getitem__, sj)
     return map(str.__mod__, *cells)

@@ -19,7 +19,13 @@ from hypothesis import strategies as st
 
 from oracles import is_prime_trial
 from peak_rss import run_cli
-from primeperm import Block, Permutation, build_sieve, construct_prime_sum_permutation
+from primeperm import (
+    Block,
+    Permutation,
+    PrimeSieve,
+    build_sieve,
+    construct_prime_sum_permutation,
+)
 from primeperm import cli
 from primeperm import construct as construct_module
 from primeperm import count as count_module
@@ -404,6 +410,78 @@ def test_witness_commands_across_slice_boundaries(capsys, monkeypatch, n):
     ):
         monkeypatch.setattr("sys.stdin", io.StringIO(",".join(map(str, image))))
         assert run(capsys, "verify", "--format", fmt) == (code, expected, "")
+
+
+def _tiled(n, edges, swaps=()):
+    """1..n tiled by reversed blocks, one ending at each edge and at n, with
+    the images at each pair of positions in swaps exchanged."""
+    image, lo = [], 1
+    for hi in sorted({*edges, n}):
+        image.extend(range(hi, lo - 1, -1))
+        lo = hi + 1
+    for a, b in swaps:
+        image[a - 1], image[b - 1] = image[b - 1], image[a - 1]
+    return image
+
+
+@st.composite
+def _reversed_blocks(draw):
+    # block totals lo + hi prime or composite, edges at and next to slice
+    # boundaries, and slices whose first and last images fit a run but two
+    # entries between them are swapped
+    n = draw(st.integers(1, 3 * BLOCK_LINES + 1))
+    near = [e for b in range(BLOCK_LINES, n, BLOCK_LINES) for e in (b - 1, b, b + 1)]
+    edges = draw(st.sets(st.integers(1, n), max_size=6))
+    edges |= draw(st.sets(st.sampled_from(near), max_size=4)) if near else set()
+    swaps = []
+    for lo in draw(st.sets(st.sampled_from(range(0, n, BLOCK_LINES)), max_size=2)):
+        hi = min(lo + BLOCK_LINES, n)  # the slice's positions are lo + 1..hi
+        if hi - lo >= 4:
+            a = draw(st.integers(lo + 2, hi - 2))
+            swaps.append((a, draw(st.integers(a + 1, hi - 1))))
+    return _tiled(n, edges, swaps)
+
+
+@settings(deadline=None, max_examples=25)
+@given(_reversed_blocks())
+# a run that ends at a slice boundary, and a last slice of one position
+@example(_tiled(2 * BLOCK_LINES + 1, [BLOCK_LINES, 2 * BLOCK_LINES]))
+@example(_tiled(3 * BLOCK_LINES + 1, [1, 3 * BLOCK_LINES]))
+# look-alikes: a run slice, but for two entries inside it
+@example(_tiled(2 * BLOCK_LINES, [BLOCK_LINES], [(2, 3)]))
+@example(_tiled(3 * BLOCK_LINES + 1, [2], [(BLOCK_LINES + 10, 2 * BLOCK_LINES - 1)]))
+def test_verify_reversed_blocks(image):
+    # a slice whose images count down by one is checked and written as one
+    # run; any other slice, position by position
+    code = EXIT_COMPOSITE if _composites(image) else EXIT_OK
+    assert _verify_quietly(image, "text") == (code, _verify_text_by_lines(image))
+    assert _verify_quietly(image, "json") == (code, _verify_json_by_dumps(image))
+
+
+def test_verify_looks_up_one_total_per_run_slice(monkeypatch):
+    # of the 49 slices of the n = 2 * 10^5 witness, the first holds the
+    # block edge [1, 2] and the other 48 are runs: one lookup each. No
+    # slice of a shuffle is a run.
+    n = 200_000
+    witness = construct_prime_sum_permutation(n, build_sieve(2 * n)).image
+    shuffled = random.Random(1).sample(range(1, n + 1), n)
+    prime_flags, looked_up = PrimeSieve.prime_flags, []
+
+    def counted(sieve, values):
+        looked_up.append(len(values))
+        return prime_flags(sieve, values)
+
+    monkeypatch.setattr(PrimeSieve, "prime_flags", counted)
+    for image, code, lookups in (
+        (witness, EXIT_OK, BLOCK_LINES + 48),
+        (shuffled, EXIT_COMPOSITE, n),
+    ):
+        for fmt in ("text", "json"):
+            looked_up.clear()
+            monkeypatch.setattr("sys.stdin", io.StringIO(",".join(map(str, image))))
+            with redirect_stdout(io.StringIO()):
+                assert main(["verify", "--format", fmt]) == code
+            assert sum(looked_up) == lookups
 
 
 @pytest.mark.parametrize("space", [" \t\n\r", "\x0c", "\u00a0", "\u2028\x1c"])
@@ -998,11 +1076,24 @@ def test_closed_pipe_keeps_exit_code(tmp_path, buffered):
     assert _composites(image) == [20001, 20002]
     late = tmp_path / "late.txt"
     late.write_text(",".join(map(str, image)))
-    for argv, read in (
-        (["verify"], io.BufferedReader.readline),
-        (["verify", "--format", "json"], lambda out: out.read(10)),
+    # and one whose only composite sums fill the third slice, a run: the
+    # witness sends it to total - hi..total - lo and back, and each of the
+    # two is reversed on its own
+    image, lo, hi = _witness(30000), 2 * BLOCK_LINES + 1, 3 * BLOCK_LINES
+    total = lo + image[lo - 1]
+    for a, b in ((lo, hi), (total - hi, total - lo)):
+        image[a - 1 : b] = range(b, a - 1, -1)
+    assert _composites(image) == list(range(lo, hi + 1))
+    run_slice = tmp_path / "run_slice.txt"
+    run_slice.write_text(",".join(map(str, image)))
+    for path, (argv, read) in itertools.product(
+        (late, run_slice),
+        (
+            (["verify"], io.BufferedReader.readline),
+            (["verify", "--format", "json"], lambda out: out.read(10)),
+        ),
     ):
-        with late.open("rb") as stdin:
+        with path.open("rb") as stdin:
             assert _closed_early(argv, stdin, buffered, read) == (EXIT_COMPOSITE, b"")
 
 

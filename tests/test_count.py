@@ -689,6 +689,19 @@ def _check_every_tail(sieve_small, monkeypatch, fault, message, line, every):
         assert (got, error) == _one_by_one([block], line) and error
 
 
+@pytest.mark.parametrize("line", ["%%s <%s> 100%%", "%%%s%%%%", "%%%%s\0%s\1%%s"])
+def test_enumerate_lines_resolve_percent_escapes(sieve_small, monkeypatch, line):
+    # a block's lines go through more than one % pass, but line's own %%
+    # escapes are resolved once: on the proven path, and on the one that
+    # builds each solution as a Permutation
+    for n in range(13):
+        expected = [line % p.to_text() for p in enumerate_solutions(n, sieve_small)]
+        assert list(enumerate_solutions(n, sieve_small, line=line)) == expected
+        with monkeypatch.context() as patch:
+            patch.setattr(count_module, "_proven", lambda *block: False)
+            assert list(enumerate_solutions(n, sieve_small, line=line)) == expected
+
+
 def test_naive_count_walks_without_the_completion_check(sieve_small, monkeypatch):
     # naive is the full-matrix oracle of the parity split, so it must not
     # lean on the check built on that split, nor on the tail product
