@@ -346,9 +346,10 @@ def _read_stdin() -> str:
 def _cmd_verify(args) -> int:
     perm = _parse_perm(args.perm)
     composite_at: list[int] = []
-    checked = _checked_slices(perm, _sieve_for(perm.n), composite_at)
+    runs: list[bool] = []  # _is_run of the first slices, as JSON decides them
+    checked = _checked_slices(perm, _sieve_for(perm.n), composite_at, runs)
     if args.format == "json":
-        _write(_verify_json(perm, checked, composite_at))
+        _write(_verify_json(perm, checked, composite_at, runs))
     else:
         lines = chain.from_iterable(starmap(_verify_lines, checked))
         # the verdict line is made once every slice is checked
@@ -368,19 +369,21 @@ def _is_run(vs: tuple[int, ...]) -> bool:
 
 
 def _checked_slices(
-    perm: Permutation, sieve: PrimeSieve, composite_at: list[int]
+    perm: Permutation, sieve: PrimeSieve, composite_at: list[int], runs: list[bool]
 ) -> Iterator[tuple[range, Sequence[int], list[int], bytes]]:
     """Per slice of BLOCK_LINES positions: the positions, their images, the
     sums and the sums' prime flags, from one prime_flags call. A slice
     whose totals are all equal (_is_run), as every slice of a witness but
     the one that holds a block edge is, has one sum and one flag, and its
     positions are all composite or none. Appends the slice's composite
-    positions to composite_at before it is yielded. Each slice is decided
-    here, whatever its reader has already decided."""
-    for lo in range(0, perm.n, BLOCK_LINES):
+    positions to composite_at before it is yielded. The slice at index i
+    is a run if runs[i] says so; a slice past the end of runs, which a
+    reader that stopped early left undecided, is decided here."""
+    for i, lo in enumerate(range(0, perm.n, BLOCK_LINES)):
         vs = perm.image[lo : lo + BLOCK_LINES]
         ks = range(lo + 1, lo + len(vs) + 1)
-        sums = [lo + 1 + vs[0]] if _is_run(vs) else list(map(add, ks, vs))
+        run = runs[i] if i < len(runs) else _is_run(vs)
+        sums = [lo + 1 + vs[0]] if run else list(map(add, ks, vs))
         flags = sieve.prime_flags(sums)
         if 0 in flags:  # a run slice has one flag for all its positions
             composite_at.extend(compress(ks, map(not_, flags)) if flags[1:] else ks)
@@ -402,18 +405,17 @@ def _verify_lines(
     return (line * len(vs) % tuple(chain.from_iterable(cells))).splitlines()
 
 
-def _verify_json(perm, checked, composite_at) -> Iterator[str]:
+def _verify_json(perm, checked, composite_at, runs) -> Iterator[str]:
     """The bytes of one compact json.dumps of the members n, image, sums,
     composite_positions and valid, plus a newline, one slice at a time. A
     slice whose images count down by one is written as construct writes a
     run, and its sums as one total repeated: the image phase decides
-    _is_run apart from checked, which a reader that stops early may leave
-    unread."""
+    _is_run once per slice and appends it to runs, which checked reads."""
     yield f'{{"n":{perm.n},"image":['
-    yield from _csv(
-        "".join(_run(vs[0], len(vs), -1, 0, ",")) if _is_run(vs) else _ints(vs)
-        for vs in _slices(perm.image)
-    )
+    for vs in _slices(perm.image):
+        runs.append(_is_run(vs))
+        piece = "".join(_run(vs[0], len(vs), -1, 0, ",")) if runs[-1] else _ints(vs)
+        yield piece if len(runs) == 1 else "," + piece
     yield '],"sums":['
     yield from _csv(
         _ints(sums) if len(sums) > 1 else ",".join([str(sums[0])] * len(vs))

@@ -20,6 +20,7 @@ from operator import mul, or_
 from os.path import commonprefix
 
 from .construct import Permutation, _Frozen, _interleave, _proven, _uniform
+from .construct import construct_prime_sum_permutation
 from .primes import DEFAULT_LIMIT_CAP, PrimeSieve, build_sieve
 
 # Elementary steps a count may take: n <= 12 for backtracking, 43 for dp
@@ -36,6 +37,10 @@ NAIVE_ESTIMATE_N = 64
 # and the n = 16 stream 1.95, 0.83 and 0.85 s. With 6, a list may hold 6!
 # tuples and a pair's order (6!)^2 indices.
 _TAIL_ROWS = 5
+
+# The units of completion lists and pair orders that enumeration keeps
+# (see _walk), whatever n is: the full n = 16 stream peaks at 472 611.
+_LIST_ROOM = 1 << 19
 
 METHODS = ("naive", "dp", "ryser", "auto")
 
@@ -107,8 +112,8 @@ def count_solutions_naive(n: int, sieve: PrimeSieve) -> int:
     """Count solutions by backtracking; the ground-truth oracle.
 
     It counts the leaves of the enumerator's walk over legal images (one
-    per block without room), on the full matrix, with neither the parity
-    pin nor the completion check that enumerate_solutions builds on it.
+    per block without a matching), on the full matrix, with neither the
+    parity pin nor the matching that enumerate_solutions builds on it.
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
@@ -245,10 +250,11 @@ def enumerate_solutions(
 
     Backtracking restricted to adjacency rows, on an explicit stack, so any
     n the sieve covers runs without recursion. Once the image of 1 is
-    pinned by parity, odd and even positions take disjoint sets of values,
-    so the walk tries an image only if the positions of its own parity can
-    still be completed (see _walk): it never descends into a prefix that no
-    solution extends.
+    pinned by parity, odd and even positions take disjoint sets of values.
+    The walk keeps one perfect matching of the rows that agrees with its
+    prefix, seeded with construct's witness, and takes an image only if an
+    alternating path repairs the matching to hold it (see _walk): it never
+    descends into a prefix that no solution extends.
 
     Near the leaves, the walk hands over each subtree as one block: a
     prefix, the two halves' completion lists and the order of their
@@ -258,11 +264,12 @@ def enumerate_solutions(
     the first solution of a block as any Permutation, which proves every
     solution of the block a bijection; each is then stored as a
     Permutation without a second check, or, with a line, written as one
-    %-format (see _lines). The n rows of n bits, the walk's two
-    masks per depth, and its completion memo and lists take up to
-    4 n ceil(n / 8) bytes, whatever the limit: over DEFAULT_LIMIT_CAP
-    (n > 16384) it raises MethodCapError before any work. Without a sieve,
-    one to 2n is built after that check.
+    %-format (see _lines). The n rows of n bits and the walk's two masks
+    per depth take up to 3 n ceil(n / 8) bytes, whatever the limit: over
+    DEFAULT_LIMIT_CAP (n > 18917) it raises MethodCapError before any
+    work. The matching takes a few lists of n ints, and the completion
+    lists at most _LIST_ROOM units. Without a sieve, one to 2n is built
+    after that check.
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
@@ -278,19 +285,17 @@ def enumerate_solutions(
         a, b = line % "\0", line % "\1"
         cut = len(commonprefix((a, b)))
         line = "%s".join(text.replace("%", "%%%%") for text in (a[:cut], a[cut + 1 :]))
-    width = -(-n // 8)  # bytes per row, mask or memo key
-    estimate = 4 * n * width
+    estimate = 3 * n * -(-n // 8)  # n rows and 2 n masks of n bits
     if estimate > DEFAULT_LIMIT_CAP:
         raise MethodCapError(
-            f"enumeration at n = {n} is estimated at {estimate} bytes of rows, "
-            f"masks and memo, over the cap of {DEFAULT_LIMIT_CAP} bytes"
+            f"enumeration at n = {n} is estimated at {estimate} bytes of rows "
+            f"and masks, over the cap of {DEFAULT_LIMIT_CAP} bytes"
         )
     if sieve is None:
         sieve = build_sieve(2 * n)
-    # the memo and the completion lists get the cap less rows and masks: at
-    # least n units of a key's width, as admitted
-    room = DEFAULT_LIMIT_CAP // width - 3 * n
-    blocks = _walk(_pinned_rows(n, sieve), room)
+    # the witness is a solution, and maps 1 -> 1 iff n is odd, as pinned
+    witness = construct_prime_sum_permutation(n, sieve)
+    blocks = _walk(_pinned_rows(n, sieve), list(witness.image))
     if line is None:
         solutions = itertools.starmap(Permutation._block, blocks)
     else:
@@ -329,7 +334,7 @@ def _pinned_rows(n: int, sieve: PrimeSieve) -> tuple[int, ...]:
     return (rows[0] & ~1, *rows[1:])
 
 
-def _walk(rows: Sequence[int], room: int = 0) -> Iterator[tuple[tuple, ...]]:
+def _walk(rows: Sequence[int], match: list | None = None) -> Iterator[tuple]:
     """Lowest-bit-first backtracking over bitset rows, with one slot per
     depth in two lists, so its depth is not bound by the recursion limit.
     It yields the leaves in blocks (prefix, firsts, seconds, order), firsts
@@ -338,23 +343,24 @@ def _walk(rows: Sequence[int], room: int = 0) -> Iterator[tuple[tuple, ...]]:
     offsets, and the pairs of indices into the entries that order lists,
     by _order, come in the order the walk would reach their leaves.
 
-    With room, the rows at even and at odd depths must hold disjoint sets
-    of values, as in enumerate_solutions. The two halves are then matched
-    independently, so an image keeps a leaf below iff its own half can
-    still be completed, which _completes answers and memoises by the set
-    of values that half has used. Once each half has at most _TAIL_ROWS
-    rows left, and past depth 0, the walk stops descending: the leaves
-    below are one block, whose firsts and seconds are the _completions of
-    the half that takes the next depth and of the other half. The product
-    is not built here, so a block holds two lists of at most _TAIL_ROWS!
-    short tuples, which the walk keys and memoises by half state and hands
-    to many blocks, and their order, memoised by the pair of states;
-    construct's _proven checks them. The memo, the lists and the orders
-    hold at most room units, one per state, one per list or order and one
-    per entry of each of their parts, and the lists and orders at most
-    half of them, so one search path of _completes always fits beside
-    them. Without room, the walk skips only used images, and each block is
-    one leaf, (image, *_LEAF).
+    With match, a perfect matching of the rows as the value of each depth,
+    the rows at even and at odd depths must hold disjoint sets of values,
+    as in enumerate_solutions. An image keeps a leaf below iff the rows
+    below can still take distinct values (Hall 1935), that is, iff _repair
+    can change match, in place, to give the image to its depth and agree
+    with the prefix above; else the walk skips it. Any such matching will
+    do, so nothing is undone on backtrack. Once each half has at most
+    _TAIL_ROWS rows left, and past depth 0, the walk stops descending: the
+    leaves below are one block, whose firsts and seconds are the
+    _completions of the half that takes the next depth and of the other
+    half. The product is not built here, so a block holds two lists of at
+    most _TAIL_ROWS! short tuples, which the walk keys and keeps by half
+    state and hands to many blocks, and their order, kept by the pair of
+    states; construct's _proven checks them. The lists and orders hold at
+    most _LIST_ROOM units, one per list or order and one per entry of each
+    of their parts, and are all dropped when a new one would not fit.
+    Without match, the walk skips only used images, and each block is one
+    leaf, (image, *_LEAF).
     """
     n = len(rows)
     image = [0] * n
@@ -362,15 +368,15 @@ def _walk(rows: Sequence[int], room: int = 0) -> Iterator[tuple[tuple, ...]]:
     used = [0] * n  # images taken by the depths above each depth
     untried[0] = rows[0]
     cut = n
-    if room:
+    if match is not None:
+        owner = [0] * (n + 1)  # the depth that takes each value in match
+        for depth, value in enumerate(match):
+            owner[value] = depth
         halves = (rows[0::2], rows[1::2])
         values = tuple(functools.reduce(or_, half, 0) for half in halves)
-        # The halves' values are disjoint and no key is empty, so one memo
-        # serves both. The cut is past depth 0, so at most the odd half's
-        # key is empty there, and one dict holds both halves' lists and,
-        # by the pair of their keys, their orders.
-        alive: set[int] = set()
-        dead: set[int] = set()
+        # The cut is past depth 0, so at most the odd half's key is empty
+        # there, and one dict holds both halves' lists and, by the pair of
+        # their keys, their orders.
         cut = max(1, n - 2 * _TAIL_ROWS)
         lists: dict[int | tuple[int, int], tuple] = {}
         held = 0  # units in lists
@@ -385,18 +391,13 @@ def _walk(rows: Sequence[int], room: int = 0) -> Iterator[tuple[tuple, ...]]:
         # lowest set bit first keeps the stream lexicographic
         bit = avail & -avail
         untried[pos] = avail ^ bit
-        if room:
-            half = pos & 1
-            key = used[pos] & values[half] | bit
-            if key not in alive:
-                if key in dead or not _completes(
-                    halves[half], key, alive, dead, room, held
-                ):
-                    continue
         image[pos] = bit.bit_length()
+        if match is not None and match[pos] != image[pos]:
+            if not _repair(rows, match, owner, pos, image[pos], used[pos]):
+                continue
         below = used[pos] | bit
         if pos + 1 == cut:
-            if not room:
+            if match is None:
                 yield tuple(image), *_LEAF
                 continue
             pair = (below & values[cut & 1], below & values[~cut & 1])
@@ -411,13 +412,12 @@ def _walk(rows: Sequence[int], room: int = 0) -> Iterator[tuple[tuple, ...]]:
                         entries = _completions(halves[(cut + offset) & 1], key)
                         found = _keyed(entries, n, offset, n - cut)
                     units = 1 + sum(map(len, filter(None, found)))
-                    if held + units > room // 2:
+                    if held + units > _LIST_ROOM:
                         lists.clear()
                         held = 0
-                    if held + units <= room // 2:
+                    if units <= _LIST_ROOM:
                         lists[key] = found
                         held += units
-                        _make_room(alive, dead, room, held)
                 block.append(found)
             yield tuple(image[:cut]), *block
             continue
@@ -426,43 +426,40 @@ def _walk(rows: Sequence[int], room: int = 0) -> Iterator[tuple[tuple, ...]]:
         untried[pos] = rows[pos] & ~below
 
 
-def _completes(
-    rows: Sequence[int], key: int, alive: set[int], dead: set[int], room: int, held: int
+def _repair(
+    rows: Sequence[int], match: list, owner: list, pos: int, value: int, taken: int
 ) -> bool:
-    """Whether the rows past the first key.bit_count() can take distinct
-    values outside key, which those first rows took.
+    """Whether depth pos can take value while the depths below it take
+    distinct values of their rows outside taken, the values of the depths
+    above it, given match, a perfect matching of rows that agrees with
+    them, and owner, its inverse; if so, both become such a matching.
 
-    A lowest-bit-first search on an explicit stack that adds every state
-    it settles to alive or dead. Both are only a cache: past room units
-    together with the held ones, dead is cleared, and alive too if that is
-    not enough.
-    """
-    depth = key.bit_count()
-    path: list[int] = []  # unsettled states from key down
-    untried: list[int] = []  # values not yet tried for each one's next row
-    state = key
-    while depth < len(rows) and state not in alive:
-        path.append(state)
-        untried.append(rows[depth] & ~state)
-        while True:
-            avail = untried[-1]
-            if avail:
-                bit = avail & -avail
-                untried[-1] = avail ^ bit
-                state = path[-1] | bit
-                if state not in dead:
-                    depth += 1
-                    break
-            else:
-                untried.pop()
-                _make_room(alive, dead, room, held + 1)
-                dead.add(path.pop())
-                if not path:
-                    return False
-                depth -= 1
-    path.append(state)
-    _make_room(alive, dead, room, held + len(path))
-    alive.update(path)
+    One depth-first search, on a list, for an alternating path: from the
+    depth that holds value, each depth on it takes the next one's value,
+    until one takes the value that pos gives up. Each depth tries that
+    value first, then the lowest value not yet entered; no value is
+    entered twice. On failure match is unchanged."""
+    lost = match[pos]
+    goal = 1 << lost - 1
+    free = ~taken ^ 1 << value - 1  # values the path may still enter
+    path = [owner[value]]
+    while path:
+        row = rows[path[-1]]
+        if row & goal:
+            break
+        avail = row & free
+        if avail:
+            bit = avail & -avail
+            free ^= bit
+            path.append(owner[bit.bit_length()])
+        else:
+            path.pop()
+    else:
+        return False
+    for depth in reversed(path):
+        match[depth], lost = lost, match[depth]
+        owner[match[depth]] = depth
+    match[pos], owner[value] = value, pos
     return True
 
 
@@ -521,16 +518,8 @@ def _order(firsts: tuple, seconds: tuple) -> tuple[Sequence[int], Sequence[int]]
 
 
 # An empty first and second, _keyed, and their one tail: the leaf that
-# closes each block of a walk without room.
+# closes each block of a walk without a matching.
 _LEAF = (([()], [0], [""]), ([()], [0], [()]), ([0], [0]))
-
-
-def _make_room(alive: set[int], dead: set[int], room: int, more: int) -> None:
-    """Clear dead, then alive too if need be, so that more units fit."""
-    if len(alive) + len(dead) + more > room:
-        dead.clear()
-        if len(alive) + more > room:
-            alive.clear()
 
 
 class SequenceRow(_Frozen):

@@ -94,3 +94,28 @@ def interleaved_product(prefix: tuple, firsts: list, seconds: list) -> list[tupl
             end += [*first[k : k + 1], *second[k : k + 1]]
         leaves.append((*prefix, *end))
     return sorted(leaves)
+
+
+def perfect_matching(rows: list[int]) -> list[int] | None:
+    """A perfect matching of bitset rows, row d onto a value v with bit
+    v - 1 of rows[d] set, as the value of each row; None if there is none.
+    Kuhn's augmenting paths on lists and a dict, recursive: keep n small."""
+    n = len(rows)
+    allowed = [[v for v in range(1, n + 1) if rows[d] >> (v - 1) & 1] for d in range(n)]
+    holder: dict[int, int] = {}  # value -> the row that takes it
+
+    def augment(d: int, seen: set[int]) -> bool:
+        for v in allowed[d]:
+            if v not in seen:
+                seen.add(v)
+                if v not in holder or augment(holder[v], seen):
+                    holder[v] = d
+                    return True
+        return False
+
+    if not all(augment(d, set()) for d in range(n)):
+        return None
+    match = [0] * n
+    for v, d in holder.items():
+        match[d] = v
+    return match

@@ -484,6 +484,27 @@ def test_verify_looks_up_one_total_per_run_slice(monkeypatch):
             assert sum(looked_up) == lookups
 
 
+def test_verify_decides_each_slice_once(monkeypatch):
+    # JSON decides whether a slice is a run in its image phase, and its sums
+    # phase reads that verdict back: 49 slices at n = 2 * 10^5, 49 calls
+    n = 200_000
+    witness = construct_prime_sum_permutation(n, build_sieve(2 * n)).image
+    shuffled = random.Random(1).sample(range(1, n + 1), n)
+    is_run, decided = cli._is_run, []
+
+    def counted(vs):
+        decided.append(vs[0])
+        return is_run(vs)
+
+    monkeypatch.setattr(cli, "_is_run", counted)
+    for image, fmt in itertools.product((witness, shuffled), ("text", "json")):
+        decided.clear()
+        monkeypatch.setattr("sys.stdin", io.StringIO(",".join(map(str, image))))
+        with redirect_stdout(io.StringIO()):
+            main(["verify", "--format", fmt])
+        assert decided == [image[lo] for lo in range(0, n, BLOCK_LINES)], fmt
+
+
 @pytest.mark.parametrize("space", [" \t\n\r", "\x0c", "\u00a0", "\u2028\x1c"])
 def test_verify_json_in_any_whitespace(capsys, space):
     # str.strip's whitespace, not only the JSON kind, may wrap the input
@@ -832,18 +853,22 @@ def test_enumerate_refuses_before_sieving(capsys, monkeypatch):
     assert run(capsys, "enumerate", "--n", "100000", "--limit", "1") == (
         EXIT_CAP,
         "",
-        "primeperm: enumeration at n = 100000 is estimated at 5000000000 bytes "
-        "of rows, masks and memo, over the cap of 134217728 bytes\n",
+        "primeperm: enumeration at n = 100000 is estimated at 3750000000 bytes "
+        "of rows and masks, over the cap of 134217728 bytes\n",
     )
 
 
 # SHA-256 of the one line (with its newline) that `enumerate --n N --limit 1`
 # prints, computed once with the walk that has no completion check: as
 # processes, that walk took 2.5 s at n = 253 and 16 s at n = 676 in dead
-# subtrees before its first line.
+# subtrees before its first line. n = 1586 and 6446 took 0.60-0.72 and
+# 0.76-1.00 s with the memo of completed half states that came before the
+# matching (hashes from that walk).
 FIRST_LINE_SHA256 = {
     253: "252a6ac669d86dde78e543fc38373a7d5f944bfb34f4388c05dae70df5f81c6c",
     676: "7ffb0392cf04ba6ea35850d29db33b92e6e438cc4f4d618ce41d55d31e2d222a",
+    1586: "55b38726fa675771726c8daa949f6fe1b3c0c43deb9ea227c1fade2a7cbc39a8",
+    6446: "12711af5a3cb7bb189a6c80de1b1f5d151dcf14926c5049bb1c6194821c6d81e",
 }
 
 
@@ -862,6 +887,14 @@ def test_enumerate_first_line_skips_dead_subtrees(n):
     assert (done.returncode, done.stderr) == (EXIT_OK, b"")
     assert hashlib.sha256(done.stdout).hexdigest() == FIRST_LINE_SHA256[n]
     assert elapsed < 1.0, elapsed
+
+
+def test_enumerate_first_line_peak_rss():
+    # the matching and the walk's masks, not a memo of n-bit half states:
+    # 139 MB with that memo
+    code, out, rss_mb = run_cli(["enumerate", "--n", "6446", "--limit", "1"])
+    assert (code, len(out.splitlines())) == (EXIT_OK, 1)
+    assert rss_mb < 48, rss_mb
 
 
 def test_enumerate_line_count_matches_count(capsys):

@@ -7,7 +7,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import primeperm.count as count_module
@@ -46,6 +46,7 @@ from oracles import (
     count_by_layered_dp,
     interleaved_product,
     is_prime_trial,
+    perfect_matching,
     solutions_by_backtracking,
 )
 from peak_rss import run_cli
@@ -393,8 +394,8 @@ def test_enumerate_matches_oracle_listing(sieve_small):
 
 
 def test_pinned_rows_split_by_parity(sieve_small):
-    # the completion check needs disjoint values at even and odd depths:
-    # 1 -> 1 is pinned or cut, and at odd n no other position keeps 1
+    # the tail product needs disjoint values at even and odd depths: 1 -> 1
+    # is pinned or cut, and at odd n no other position keeps 1
     for n in range(1, 301):
         rows = _pinned_rows(n, sieve_small)
         assert 0 not in rows, n
@@ -487,27 +488,6 @@ def test_enumerate_is_a_prefix_of_the_unpruned_walk(sieve_small, n, limit):
     assert ours == list(itertools.islice(leaves, limit))
 
 
-def test_enumerate_memo_is_only_a_cache(sieve_small, monkeypatch):
-    # with the cap at the estimate, the memo has room for n states only
-    # and is cleared again and again; the stream does not change
-    make_room = count_module._make_room
-    cleared = []
-
-    def checked(alive, dead, room, more):
-        before = len(alive) + len(dead)
-        make_room(alive, dead, room, more)
-        assert len(alive) + len(dead) + more <= room == n
-        cleared.append(len(alive) + len(dead) < before)
-
-    for n in (12, 13, 14):
-        full = [p.image for p in enumerate_solutions(n, sieve_small)]
-        with monkeypatch.context() as patch:
-            patch.setattr(count_module, "DEFAULT_LIMIT_CAP", 4 * n * -(-n // 8))
-            patch.setattr(count_module, "_make_room", checked)
-            assert [p.image for p in enumerate_solutions(n, sieve_small)] == full
-    assert any(cleared)
-
-
 def test_enumerate_tail_product_at_every_cut(sieve_small, monkeypatch):
     # wherever the walk hands the last rows to the tail product, the stream
     # is the unpruned walk's; test_enumerate_equals_the_unpruned_walk checks
@@ -523,23 +503,49 @@ def test_enumerate_tail_product_at_every_cut(sieve_small, monkeypatch):
 @st.composite
 def _split_rows(draw):
     """Rows whose even and odd depths take disjoint sets of values, any of
-    them empty, and a room of at least one unit per row."""
+    them empty, often with a planted perfect matching, and a number of
+    tail rows."""
     n = draw(st.integers(1, 12))
-    side = draw(st.lists(st.sampled_from((0, 1, None)), min_size=n, max_size=n))
+    plant = draw(st.permutations(range(n)))  # depth d may take value plant[d] + 1
+    planted = [d & 1 for d in sorted(range(n), key=plant.__getitem__)]
+    sides = st.lists(st.sampled_from((0, 1, None)), min_size=n, max_size=n)
+    side = draw(st.one_of(st.just(planted), sides))
     values = [sum(1 << v for v in range(n) if side[v] == half) for half in (0, 1)]
     rows = [draw(st.integers(0, 2**n - 1)) & values[d & 1] for d in range(n)]
-    return rows, draw(st.integers(n, 8 * n)), draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        rows = [row | 1 << plant[d] & values[d & 1] for d, row in enumerate(rows)]
+    return rows, draw(st.integers(1, 6))
 
 
 @settings(deadline=None)
 @given(case=_split_rows())
-def test_walk_with_room_is_the_unpruned_walk(case):
-    # the completion check, its memo and the tail product change no leaf,
-    # also where a half has no completion, or where the cut is at depth 1
-    # and the odd half's key is empty there
-    rows, room, tail_rows = case
+def test_walk_with_a_matching_is_the_unpruned_walk(case):
+    # the matching, its repairs and the tail product change no leaf, also
+    # where the cut is at depth 1 and the odd half's key is empty there;
+    # rows with no perfect matching have no leaf
+    rows, tail_rows = case
+    match = perfect_matching(rows)
+    unpruned = list(_leaves(_walk(rows)))
+    if match is None:
+        assert unpruned == []
+        return
     with mock.patch.object(count_module, "_TAIL_ROWS", tail_rows):
-        assert list(_leaves(_walk(rows, room))) == list(_leaves(_walk(rows)))
+        assert list(_leaves(_walk(rows, match))) == unpruned
+
+
+@settings(deadline=None)
+@given(case=_split_rows())
+def test_walk_keeps_a_perfect_matching_that_agrees_with_the_prefix(case):
+    # at every block the matching, repaired in place, is still a perfect
+    # matching of the rows, and it gives each depth of the prefix its image
+    rows, tail_rows = case
+    match = perfect_matching(rows)
+    assume(match is not None)
+    with mock.patch.object(count_module, "_TAIL_ROWS", tail_rows):
+        for prefix, *_ in _walk(rows, match):
+            assert sorted(match) == list(range(1, len(rows) + 1))
+            assert all(row >> (v - 1) & 1 for row, v in zip(rows, match))
+            assert tuple(match[: len(prefix)]) == prefix
 
 
 def _units(key, kept) -> int:
@@ -554,47 +560,37 @@ def _units(key, kept) -> int:
 
 
 def test_enumerate_completion_lists_stay_within_room(sieve_small, monkeypatch):
-    # with the cap at the estimate, or 7 n units over it, the memo and the
-    # completion lists, with their keys and cells and the orders of their
-    # pairs, share room for n (or 8 n) units, the lists and orders at most
-    # half of them, and are dropped together; the stream does not change
-    walk, make_room = count_module._walk, count_module._make_room
-    walks, rooms, held, orders = [], [], [], []
+    # with room for 1000 (or 4000) units, the completion lists, their keys
+    # and cells, and the orders of their pairs stay within it and are
+    # dropped together; the stream does not change. With the shipped room
+    # the full n = 15 stream never drops them.
+    walk = count_module._walk
+    held, orders = [], []
 
-    def watched(rows, room):
-        walks.append(walk(rows, room))
-        rooms.append(room)
-        for block in walks[-1]:
-            state = walks[-1].gi_frame.f_locals
+    def watched(rows, match):
+        blocks = walk(rows, match)
+        for block in blocks:
+            state = blocks.gi_frame.f_locals
             lists = state["lists"]
             units = sum(_units(key, kept) for key, kept in lists.items())
-            assert units == state["held"] <= room // 2, (units, room)
-            assert len(state["alive"]) + len(state["dead"]) + units <= room
+            assert units == state["held"] <= count_module._LIST_ROOM, units
             held.append(units)
             orders.append(sum(isinstance(key, tuple) for key in lists))
             yield block
 
-    def checked(alive, dead, room, more):
-        # each call makes room for the lists too, not only for new states
-        make_room(alive, dead, room, more)
-        assert walks[-1].gi_frame.f_locals["held"] <= more
-        assert len(alive) + len(dead) + more <= room
-
-    for n, room in itertools.product((12, 13, 14), ("n", "8 n")):
+    monkeypatch.setattr(count_module, "_walk", watched)
+    list(enumerate_solutions(15, sieve_small))
+    assert held == sorted(held) and orders[-1] > 0
+    for n, room in itertools.product((12, 13, 14), (1000, 4000)):
         full = [p.image for p in enumerate_solutions(n, sieve_small)]
-        extra = 7 * n if room == "8 n" else 0
+        held.clear()
+        orders.clear()
         with monkeypatch.context() as patch:
-            cap = (4 * n + extra) * -(-n // 8)
-            patch.setattr(count_module, "DEFAULT_LIMIT_CAP", cap)
-            patch.setattr(count_module, "_walk", watched)
-            patch.setattr(count_module, "_make_room", checked)
+            patch.setattr(count_module, "_LIST_ROOM", room)
             assert [p.image for p in enumerate_solutions(n, sieve_small)] == full
-            assert rooms[-1] == n + extra
-    # lists and orders were kept, and cleared again when they outgrew their
-    # share
-    assert max(held) > 0 and max(orders) > 0
-    assert any(after < before for before, after in itertools.pairwise(held))
-    assert any(after < before for before, after in itertools.pairwise(orders))
+        # lists and orders were kept, and dropped when they outgrew their room
+        assert max(orders) > 0, (n, room)
+        assert any(after < before for before, after in itertools.pairwise(held))
 
 
 def _streamed(solutions, line) -> tuple[list, str | None]:
@@ -663,8 +659,8 @@ def _check_every_tail(sieve_small, monkeypatch, fault, message, line, every):
             faulted.append(found)
         return found
 
-    def recorded(rows, room):
-        walks.append(walk(rows, room))
+    def recorded(rows, match):
+        walks.append(walk(rows, match))
         for block in walks[-1]:
             blocks.append(block)
             yield block
@@ -704,7 +700,8 @@ def test_enumerate_lines_resolve_percent_escapes(sieve_small, monkeypatch, line)
 
 def test_naive_count_walks_without_the_completion_check(sieve_small, monkeypatch):
     # naive is the full-matrix oracle of the parity split, so it must not
-    # lean on the check built on that split, nor on the tail product
+    # lean on the matching's repairs, which check that a prefix completes on
+    # that split, nor on the tail product
     def no_check(*args):
         raise AssertionError("naive counting used the completion check")
 
@@ -714,7 +711,7 @@ def test_naive_count_walks_without_the_completion_check(sieve_small, monkeypatch
     monkeypatch.setattr(count_module, "_completions", no_tail)
     with pytest.raises(AssertionError, match="tail product"):
         next(enumerate_solutions(10, sieve_small))
-    monkeypatch.setattr(count_module, "_completes", no_check)
+    monkeypatch.setattr(count_module, "_repair", no_check)
     assert [count_solutions_naive(n, sieve_small) for n in range(1, 11)] == KNOWN_COUNTS
     with pytest.raises(AssertionError, match="completion check"):
         next(enumerate_solutions(10, sieve_small))
@@ -760,25 +757,25 @@ def test_enumerate_preconditions(sieve_small):
 
 
 def test_enumerate_refuses_rows_over_the_cap(monkeypatch):
-    # 4 n ceil(n / 8) bytes of rows, masks and memo: exactly the cap of
-    # 2^27 = 134217728 at n = 16384, 134291460 at 16385
+    # 3 n ceil(n / 8) bytes of rows and masks: 134216115 at n = 18917, under
+    # the cap of 2^27 = 134217728, and 134223210 at 18918
     def no_work(*args):
         raise AssertionError("enumeration work started before the memory check")
 
     monkeypatch.setattr(count_module, "build_adjacency", no_work)
     monkeypatch.setattr(count_module, "build_sieve", no_work)
-    for n, estimate in ((16385, 134291460), (10**5, 5000000000), (2**26, 2**51)):
+    for n, estimate in ((18918, 134223210), (10**5, 3750000000), (2**26, 3 * 2**49)):
         message = f"at n = {n} is estimated at {estimate} bytes .* cap of {DEFAULT_LIMIT_CAP}"
         for limit in (None, 1):
             with pytest.raises(MethodCapError, match=message):
                 enumerate_solutions(n, limit=limit)
     with pytest.raises(AssertionError, match="work started"):  # admitted
-        enumerate_solutions(16384, limit=1)
+        enumerate_solutions(18917, limit=1)
 
 
 def _readme_enumerate_peak():
-    """(n, MB) from the README's "`enumerate --n 16384 --limit 1` takes
-    0.38 s and peaks at 123 MB"."""
+    """(n, MB) from the README's "`enumerate --n 18917 --limit 1` takes
+    0.48 s and peaks at 136 MB"."""
     found = re.search(
         r"`enumerate --n (\d+) --limit 1` takes [\d.]+ s and peaks at\s+([\d.]+) MB",
         (ROOT / "README.md").read_text(),
