@@ -287,16 +287,18 @@ def _template(sep: str, step: int) -> str:
     return "".join(map(f"{sep}@%03d".__mod__, range(1000)[::step]))
 
 
-def _parse_perm(text: str | None) -> Permutation:
-    """The permutation in text, or in stdin if text is None. JSON text gets
-    no stripped copy unless parsing needs one, and is let go once decoded."""
+def _parse_image(text: str | None) -> tuple[int, ...]:
+    """The entries in text, or in stdin if text is None, as plain ints not
+    yet checked to be a permutation. JSON text gets no stripped copy unless
+    parsing needs one, and is let go once decoded; the decoded list is let
+    go on return."""
     import json  # here, not at the top: only verify reads JSON
 
     try:
         if text is None:
             text = _read_stdin()  # a strict decoder's error is a ValueError
         if not text.startswith("{", re.match(r"\s*", text).end()):
-            return Permutation.from_text(text)  # which strips it
+            return Permutation._text_values(text)  # which strips it
         try:
             obj = json.loads(text)
         except (json.JSONDecodeError, RecursionError):  # or nested too deep
@@ -306,8 +308,8 @@ def _parse_perm(text: str | None) -> Permutation:
                 obj = json.loads(text.strip())
             except (json.JSONDecodeError, RecursionError) as exc:
                 raise _UsageError(f"invalid JSON permutation: {exc}") from None
-        del text  # before from_json copies the decoded list into a tuple
-        return Permutation.from_json(obj)
+        del text  # before the decoded list is copied into a tuple
+        return Permutation._json_values(obj)
     except NotAPermutationError:
         raise
     except ValueError as exc:
@@ -344,9 +346,8 @@ def _read_stdin() -> str:
 
 
 def _cmd_verify(args) -> int:
-    perm = _parse_perm(args.perm)
+    perm, runs = _checked_image(_parse_image(args.perm))
     composite_at: list[int] = []
-    runs: list[bool] = []  # _is_run of the first slices, as JSON decides them
     checked = _checked_slices(perm, _sieve_for(perm.n), composite_at, runs)
     if args.format == "json":
         _write(_verify_json(perm, checked, composite_at, runs))
@@ -368,6 +369,31 @@ def _is_run(vs: tuple[int, ...]) -> bool:
     return vs[-1] == vs[0] - len(vs) + 1 and vs == tuple(range(vs[0], vs[-1] - 1, -1))
 
 
+def _checked_image(image: tuple[int, ...]) -> tuple[Permutation, list[bool]]:
+    """image as a Permutation, and whether each slice of BLOCK_LINES entries
+    is a run (_is_run), from one pass over the slices. The entries are plain
+    ints. A run slice inside 1..n holds exactly the interval [vs[-1], vs[0]]
+    and marks it with one slice assignment; any other slice inside 1..n
+    marks its entries one by one, and a slice that leaves 1..n marks none.
+    n marked slots are a bijection, stored without Permutation's loop;
+    else Permutation(image) raises, with its message."""
+    n, runs = len(image), []
+    seen = bytearray(n + 1)
+    for vs in _slices(image):
+        runs.append(_is_run(vs))
+        if runs[-1]:
+            if 0 < vs[-1] and vs[0] <= n:
+                seen[vs[-1] : vs[0] + 1] = b"\x01" * len(vs)
+        elif 0 < min(vs) and max(vs) <= n:
+            for v in vs:
+                seen[v] = 1
+    if seen.count(1) != n:
+        return Permutation(image), runs
+    perm = object.__new__(Permutation)
+    object.__setattr__(perm, "image", image)
+    return perm, runs
+
+
 def _checked_slices(
     perm: Permutation, sieve: PrimeSieve, composite_at: list[int], runs: list[bool]
 ) -> Iterator[tuple[range, Sequence[int], list[int], bytes]]:
@@ -376,13 +402,10 @@ def _checked_slices(
     whose totals are all equal (_is_run), as every slice of a witness but
     the one that holds a block edge is, has one sum and one flag, and its
     positions are all composite or none. Appends the slice's composite
-    positions to composite_at before it is yielded. The slice at index i
-    is a run if runs[i] says so; a slice past the end of runs, which a
-    reader that stopped early left undecided, is decided here."""
-    for i, lo in enumerate(range(0, perm.n, BLOCK_LINES)):
-        vs = perm.image[lo : lo + BLOCK_LINES]
+    positions to composite_at before it is yielded. runs[i] tells whether
+    the slice at index i is a run."""
+    for lo, vs, run in zip(range(0, perm.n, BLOCK_LINES), _slices(perm.image), runs):
         ks = range(lo + 1, lo + len(vs) + 1)
-        run = runs[i] if i < len(runs) else _is_run(vs)
         sums = [lo + 1 + vs[0]] if run else list(map(add, ks, vs))
         flags = sieve.prime_flags(sums)
         if 0 in flags:  # a run slice has one flag for all its positions
@@ -393,29 +416,43 @@ def _checked_slices(
 def _verify_lines(
     ks: range, vs: Sequence[int], sums: list[int], flags: bytes
 ) -> list[str]:
-    """The text lines of one checked slice, from one %-format: a slice with
-    one sum has its sum and label in the format, and fills in only each
-    position and image."""
+    """The text lines of one checked slice. A slice with one sum, a run, is
+    written by digit columns: in each piece of it whose positions k and
+    images total - k keep their number of digits, every line has the same
+    length, and each digit column of the positions and of the images,
+    from construct's templates (_run), is one strided slice assignment
+    into the piece's lines. Any other slice is one %-format."""
     label = ("composite", "prime")
     if len(sums) > 1:
         line = "%d + %d = %d  %s\n"
         cells = zip(ks, vs, sums, map(label.__getitem__, flags))
-    else:
-        line, cells = f"%d + %d = {sums[0]}  {label[flags[0]]}\n", zip(ks, vs)
-    return (line * len(vs) % tuple(chain.from_iterable(cells))).splitlines()
+        return (line * len(vs) % tuple(chain.from_iterable(cells))).splitlines()
+    total, tail = sums[0], f" = {sums[0]}  {label[flags[0]]}\n".encode()
+    powers = [10**d for d in range(1, len(str(total)))]
+    cuts = {c for p in powers for c in (p, total - p + 1) if ks.start < c < ks.stop}
+    edges, text = sorted({ks.start, ks.stop, *cuts}), bytearray()
+    for a, b in zip(edges, edges[1:]):
+        line = b"%d + %d%s" % (a, total - a, tail)  # the piece's first line
+        piece = bytearray(line * (b - a))
+        for at, first, step in ((0, a, 1), (len(str(a)) + 3, total - a, -1)):
+            width = len(str(first))
+            column = "".join(_run(first, b - a, step, 0, "")).encode()
+            for j in range(width):
+                piece[at + j :: len(line)] = column[j::width]
+        text += piece
+    return text.decode().splitlines()
 
 
 def _verify_json(perm, checked, composite_at, runs) -> Iterator[str]:
     """The bytes of one compact json.dumps of the members n, image, sums,
     composite_positions and valid, plus a newline, one slice at a time. A
-    slice whose images count down by one is written as construct writes a
-    run, and its sums as one total repeated: the image phase decides
-    _is_run once per slice and appends it to runs, which checked reads."""
+    slice that runs marks as a run is written as construct writes a run,
+    and its sums as one total repeated."""
     yield f'{{"n":{perm.n},"image":['
-    for vs in _slices(perm.image):
-        runs.append(_is_run(vs))
-        piece = "".join(_run(vs[0], len(vs), -1, 0, ",")) if runs[-1] else _ints(vs)
-        yield piece if len(runs) == 1 else "," + piece
+    yield from _csv(
+        "".join(_run(vs[0], len(vs), -1, 0, ",")) if run else _ints(vs)
+        for vs, run in zip(_slices(perm.image), runs)
+    )
     yield '],"sums":['
     yield from _csv(
         _ints(sums) if len(sums) > 1 else ",".join([str(sums[0])] * len(vs))

@@ -151,9 +151,14 @@ class Permutation(_Frozen):
     @classmethod
     def from_text(cls, text: str) -> "Permutation":
         """Parse comma-separated one-line notation; empty text is n = 0."""
+        return cls(cls._text_values(text))
+
+    @staticmethod
+    def _text_values(text: str) -> tuple[int, ...]:
+        """from_text's entries, as plain ints not yet checked."""
         stripped = text.strip()
         if not stripped:
-            return cls(())
+            return ()
         import json  # here, not at the top: construct and count never load it
 
         # JSON integers and whitespace are subsets of what int() and str.strip
@@ -166,10 +171,10 @@ class Permutation(_Frozen):
         except (ValueError, RecursionError):
             canonical = False
         if canonical:
-            return cls(values)
+            return tuple(values)
         tokens = stripped.split(",")
         try:
-            values = tuple(map(int, tokens))
+            return tuple(map(int, tokens))
         except ValueError:
             for k, token in enumerate(tokens, 1):
                 try:
@@ -180,7 +185,6 @@ class Permutation(_Frozen):
                 f"cannot parse token {k} of {len(tokens)} ({_clip(token)}): "
                 "expected comma-separated integers"
             ) from None
-        return cls(values)
 
     def as_json_dict(self) -> dict:
         return {"n": self.n, "image": list(self.image)}
@@ -188,6 +192,11 @@ class Permutation(_Frozen):
     @classmethod
     def from_json(cls, obj: object) -> "Permutation":
         """Build from the wire form {"n": 5, "image": [1,5,4,3,2]}."""
+        return cls(cls._json_values(obj))
+
+    @staticmethod
+    def _json_values(obj: object) -> tuple[int, ...]:
+        """from_json's entries, as plain ints not yet checked."""
         if not isinstance(obj, dict) or "n" not in obj or "image" not in obj:
             raise ValueError("permutation JSON must have 'n' and 'image' keys")
         n, image = obj["n"], obj["image"]
@@ -198,7 +207,7 @@ class Permutation(_Frozen):
             raise NotAPermutationError(
                 f"declared n={_clip(n)} does not match image length {len(image)}"
             )
-        return cls(tuple(image))
+        return tuple(image)
 
 
 def _proven(prefix: tuple, firsts: tuple, seconds: tuple, order: tuple) -> bool:

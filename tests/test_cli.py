@@ -21,6 +21,7 @@ from oracles import is_prime_trial
 from peak_rss import run_cli
 from primeperm import (
     Block,
+    NotAPermutationError,
     Permutation,
     PrimeSieve,
     build_sieve,
@@ -485,8 +486,9 @@ def test_verify_looks_up_one_total_per_run_slice(monkeypatch):
 
 
 def test_verify_decides_each_slice_once(monkeypatch):
-    # JSON decides whether a slice is a run in its image phase, and its sums
-    # phase reads that verdict back: 49 slices at n = 2 * 10^5, 49 calls
+    # verify decides whether a slice is a run as it checks the bijection,
+    # before any output, and text lines, JSON images and sums read that
+    # verdict back: 49 slices at n = 2 * 10^5, 49 calls
     n = 200_000
     witness = construct_prime_sum_permutation(n, build_sieve(2 * n)).image
     shuffled = random.Random(1).sample(range(1, n + 1), n)
@@ -503,6 +505,111 @@ def test_verify_decides_each_slice_once(monkeypatch):
         with redirect_stdout(io.StringIO()):
             main(["verify", "--format", fmt])
         assert decided == [image[lo] for lo in range(0, n, BLOCK_LINES)], fmt
+
+
+@st.composite
+def _faulty_runs(draw):
+    # n reversed in one block, so that every slice of BLOCK_LINES positions
+    # is a run, with one fault: a run moved onto an earlier or later run's
+    # interval, a run moved to hold 0 or n + 1, or one entry of a slice made
+    # a value of the first slice's interval
+    n = draw(st.integers(2 * BLOCK_LINES + 1, 3 * BLOCK_LINES))
+    image = list(range(n, 0, -1))
+    case = draw(st.sampled_from(["overlap", "outside", "repeat"]))
+    if case == "overlap":
+        i, j = draw(st.permutations([0, 1]))  # slice j moves onto slice i's
+        shift = draw(st.integers(1 - BLOCK_LINES, BLOCK_LINES - 1))
+        top, lo = image[i * BLOCK_LINES] + shift, j * BLOCK_LINES
+        assume(BLOCK_LINES <= top <= n)
+        image[lo : lo + BLOCK_LINES] = range(top, top - BLOCK_LINES, -1)
+    elif case == "outside":
+        lo = draw(st.sampled_from([0, BLOCK_LINES, 2 * BLOCK_LINES]))
+        size = min(lo + BLOCK_LINES, n) - lo
+        top = draw(st.sampled_from([size - 1, n + 1]))  # holds 0, or n + 1
+        image[lo : lo + size] = range(top, top - size, -1)
+    else:
+        at = draw(st.integers(BLOCK_LINES, 2 * BLOCK_LINES - 1))
+        image[at] = draw(st.sampled_from(image[:BLOCK_LINES]))
+    return image
+
+
+@settings(deadline=None, max_examples=30)
+@given(_faulty_runs(), st.booleans())
+def test_verify_refuses_faulty_runs_as_permutation_does(image, as_json):
+    # verify checks a run slice's interval at once, and any other slice
+    # entry by entry: a fault in either gives exit 3, no output and the
+    # message of Permutation's own check
+    with pytest.raises(NotAPermutationError) as raised:
+        Permutation(image)
+    text = ",".join(map(str, image))
+    if as_json:
+        text = f'{{"n":{len(image)},"image":[{text}]}}'
+    for fmt in ("text", "json"):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["verify", "--perm", text, "--format", fmt])
+        assert (code, out.getvalue(), err.getvalue()) == (
+            EXIT_NOT_PERMUTATION, "", f"primeperm: {raised.value}\n"
+        )
+
+
+def test_verify_stores_a_witness_without_permutations_loop(monkeypatch):
+    # run intervals prove the bijection, so verify of a witness runs no
+    # Permutation check at all; a faulty input runs one, which words its
+    # message
+    n = 200_000
+    witness = construct_prime_sum_permutation(n, build_sieve(2 * n)).image
+    faulty = list(witness)
+    faulty[n // 2] = faulty[0]
+    post_init, checks = Permutation.__post_init__, []
+
+    def counted(perm):
+        checks.append(perm.n)
+        return post_init(perm)
+
+    monkeypatch.setattr(Permutation, "__post_init__", counted)
+    csv = ",".join(map(str, witness))
+    for text, code, expected in (
+        (csv, EXIT_OK, []),
+        (f'{{"n":{n},"image":[{csv}]}}', EXIT_OK, []),
+        (",".join(map(str, faulty)), EXIT_NOT_PERMUTATION, [n]),
+    ):
+        for fmt in ("text", "json"):
+            checks.clear()
+            monkeypatch.setattr("sys.stdin", io.StringIO(text))
+            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                assert main(["verify", "--format", fmt]) == code
+            assert checks == expected, fmt
+
+
+@st.composite
+def _run_slices(draw):
+    # positions first.. that cross 10^d, and images total - k that cross
+    # 10^e, for d and e in 1..6
+    size = draw(st.integers(1, BLOCK_LINES))
+    d, e = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    first = draw(st.integers(max(1, 10**d - size + 1), 10**d))
+    # the image at position k is 10^e - 1, and the last image at least 1
+    k = draw(st.integers(max(first, first + size + 1 - 10**e), first + size - 1))
+    return first, size, 10**e - 1 + k
+
+
+@settings(deadline=None, max_examples=60)
+@given(_run_slices(), st.booleans())
+# pieces of one line: 9 + 10 | 10 + 9, and 99 + 1000 | 100 + 999 | ...
+@example((9, 2, 19), True)
+@example((99, 3, 1099), False)
+@example((1, BLOCK_LINES, 10**6 + 1), True)
+def test_verify_lines_of_a_run_by_digit_columns(run, prime):
+    # a run slice's lines are written by digit columns, in pieces whose
+    # positions and images keep their number of digits; the bytes are one
+    # %-format per line
+    first, size, total = run
+    ks = range(first, first + size)
+    vs = tuple(total - k for k in ks)
+    label = "prime" if prime else "composite"
+    lines = cli._verify_lines(ks, vs, [total], bytes([prime]))
+    assert lines == ["%d + %d = %d  %s" % (k, total - k, total, label) for k in ks]
 
 
 @pytest.mark.parametrize("space", [" \t\n\r", "\x0c", "\u00a0", "\u2028\x1c"])
