@@ -7,7 +7,8 @@ Exit codes:
     2   well-formed permutation, but some positional sum is composite
     3   input is not a permutation of 1..n
     64  usage or parse error
-    65  input exceeds a resource limit (counting step budget or sieve cap)
+    65  input exceeds a resource limit (counting step budget, enumerate
+        memory estimate or sieve cap)
 """
 
 import argparse

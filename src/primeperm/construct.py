@@ -6,7 +6,7 @@ for every k. One always exists: partition {1..n} into descending blocks
 block so every position in it sums to that prime.
 """
 
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Sequence
 from itertools import chain
 from operator import add
 
@@ -112,28 +112,6 @@ class Permutation(_Frozen):
                 return
         raise NotAPermutationError(_first_fault(self.image))
 
-    @classmethod
-    def _block(
-        cls, prefix: tuple, firsts: tuple, seconds: tuple, order: tuple
-    ) -> Iterator["Permutation"]:
-        """Permutation(prefix + tail) for each tail of one block of the
-        enumerator, in its order: once _proven, each is stored without a
-        second check, from a list per first whose second's slots each
-        solution writes over, else each is built as a Permutation."""
-        (entries, *_), (others, *_), (fi, sj) = firsts, seconds, order
-        if not _proven(prefix, firsts, seconds, order):
-            pairs = map(entries.__getitem__, fi), map(others.__getitem__, sj)
-            yield from map(cls, map(prefix.__add__, map(_interleave, *pairs)))
-            return
-        new, store = object.__new__, object.__setattr__
-        images = [[*prefix, *_interleave(entry, others[0])] for entry in entries if fi]
-        start = len(prefix) + 1
-        for image, j in zip(map(images.__getitem__, fi), sj):
-            image[start::2] = others[j]
-            perm = new(cls)
-            store(perm, "image", tuple(image))
-            yield perm
-
     @property
     def n(self) -> int:
         return len(self.image)
@@ -208,46 +186,6 @@ class Permutation(_Frozen):
                 f"declared n={_clip(n)} does not match image length {len(image)}"
             )
         return tuple(image)
-
-
-def _proven(prefix: tuple, firsts: tuple, seconds: tuple, order: tuple) -> bool:
-    """Whether one Permutation has proven every tail of a block of the
-    enumerator: prefix followed by a first and a second interleaved, for
-    the pairs of indices into the firsts and the seconds that order lists.
-
-    firsts and seconds are (entries, keys, cells), as count's _keyed
-    builds them once per list, with keys None unless the entries passed
-    _uniform and are as long as their offsets of the tail. If both passed,
-    every prefix + tail is n ints with the set of values of the first in
-    order, so once Permutation has accepted that one, whose n values are
-    distinct and in 1..n, each is a bijection too. If a list failed, False:
-    each prefix + tail is then built as a Permutation before it is used,
-    so a fault raises where one Permutation per tail would.
-    """
-    if firsts[1] is None or seconds[1] is None:
-        return False
-    fi, sj = order
-    if fi:
-        Permutation(prefix + _interleave(firsts[0][fi[0]], seconds[0][sj[0]]))
-    return True
-
-
-def _uniform(entries: list, n: int) -> bool:
-    """Whether entries hold only ints (not bools) in 1..n, all of one
-    length and one set of values."""
-    return (
-        set(map(type, chain.from_iterable(entries))) <= {int}
-        and set(map(len, entries)) == {len(entries[0])}
-        and set(map(frozenset, entries)) == {frozenset(entries[0])}
-        and all(0 < v <= n for v in entries[0])
-    )
-
-
-def _interleave(first: tuple, second: tuple) -> tuple:
-    """first's values at the even offsets and second's at the odd ones,
-    then the rest of the longer."""
-    pairs = chain.from_iterable(zip(first, second))
-    return (*pairs, *first[len(second) :], *second[len(first) :])
 
 
 class Block(_Frozen):

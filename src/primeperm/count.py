@@ -19,7 +19,7 @@ from collections.abc import Iterator, Sequence
 from operator import mul, or_
 from os.path import commonprefix
 
-from .construct import Permutation, _Frozen, _interleave, _proven, _uniform
+from .construct import NotAPermutationError, Permutation, _Frozen
 from .construct import construct_prime_sum_permutation
 from .primes import DEFAULT_LIMIT_CAP, PrimeSieve, build_sieve
 
@@ -260,16 +260,16 @@ def enumerate_solutions(
     prefix, the two halves' completion lists and the order of their
     interleaved product, which is the subtree's solutions (see _walk).
     Each list is checked, keyed and rendered once per call (see _keyed),
-    and each pair's order sorted once. construct's _proven then checks
-    the first solution of a block as any Permutation, which proves every
-    solution of the block a bijection; each is then stored as a
-    Permutation without a second check, or, with a line, written as one
-    %-format (see _lines). The n rows of n bits and the walk's two masks
-    per depth take up to 3 n ceil(n / 8) bytes, whatever the limit: over
-    DEFAULT_LIMIT_CAP (n > 18917) it raises MethodCapError before any
-    work. The matching takes a few lists of n ints, and the completion
-    lists at most _LIST_ROOM units. Without a sieve, one to 2n is built
-    after that check.
+    and each pair's order sorted once. The walk's _proven then checks the
+    first solution of a block as any Permutation, which proves every
+    solution of the block a bijection, or raises RuntimeError before the
+    block; each is then stored as a Permutation without a second check,
+    or, with a line, written as one %-format (see _lines). The n rows of
+    n bits and the walk's two masks per depth take up to 3 n ceil(n / 8)
+    bytes, whatever the limit: over DEFAULT_LIMIT_CAP (n > 18917) it
+    raises MethodCapError before any work. The matching takes a few lists
+    of n ints, and the completion lists at most _LIST_ROOM units. Without
+    a sieve, one to 2n is built after that check.
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
@@ -296,26 +296,36 @@ def enumerate_solutions(
     # the witness is a solution, and maps 1 -> 1 iff n is odd, as pinned
     witness = construct_prime_sum_permutation(n, sieve)
     blocks = _walk(_pinned_rows(n, sieve), list(witness.image))
-    if line is None:
-        solutions = itertools.starmap(Permutation._block, blocks)
-    else:
-        solutions = (_lines(line, *block) for block in blocks)
-    stream = itertools.chain.from_iterable(solutions)
+    render = _permutations if line is None else functools.partial(_lines, line)
+    stream = itertools.chain.from_iterable(itertools.starmap(render, blocks))
     return stream if limit is None else itertools.islice(stream, limit)
+
+
+def _permutations(
+    prefix: tuple, firsts: tuple, seconds: tuple, order: tuple
+) -> Iterator[Permutation]:
+    """Each solution of one _proven block, in its order, stored as a
+    Permutation without a second check, from a list per first whose
+    second's slots each solution writes over."""
+    (entries, *_), (others, *_), (fi, sj) = firsts, seconds, order
+    new, store = object.__new__, object.__setattr__
+    images = [[*prefix, *_interleave(entry, others[0])] for entry in entries if fi]
+    start = len(prefix) + 1
+    for image, j in zip(map(images.__getitem__, fi), sj):
+        image[start::2] = others[j]
+        perm = new(Permutation)
+        store(perm, "image", tuple(image))
+        yield perm
 
 
 def _lines(
     line: str, prefix: tuple, firsts: tuple, seconds: tuple, order: tuple
 ) -> Iterator[str]:
-    """The text of each solution of one block, in its order: line's text,
-    which is escaped for two % passes (each % as %%%%), around its csv.
-    Once the block is _proven, each line is one %-format: its first's
-    template, line holding the prefix's digits and the first's cell,
-    filled in with its second's digits. Else each is a Permutation's
-    to_text in line. The prefix is not empty."""
-    if not _proven(prefix, firsts, seconds, order):
-        block = Permutation._block(prefix, firsts, seconds, order)
-        return map((line % "%s").__mod__, map(Permutation.to_text, block))
+    """The text of each solution of one _proven block, in its order: line's
+    text, which is escaped for two % passes (each % as %%%%), around its
+    csv. Each line is one %-format: its first's template, line holding the
+    prefix's digits and the first's cell, filled in with its second's
+    digits. The prefix is not empty."""
     head = ",".join(map("%d".__mod__, prefix))
     templates = list(map(line.__mod__, map(head.__add__, firsts[2])))
     fi, sj = order
@@ -356,9 +366,10 @@ def _walk(rows: Sequence[int], match: list | None = None) -> Iterator[tuple]:
     half. The product is not built here, so a block holds two lists of at
     most _TAIL_ROWS! short tuples, which the walk keys and keeps by half
     state and hands to many blocks, and their order, kept by the pair of
-    states; construct's _proven checks them. The lists and orders hold at
-    most _LIST_ROOM units, one per list or order and one per entry of each
-    of their parts, and are all dropped when a new one would not fit.
+    states; each block is _proven before it is yielded. The lists and
+    orders hold at most _LIST_ROOM units, one per list or order and one
+    per entry of each of their parts, and are all dropped when a new one
+    would not fit.
     Without match, the walk skips only used images, and each block is one
     leaf, (image, *_LEAF).
     """
@@ -411,7 +422,7 @@ def _walk(rows: Sequence[int], match: list | None = None) -> Iterator[tuple]:
                         offset = len(block)  # 0 for the firsts
                         entries = _completions(halves[(cut + offset) & 1], key)
                         found = _keyed(entries, n, offset, n - cut)
-                    units = 1 + sum(map(len, filter(None, found)))
+                    units = 1 + sum(map(len, found))
                     if held + units > _LIST_ROOM:
                         lists.clear()
                         held = 0
@@ -419,7 +430,9 @@ def _walk(rows: Sequence[int], match: list | None = None) -> Iterator[tuple]:
                         lists[key] = found
                         held += units
                 block.append(found)
-            yield tuple(image[:cut]), *block
+            prefix = tuple(image[:cut])
+            _proven(prefix, *block)
+            yield prefix, *block
             continue
         pos += 1
         used[pos] = below
@@ -484,16 +497,20 @@ def _keyed(entries: list, n: int, offset: int, length: int) -> tuple:
     """(entries, keys, cells) for a completion list whose values go at
     offsets offset, offset + 2, ... of tails of the given length.
 
-    An entry's key is its values as digits in base n + 1 at those offsets,
-    so a tail's key is its first's plus its second's, and sorting the keys
-    sorts the tails. A first's cell is a %-format of its digits with a %s
-    at each odd offset, and a second's cell the tuple of its digits. keys
-    and cells are None unless the entries pass _uniform and are as long as
-    their offsets.
-    """
+    Unless the entries hold only ints (not bools) in 1..n, each as long as
+    its offsets, all of one set of values, RuntimeError. An entry's key is
+    its values as digits in base n + 1 at those offsets, so a tail's key
+    is its first's plus its second's, and sorting the keys sorts the
+    tails. A first's cell is a %-format of its digits with a %s at each
+    odd offset, and a second's cell the tuple of its digits."""
     powers = range(length - 1 - offset, -1, -2)
-    if entries and not (_uniform(entries, n) and len(entries[0]) == len(powers)):
-        return entries, None, None
+    if entries and not (
+        set(map(type, itertools.chain.from_iterable(entries))) <= {int}
+        and set(map(len, entries)) == {len(powers)}
+        and set(map(frozenset, entries)) == {frozenset(entries[0])}
+        and all(0 < v <= n for v in entries[0])
+    ):
+        raise RuntimeError(f"enumeration built a faulty completion list at n = {n}")
     weights = [(n + 1) ** power for power in powers]
     keys = [sum(map(mul, entry, weights)) for entry in entries]
     if offset:
@@ -502,19 +519,35 @@ def _keyed(entries: list, n: int, offset: int, length: int) -> tuple:
     return entries, keys, list(map(cell.__mod__, entries))
 
 
-def _order(firsts: tuple, seconds: tuple) -> tuple[Sequence[int], Sequence[int]]:
+def _order(firsts: tuple, seconds: tuple) -> tuple[bytes, bytes]:
     """The tails of a pair of _keyed lists as the indices of their firsts
-    and of their seconds, in sorted order: by the sums of their keys, or,
-    where a list failed its checks, by the interleaved tuples themselves.
-    Indices below 256, as with _TAIL_ROWS <= 5, take a byte each."""
-    if firsts[1] is None or seconds[1] is None:
-        keys = [_interleave(a, b) for a in firsts[0] for b in seconds[0]]
-    else:
-        keys = [a + b for a in firsts[1] for b in seconds[1]]
+    and of their seconds, sorted by the sums of their keys. Each index
+    takes a byte: a list holds at most _TAIL_ROWS! = 120 entries, and
+    bytes raises on an index past 255."""
+    keys = [a + b for a in firsts[1] for b in seconds[1]]
     order = sorted(range(len(keys)), key=keys.__getitem__)
     m = len(seconds[0])
-    pack = bytes if max(len(firsts[0]), m) <= 256 else list  # a byte per index
-    return pack(map(m.__rfloordiv__, order)), pack(map(m.__rmod__, order))
+    return bytes(map(m.__rfloordiv__, order)), bytes(map(m.__rmod__, order))
+
+
+def _proven(prefix: tuple, firsts: tuple, seconds: tuple, order: tuple) -> None:
+    """Prove each solution of a block of _keyed lists a bijection, or raise
+    RuntimeError. Each is the prefix and a first and a second interleaved,
+    n ints in 1..n with the same set of values, so once Permutation has
+    accepted the first in order, whose n values are distinct, each is."""
+    fi, sj = order
+    if fi:
+        try:
+            Permutation(prefix + _interleave(firsts[0][fi[0]], seconds[0][sj[0]]))
+        except NotAPermutationError as error:
+            raise RuntimeError(f"enumeration built a faulty block: {error}") from None
+
+
+def _interleave(first: tuple, second: tuple) -> tuple:
+    """first's values at the even offsets and second's at the odd ones,
+    then the rest of the longer."""
+    pairs = itertools.chain.from_iterable(zip(first, second))
+    return (*pairs, *first[len(second) :], *second[len(first) :])
 
 
 # An empty first and second, _keyed, and their one tail: the leaf that

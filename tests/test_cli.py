@@ -949,6 +949,66 @@ def test_enumerate_limit_1_checks_one_block(capsys, monkeypatch):
     assert len(sizes) == 1
 
 
+def _in_last(fault):
+    """fault made to the last entry of a completion list of more than one."""
+
+    def change(entries, key):
+        return [*entries[:-1], fault(entries[-1])] if len(entries) > 1 else entries
+
+    return change
+
+
+# Faults that a slip in the walk could make in a completion list, given the
+# list and its key, the values its half took above the block. The first
+# four break the list's own shape; the last keeps it, one set of ints in
+# 1..n, but gives every entry a value of the prefix, which only the
+# block's first solution shows.
+LIST_FAULTS = {
+    "repeat": (_in_last(lambda e: (e[0], e[0], *e[2:])), "completion list"),
+    "missing": (
+        _in_last(lambda e: tuple(v for v in e if v != min(e))),
+        "completion list",
+    ),
+    "float": (_in_last(lambda e: (float(e[0]), *e[1:])), "completion list"),
+    "bool": (
+        _in_last(lambda e: tuple(True if v == max(e) else v for v in e)),
+        "completion list",
+    ),
+    "prefix": (
+        lambda entries, key: [
+            tuple((key & -key).bit_length() if v == max(e) else v for v in e)
+            for e in entries
+        ],
+        "repeats an earlier entry",
+    ),
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("fault", sorted(LIST_FAULTS))
+def test_enumerate_reports_a_faulty_list_as_an_internal_error(
+    capsys, monkeypatch, fault, fmt
+):
+    # each list past the first block's two is faulty: the stream stops
+    # before the first block that takes one, and a broken walk is an
+    # internal error, not a bad input
+    argv = ("enumerate", "--n", "12", "--format", fmt)
+    true = run(capsys, *argv)[1].splitlines()
+    completions, (change, message) = count_module._completions, LIST_FAULTS[fault]
+    built = []
+
+    def faulty(rows, key):
+        built.append(completions(rows, key))
+        return change(built[-1], key) if len(built) > 2 else built[-1]
+
+    monkeypatch.setattr(count_module, "_completions", faulty)
+    code, out, err = run(capsys, *argv)
+    lines = out.splitlines()
+    assert code == EXIT_ERROR and err.startswith("primeperm: internal error:")
+    assert message in err and err.count("\n") == 1
+    assert lines and lines == true[: len(lines)]
+
+
 def test_enumerate_refuses_before_sieving(capsys, monkeypatch):
     # at n = 10^5 the rows alone would take 1.25 GB
     def no_work(*args):

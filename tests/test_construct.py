@@ -24,7 +24,7 @@ from primeperm import (
 )
 
 
-from primeperm.count import _keyed, _lines, _order
+from primeperm.count import _keyed, _lines, _order, _permutations, _proven
 
 from oracles import interleaved_product, is_prime_trial, next_prime_trial
 
@@ -191,7 +191,8 @@ def product_blocks(draw):
     out, as many as the seconds or one more, and the seconds the rest. One
     entry of either list may have a value replaced (by 0, n + 1, a bool, a
     float), made a float of equal value, dropped, added, or added again,
-    which keeps the entry's set of values."""
+    which keeps the entry's set of values. Last, the fault drawn, or
+    "none"."""
     n = draw(st.integers(0, 9))
     image = draw(st.permutations(range(1, n + 1)))
     cut = draw(st.integers(0, n))
@@ -204,7 +205,7 @@ def product_blocks(draw):
     fault = draw(st.sampled_from(("none", "replace", "float", "drop", "add", "again")))
     entries = lists[draw(st.integers(0, 1))]
     if fault == "none" or not entries:
-        return n, prefix, *lists
+        return n, prefix, *lists, "none"
     k = draw(st.integers(0, len(entries) - 1))
     entry = list(entries[k])
     at = draw(st.integers(0, max(len(entry) - 1, 0)))
@@ -217,7 +218,7 @@ def product_blocks(draw):
     else:
         entry[at] = draw(_entries(n)) if fault == "replace" else float(entry[at])
     entries[k] = tuple(entry)
-    return n, prefix, *lists
+    return n, prefix, *lists, fault
 
 
 def _built(perms, show=lambda perm: (perm.image, tuple(map(type, perm.image)))):
@@ -234,15 +235,30 @@ def _built(perms, show=lambda perm: (perm.image, tuple(map(type, perm.image)))):
 
 
 @given(product_blocks())
+@example((4, (1,), [(2, 4.0)], [(3,)], "float"))  # _keyed raises
+@example((4, (1,), [(2, 2)], [(3,)], "replace"))  # only _proven raises
 def test_block_matches_one_permutation_per_leaf(block):
-    # as Permutations, and as lines where there is a prefix, as in the walk
-    n, prefix, firsts, seconds = block
+    # a block passes _keyed and _proven only if each leaf is a permutation
+    # of 1..n in plain ints, and fails, with RuntimeError before any leaf,
+    # only on a fault that a leaf shows or in a list with no partner. A
+    # block that passes gives each leaf, as a Permutation and, where there
+    # is a prefix, as a line, as one Permutation per leaf would.
+    n, prefix, firsts, seconds, fault = block
     leaves = interleaved_product(prefix, firsts, seconds)
-    length = n - len(prefix)
-    keyed = _keyed(firsts, n, 0, length), _keyed(seconds, n, 1, length)
-    order = _order(*keyed)
     one_by_one = _built(map(Permutation, leaves))
-    assert _built(Permutation._block(prefix, *keyed, order)) == one_by_one
+    sound = not any(isinstance(built, str) for built in one_by_one) and all(
+        len(leaf) == n and set(map(type, leaf)) <= {int} for leaf in leaves
+    )
+    length = n - len(prefix)
+    try:
+        keyed = _keyed(firsts, n, 0, length), _keyed(seconds, n, 1, length)
+        order = _order(*keyed)
+        _proven(prefix, *keyed, order)
+    except RuntimeError:
+        assert fault != "none" and not (leaves and sound)
+        return
+    assert sound
+    assert _built(_permutations(prefix, *keyed, order)) == one_by_one
     if prefix:
         # called when the stream reaches the block, as enumerate_solutions does
         block = ("[%s]", prefix, *keyed, order)

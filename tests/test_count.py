@@ -13,8 +13,6 @@ from hypothesis import strategies as st
 import primeperm.count as count_module
 from primeperm import (
     MethodCapError,
-    NotAPermutationError,
-    Permutation,
     SieveRangeError,
     build_adjacency,
     build_sieve,
@@ -33,7 +31,6 @@ from primeperm.count import (
     STEP_BUDGET,
     _half_rows,
     _keyed,
-    _lines,
     _order,
     _pinned_rows,
     _steps,
@@ -459,17 +456,19 @@ def test_tail_keys_sort_as_the_interleaved_tails(case):
 )
 def test_keyed_refuses_what_its_keys_cannot_sort(entries):
     # firsts of a tail of length 3 at n = 4: keys and cells only for ints
-    # in 1..4 of one length and one set of values, two of them
+    # in 1..4 of one length and one set of values, two of them; anything
+    # else is a broken walk, and raises
+    if entries[0] != (3, 1):
+        with pytest.raises(RuntimeError, match="completion list"):
+            _keyed(entries, 4, 0, 3)
+        return
     entries, keys, cells = _keyed(entries, 4, 0, 3)
-    if entries[0] == (3, 1):
-        assert keys == [3 * 25 + 1, 1 * 25 + 3] and cells == [",3,%s,1", ",1,%s,3"]
-    else:
-        assert keys is None and cells is None
+    assert keys == [3 * 25 + 1, 1 * 25 + 3] and cells == [",3,%s,1", ",1,%s,3"]
 
 
 def test_enumerate_equals_the_unpruned_walk(sieve_small):
-    # the completion check only skips dead subtrees: the stream is the
-    # leaves of the same walk on the same pinned rows without it
+    # the matching's repairs only skip dead subtrees: the stream is the
+    # leaves of the same walk on the same pinned rows without a matching
     for n in range(1, 15):
         ours = [p.image for p in enumerate_solutions(n, sieve_small)]
         assert ours == list(_leaves(_walk(_pinned_rows(n, sieve_small)))), n
@@ -593,117 +592,75 @@ def test_enumerate_completion_lists_stay_within_room(sieve_small, monkeypatch):
         assert any(after < before for before, after in itertools.pairwise(held))
 
 
-def _streamed(solutions, line) -> tuple[list, str | None]:
-    """The solutions as images (or lines), up to the NotAPermutationError
-    that stopped them, and its message, if one did."""
-    out = []
-    try:
-        for solution in solutions:
-            out.append(solution if line else solution.image)
-    except NotAPermutationError as error:
-        return out, str(error)
-    return out, None
-
-
-def _one_by_one(blocks, line) -> tuple[list, str | None]:
-    """The leaves of blocks as _streamed would give them, had each been
-    built as a Permutation on its own."""
-    out = []
-    for leaf in _leaves(blocks):
-        try:
-            perm = Permutation(leaf)
-        except NotAPermutationError as error:
-            return out, str(error)
-        out.append(line % perm.to_text() if line else perm.image)
-    return out, None
-
-
 @pytest.mark.parametrize(
-    "fault, message",
+    "fault",
     [
         # the second value written over by the first: a repeat
-        (lambda entry: (entry[0], entry[0], *entry[2:]), "repeats an earlier entry"),
-        # the smallest value left out: the leaf is one short, and its
-        # largest entry is past its length
-        (lambda entry: tuple(v for v in entry if v != min(entry)), "is outside 1..11"),
+        lambda entry: (entry[0], entry[0], *entry[2:]),
+        # the smallest value left out: the entry is one short
+        lambda entry: tuple(v for v in entry if v != min(entry)),
         # the first value as a float of equal value
-        (lambda entry: (float(entry[0]), *entry[1:]), "is not an int"),
-        # the largest value, never 1, as True, which equals 1: a repeat
-        (lambda entry: tuple(True if v == max(entry) else v for v in entry), "repeats"),
+        lambda entry: (float(entry[0]), *entry[1:]),
+        # the largest value, never 1, as True, which equals 1
+        lambda entry: tuple(True if v == max(entry) else v for v in entry),
     ],
     ids=["repeat", "missing", "float", "bool"],
 )
-def test_enumerate_checks_every_tail_of_a_block(
-    sieve_small, monkeypatch, fault, message
-):
-    # a faulty last entry in each completion list, or only in the first of
-    # more than one entry, as a slip in the walk would make one, raises as
-    # it would had each leaf been built on its own: at the first faulty
-    # leaf, after every leaf before it, as Permutations and as lines. So
-    # does each later block with a faulty list, also one that reuses the
-    # list the stream stopped at with sound partners: the list's failed
-    # verdict is kept, not taken as checked.
-    for line, every in itertools.product((None, "%s"), (True, False)):
+def test_enumerate_checks_every_tail_of_a_block(sieve_small, monkeypatch, fault):
+    # a faulty last entry in each completion list of more than one entry
+    # past the first block's two, as a slip in the walk would make one,
+    # raises RuntimeError before any solution of the first block that takes
+    # such a list, as Permutations and as lines: the stream up to there is
+    # the true one, block by block
+    for line in (None, "%s"):
         with monkeypatch.context() as patch:
-            _check_every_tail(sieve_small, patch, fault, message, line, every)
+            _check_every_tail(sieve_small, patch, fault, line)
 
 
-def _check_every_tail(sieve_small, monkeypatch, fault, message, line, every):
+def _check_every_tail(sieve_small, monkeypatch, fault, line):
+    true = list(enumerate_solutions(12, sieve_small, line=line))
     completions, walk = count_module._completions, count_module._walk
-    walks, blocks, faulted = [], [], []
+    blocks, built, faulted = [], [], []
 
     def faulty(rows, key):
         found = completions(rows, key)
-        if len(found) > 1 and (every or not faulted):
+        built.append(found)
+        if len(built) > 2 and len(found) > 1:
             found[-1] = fault(found[-1])
             faulted.append(found)
         return found
 
     def recorded(rows, match):
-        walks.append(walk(rows, match))
-        for block in walks[-1]:
+        for block in walk(rows, match):
             blocks.append(block)
             yield block
 
     monkeypatch.setattr(count_module, "_completions", faulty)
     monkeypatch.setattr(count_module, "_walk", recorded)
-    got, error = _streamed(enumerate_solutions(12, sieve_small, line=line), line)
-    assert (got, error) == _one_by_one(blocks, line) and got
-    assert re.search(re.escape(message), error)
-    later = [
-        block
-        for block in walks[0]
-        if any(kept[0] is entries for kept in block[1:3] for entries in faulted)
-    ]
-    assert later
-    for block in later:
-        if line is None:
-            solutions = Permutation._block(*block)
-        else:
-            solutions = itertools.chain.from_iterable([_lines(line, *block)])
-        got, error = _streamed(solutions, line)
-        assert (got, error) == _one_by_one([block], line) and error
+    got = []
+    with pytest.raises(RuntimeError, match="completion list"):
+        got.extend(enumerate_solutions(12, sieve_small, line=line))
+    assert faulted and got and got == true[: len(got)]
+    assert len(got) == sum(len(order[0]) for *_, order in blocks)
+    lists = [kept[0] for block in blocks for kept in block[1:3]]
+    assert not any(entries is kept for entries in faulted for kept in lists)
 
 
 @pytest.mark.parametrize("line", ["%%s <%s> 100%%", "%%%s%%%%", "%%%%s\0%s\1%%s"])
-def test_enumerate_lines_resolve_percent_escapes(sieve_small, monkeypatch, line):
+def test_enumerate_lines_resolve_percent_escapes(sieve_small, line):
     # a block's lines go through more than one % pass, but line's own %%
-    # escapes are resolved once: on the proven path, and on the one that
-    # builds each solution as a Permutation
+    # escapes are resolved once
     for n in range(13):
         expected = [line % p.to_text() for p in enumerate_solutions(n, sieve_small)]
         assert list(enumerate_solutions(n, sieve_small, line=line)) == expected
-        with monkeypatch.context() as patch:
-            patch.setattr(count_module, "_proven", lambda *block: False)
-            assert list(enumerate_solutions(n, sieve_small, line=line)) == expected
 
 
-def test_naive_count_walks_without_the_completion_check(sieve_small, monkeypatch):
+def test_naive_count_walks_without_the_matching_repair(sieve_small, monkeypatch):
     # naive is the full-matrix oracle of the parity split, so it must not
     # lean on the matching's repairs, which check that a prefix completes on
     # that split, nor on the tail product
-    def no_check(*args):
-        raise AssertionError("naive counting used the completion check")
+    def no_repair(*args):
+        raise AssertionError("naive counting used the matching repair")
 
     def no_tail(*args):
         raise AssertionError("naive counting used the tail product")
@@ -711,9 +668,9 @@ def test_naive_count_walks_without_the_completion_check(sieve_small, monkeypatch
     monkeypatch.setattr(count_module, "_completions", no_tail)
     with pytest.raises(AssertionError, match="tail product"):
         next(enumerate_solutions(10, sieve_small))
-    monkeypatch.setattr(count_module, "_repair", no_check)
+    monkeypatch.setattr(count_module, "_repair", no_repair)
     assert [count_solutions_naive(n, sieve_small) for n in range(1, 11)] == KNOWN_COUNTS
-    with pytest.raises(AssertionError, match="completion check"):
+    with pytest.raises(AssertionError, match="matching repair"):
         next(enumerate_solutions(10, sieve_small))
 
 
