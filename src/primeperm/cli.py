@@ -390,9 +390,7 @@ def _checked_image(image: tuple[int, ...]) -> tuple[Permutation, list[bool]]:
                 seen[v] = 1
     if seen.count(1) != n:
         return Permutation(image), runs
-    perm = object.__new__(Permutation)
-    object.__setattr__(perm, "image", image)
-    return perm, runs
+    return Permutation._unchecked(image), runs
 
 
 def _checked_slices(

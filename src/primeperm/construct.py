@@ -112,6 +112,13 @@ class Permutation(_Frozen):
                 return
         raise NotAPermutationError(_first_fault(self.image))
 
+    @classmethod
+    def _unchecked(cls, image: tuple[int, ...]) -> "Permutation":
+        """image, a tuple its caller has proven a bijection, unchecked."""
+        perm = object.__new__(cls)
+        object.__setattr__(perm, "image", image)
+        return perm
+
     @property
     def n(self) -> int:
         return len(self.image)
@@ -257,10 +264,8 @@ def construct_prime_sum_permutation(n: int, sieve: PrimeSieve) -> Permutation:
         end = b.hi
     if end != n:
         raise RuntimeError(f"blocks end at {end}: they do not tile 1..{n}")
-    perm = object.__new__(Permutation)
     image = chain.from_iterable(range(b.hi, b.lo - 1, -1) for b in blocks)
-    object.__setattr__(perm, "image", tuple(image))
-    return perm
+    return Permutation._unchecked(tuple(image))
 
 
 def is_valid_solution(perm: Permutation | Sequence[int], sieve: PrimeSieve) -> bool:

@@ -265,11 +265,11 @@ def enumerate_solutions(
     solution of the block a bijection, or raises RuntimeError before the
     block; each is then stored as a Permutation without a second check,
     or, with a line, written as one %-format (see _lines). The n rows of
-    n bits and the walk's two masks per depth take up to 3 n ceil(n / 8)
-    bytes, whatever the limit: over DEFAULT_LIMIT_CAP (n > 18917) it
-    raises MethodCapError before any work. The matching takes a few lists
-    of n ints, and the completion lists at most _LIST_ROOM units. Without
-    a sieve, one to 2n is built after that check.
+    n bits take up to n ceil(n / 8) bytes, whatever the limit: over
+    DEFAULT_LIMIT_CAP (n > 32768) it raises MethodCapError before any
+    work. The walk and the matching take a few lists of n ints and one
+    mask, and the completion lists at most _LIST_ROOM units. Without a
+    sieve, one to 2n is built after that check.
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
@@ -285,11 +285,11 @@ def enumerate_solutions(
         a, b = line % "\0", line % "\1"
         cut = len(commonprefix((a, b)))
         line = "%s".join(text.replace("%", "%%%%") for text in (a[:cut], a[cut + 1 :]))
-    estimate = 3 * n * -(-n // 8)  # n rows and 2 n masks of n bits
+    estimate = n * -(-n // 8)  # n rows of n bits
     if estimate > DEFAULT_LIMIT_CAP:
         raise MethodCapError(
-            f"enumeration at n = {n} is estimated at {estimate} bytes of rows "
-            f"and masks, over the cap of {DEFAULT_LIMIT_CAP} bytes"
+            f"enumeration at n = {n} is estimated at {estimate} bytes of rows, "
+            f"over the cap of {DEFAULT_LIMIT_CAP} bytes"
         )
     if sieve is None:
         sieve = build_sieve(2 * n)
@@ -308,14 +308,11 @@ def _permutations(
     Permutation without a second check, from a list per first whose
     second's slots each solution writes over."""
     (entries, *_), (others, *_), (fi, sj) = firsts, seconds, order
-    new, store = object.__new__, object.__setattr__
     images = [[*prefix, *_interleave(entry, others[0])] for entry in entries if fi]
     start = len(prefix) + 1
     for image, j in zip(map(images.__getitem__, fi), sj):
         image[start::2] = others[j]
-        perm = new(Permutation)
-        store(perm, "image", tuple(image))
-        yield perm
+        yield Permutation._unchecked(tuple(image))
 
 
 def _lines(
@@ -333,20 +330,23 @@ def _lines(
     return map(str.__mod__, *cells)
 
 
-def _pinned_rows(n: int, sieve: PrimeSieve) -> tuple[int, ...]:
+def _pinned_rows(n: int, sieve: PrimeSieve) -> list[int]:
     """The adjacency rows with the image of 1 pinned by parity (see
     _half_rows): 1 -> 1 is forced for odd n, so no other position may take
     1, and impossible for even n. Odd positions then take only even values
-    and even positions only odd ones, except 1 -> 1."""
-    rows = build_adjacency(n, sieve).rows
-    if n % 2:
-        return (1, *(row & ~1 for row in rows[1:]))
-    return (rows[0] & ~1, *rows[1:])
+    and even positions only odd ones, except 1 -> 1. Pinned in place, so
+    the rows are never held twice."""
+    rows = list(build_adjacency(n, sieve).rows)
+    rows[0] = 1 if n % 2 else rows[0] & ~1
+    for i in range(1, n if n % 2 else 1):  # at odd n no other row keeps 1
+        rows[i] &= ~1
+    return rows
 
 
 def _walk(rows: Sequence[int], match: list | None = None) -> Iterator[tuple]:
-    """Lowest-bit-first backtracking over bitset rows, with one slot per
-    depth in two lists, so its depth is not bound by the recursion limit.
+    """Lowest-bit-first backtracking over bitset rows, on a list of each
+    depth's value and one mask of the values the depths above take, so
+    its depth is not bound by the recursion limit.
     It yields the leaves in blocks (prefix, firsts, seconds, order), firsts
     and seconds as _keyed lists: each leaf's image is the prefix followed
     by a first and a second interleaved, the first's values at the even
@@ -374,10 +374,8 @@ def _walk(rows: Sequence[int], match: list | None = None) -> Iterator[tuple]:
     leaf, (image, *_LEAF).
     """
     n = len(rows)
-    image = [0] * n
-    untried = [0] * n  # candidate bits at each depth not yet tried
-    used = [0] * n  # images taken by the depths above each depth
-    untried[0] = rows[0]
+    image = [0] * n  # the value each depth holds, 0 before its first
+    taken = 0  # the values of the depths above pos
     cut = n
     if match is not None:
         owner = [0] * (n + 1)  # the depth that takes each value in match
@@ -393,25 +391,24 @@ def _walk(rows: Sequence[int], match: list | None = None) -> Iterator[tuple]:
         held = 0  # units in lists
     pos = 0
     while True:
-        avail = untried[pos]
+        avail = rows[pos] & ~taken & -1 << image[pos]  # free, above its value
         if not avail:
             if not pos:
                 return
             pos -= 1
+            taken ^= 1 << image[pos] - 1
             continue
         # lowest set bit first keeps the stream lexicographic
         bit = avail & -avail
-        untried[pos] = avail ^ bit
         image[pos] = bit.bit_length()
         if match is not None and match[pos] != image[pos]:
-            if not _repair(rows, match, owner, pos, image[pos], used[pos]):
+            if not _repair(rows, match, owner, pos, image[pos], taken):
                 continue
-        below = used[pos] | bit
         if pos + 1 == cut:
             if match is None:
                 yield tuple(image), *_LEAF
                 continue
-            pair = (below & values[cut & 1], below & values[~cut & 1])
+            pair = ((taken | bit) & values[cut & 1], (taken | bit) & values[~cut & 1])
             block = []
             for key in (*pair, pair):
                 found = lists.get(key)
@@ -434,9 +431,9 @@ def _walk(rows: Sequence[int], match: list | None = None) -> Iterator[tuple]:
             _proven(prefix, *block)
             yield prefix, *block
             continue
+        taken |= bit
         pos += 1
-        used[pos] = below
-        untried[pos] = rows[pos] & ~below
+        image[pos] = 0
 
 
 def _repair(

@@ -42,16 +42,29 @@ def count_by_full_iteration(n: int) -> int:
 
 def solutions_by_backtracking(n: int) -> list[tuple[int, ...]]:
     """All solutions in lexicographic order, via list/set backtracking."""
-    allowed = {
-        i: [j for j in range(1, n + 1) if is_prime_trial(i + j)]
-        for i in range(1, n + 1)
-    }
+    return _backtrack(
+        [[j for j in range(1, n + 1) if is_prime_trial(i + j)] for i in range(1, n + 1)]
+    )
+
+
+def leaves_by_backtracking(rows: list[int]) -> list[tuple[int, ...]]:
+    """Every way for each bitset row d to take a distinct value v with bit
+    v - 1 of rows[d] set, in lexicographic order, via list/set
+    backtracking: the leaves of the enumerator's walk over rows."""
+    n = len(rows)
+    return _backtrack([[v for v in range(1, n + 1) if row >> (v - 1) & 1] for row in rows])
+
+
+def _backtrack(allowed: list[list[int]]) -> list[tuple[int, ...]]:
+    """Every way for each position to take a distinct value from its
+    sorted list in allowed, in lexicographic order. Recursive: keep the
+    lists few."""
     found: list[tuple[int, ...]] = []
     used: set[int] = set()
     image: list[int] = []
 
     def go(i: int) -> None:
-        if i > n:
+        if i == len(allowed):
             found.append(tuple(image))
             return
         for j in allowed[i]:
@@ -62,7 +75,7 @@ def solutions_by_backtracking(n: int) -> list[tuple[int, ...]]:
                 used.discard(j)
                 image.pop()
 
-    go(1)
+    go(0)
     return found
 
 

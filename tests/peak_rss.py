@@ -20,7 +20,8 @@ print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
 
 def run_cli(argv, stdin: str | None = None) -> tuple[int, str, float]:
     """Run `python -m primeperm.cli *argv` with stdin; its exit code, its
-    stdout and its peak RSS in MB."""
+    stdout and its peak RSS in MB. A run past 120 s raises
+    subprocess.TimeoutExpired, so a slow command fails its test."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     out = subprocess.run(
         [sys.executable, "-c", _SPAWNER, "-m", "primeperm.cli", *argv],
@@ -29,6 +30,7 @@ def run_cli(argv, stdin: str | None = None) -> tuple[int, str, float]:
         capture_output=True,
         text=True,
         check=True,
+        timeout=120,
     ).stdout
     stdout, _, last = out[:-1].rpartition("\n")
     code, rss_kb = map(int, last.split())

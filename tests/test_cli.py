@@ -1020,8 +1020,8 @@ def test_enumerate_refuses_before_sieving(capsys, monkeypatch):
     assert run(capsys, "enumerate", "--n", "100000", "--limit", "1") == (
         EXIT_CAP,
         "",
-        "primeperm: enumeration at n = 100000 is estimated at 3750000000 bytes "
-        "of rows and masks, over the cap of 134217728 bytes\n",
+        "primeperm: enumeration at n = 100000 is estimated at 1250000000 bytes "
+        "of rows, over the cap of 134217728 bytes\n",
     )
 
 
@@ -1057,11 +1057,20 @@ def test_enumerate_first_line_skips_dead_subtrees(n):
 
 
 def test_enumerate_first_line_peak_rss():
-    # the matching and the walk's masks, not a memo of n-bit half states:
-    # 139 MB with that memo
+    # the rows, the matching and the walk's one mask, not a memo of n-bit
+    # half states: 139 MB with that memo
     code, out, rss_mb = run_cli(["enumerate", "--n", "6446", "--limit", "1"])
     assert (code, len(out.splitlines())) == (EXIT_OK, 1)
     assert rss_mb < 48, rss_mb
+
+
+def test_enumerate_holds_one_copy_of_its_rows():
+    # 18917 rows of 18917 bits take 45 MB: 64 MB as a process, and 135.5 MB
+    # with two masks per depth of the walk and a second, pinned copy of the
+    # rows
+    code, out, rss_mb = run_cli(["enumerate", "--n", "18917", "--limit", "1"])
+    assert (code, len(out.splitlines())) == (EXIT_OK, 1)
+    assert rss_mb < 90, rss_mb
 
 
 def test_enumerate_line_count_matches_count(capsys):

@@ -43,6 +43,7 @@ from oracles import (
     count_by_layered_dp,
     interleaved_product,
     is_prime_trial,
+    leaves_by_backtracking,
     perfect_matching,
     solutions_by_backtracking,
 )
@@ -399,6 +400,19 @@ def test_pinned_rows_split_by_parity(sieve_small):
         assert reduce(or_, rows[0::2], 0) & reduce(or_, rows[1::2], 0) == 0, n
 
 
+def test_pinned_rows_are_the_adjacency_rows_pinned(sieve_small):
+    # exactly the adjacency rows but for bit 0, the value 1: at odd n row 1
+    # is 1 alone and no other row keeps 1, and at even n row 1 loses it. A
+    # row 1 that kept its other values at odd n would let depth 0 try each.
+    for n in range(1, 301):
+        rows = list(build_adjacency(n, sieve_small).rows)
+        if n % 2:
+            expected = [1, *(row & ~1 for row in rows[1:])]
+        else:
+            expected = [rows[0] & ~1, *rows[1:]]
+        assert _pinned_rows(n, sieve_small) == expected, n
+
+
 def _leaves(blocks):
     """The leaf images of _walk's blocks (prefix, firsts, seconds, order),
     in order, by the oracle's own product and sort of their entries, once
@@ -521,10 +535,12 @@ def _split_rows(draw):
 def test_walk_with_a_matching_is_the_unpruned_walk(case):
     # the matching, its repairs and the tail product change no leaf, also
     # where the cut is at depth 1 and the odd half's key is empty there;
-    # rows with no perfect matching have no leaf
+    # rows with no perfect matching have no leaf. The unpruned walk is
+    # itself checked against the oracle's own backtracking.
     rows, tail_rows = case
     match = perfect_matching(rows)
     unpruned = list(_leaves(_walk(rows)))
+    assert unpruned == leaves_by_backtracking(rows)
     if match is None:
         assert unpruned == []
         return
@@ -714,25 +730,25 @@ def test_enumerate_preconditions(sieve_small):
 
 
 def test_enumerate_refuses_rows_over_the_cap(monkeypatch):
-    # 3 n ceil(n / 8) bytes of rows and masks: 134216115 at n = 18917, under
-    # the cap of 2^27 = 134217728, and 134223210 at 18918
+    # n ceil(n / 8) bytes of rows: 2^15 * 2^12 = 2^27 at n = 32768, the
+    # cap, and 134254593 at 32769
     def no_work(*args):
         raise AssertionError("enumeration work started before the memory check")
 
     monkeypatch.setattr(count_module, "build_adjacency", no_work)
     monkeypatch.setattr(count_module, "build_sieve", no_work)
-    for n, estimate in ((18918, 134223210), (10**5, 3750000000), (2**26, 3 * 2**49)):
+    for n, estimate in ((32769, 134254593), (10**5, 1250000000), (2**26, 2**49)):
         message = f"at n = {n} is estimated at {estimate} bytes .* cap of {DEFAULT_LIMIT_CAP}"
         for limit in (None, 1):
             with pytest.raises(MethodCapError, match=message):
                 enumerate_solutions(n, limit=limit)
     with pytest.raises(AssertionError, match="work started"):  # admitted
-        enumerate_solutions(18917, limit=1)
+        enumerate_solutions(32768, limit=1)
 
 
 def _readme_enumerate_peak():
-    """(n, MB) from the README's "`enumerate --n 18917 --limit 1` takes
-    0.48 s and peaks at 136 MB"."""
+    """(n, MB) from the README's "`enumerate --n 32768 --limit 1` takes
+    1.8 s and peaks at 158 MB"."""
     found = re.search(
         r"`enumerate --n (\d+) --limit 1` takes [\d.]+ s and peaks at\s+([\d.]+) MB",
         (ROOT / "README.md").read_text(),
