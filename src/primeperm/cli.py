@@ -288,33 +288,101 @@ def _template(sep: str, step: int) -> str:
     return "".join(map(f"{sep}@%03d".__mod__, range(1000)[::step]))
 
 
-def _parse_image(text: str | None) -> tuple[int, ...]:
-    """The entries in text, or in stdin if text is None, as plain ints not
-    yet checked to be a permutation. JSON text gets no stripped copy unless
-    parsing needs one, and is let go once decoded; the decoded list is let
-    go on return."""
+def _parse_image(text: str | None) -> list[Sequence[int]]:
+    """The entries in text, or in stdin if text is None, in slices of
+    BLOCK_LINES entries not yet checked to be a permutation: a run slice,
+    whose images count down by one, as a range, any other as a tuple of
+    plain ints. Canonical text is read slice by slice (_canonical_slices).
+    Any other text is decoded whole, as from_text or from_json decode it,
+    the one path that words parse errors, and _is_run decides its slices.
+    JSON text gets no stripped copy unless decoding needs one, and is let
+    go once decoded; the decoded list is let go before slicing."""
     import json  # here, not at the top: only verify reads JSON
 
     try:
         if text is None:
             text = _read_stdin()  # a strict decoder's error is a ValueError
-        if not text.startswith("{", re.match(r"\s*", text).end()):
-            return Permutation._text_values(text)  # which strips it
-        try:
-            obj = json.loads(text)
-        except (json.JSONDecodeError, RecursionError):  # or nested too deep
-            # json.loads skips only " \t\n\r", str.strip every Unicode
-            # space; the stripped text also sets the offsets the message gives
+        csv = not text.startswith("{", re.match(r"\s*", text).end())
+        slices = _canonical_slices(text.strip() if csv else text, csv)
+        if slices is not None:
+            return slices
+        if csv:
+            image = Permutation._text_values(text)  # which strips it
+        else:
             try:
-                obj = json.loads(text.strip())
-            except (json.JSONDecodeError, RecursionError) as exc:
-                raise _UsageError(f"invalid JSON permutation: {exc}") from None
-        del text  # before the decoded list is copied into a tuple
-        return Permutation._json_values(obj)
+                obj = json.loads(text)
+            except (json.JSONDecodeError, RecursionError):  # or nested too deep
+                # json.loads skips only " \t\n\r", str.strip every Unicode space;
+                # the stripped text also sets the offsets the message gives
+                try:
+                    obj = json.loads(text.strip())
+                except (json.JSONDecodeError, RecursionError) as exc:
+                    raise _UsageError(f"invalid JSON permutation: {exc}") from None
+            del text  # before the decoded list is copied into a tuple
+            image = Permutation._json_values(obj)
+            del obj
     except NotAPermutationError:
         raise
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
+    return [
+        range(vs[0], vs[0] - len(vs), -1) if _is_run(vs) else vs
+        for vs in _slices(image)
+    ]
+
+
+def _canonical_slices(text: str, csv: bool) -> list[Sequence[int]] | None:
+    """_parse_image's slices of canonical text, or None. Canonical text is
+    a BODY of comma-separated entries, or a JSON document that is exactly
+    {"n":N,"image":[BODY]} plus JSON whitespace, with N the number of
+    entries in plain decimal. A slice is a run, a range, when its text is
+    construct's run text from its first entry (_run), followed by a comma
+    or, for the last slice, by BODY's end: one str.startswith. Any other
+    slice is cut by one split from a window as long as size entries of
+    len(str(n)) digits, and kept as a tuple when one json.loads of it, as
+    from_text would decode it, gives size values whose type is int."""
+    import json
+
+    start, end = 0, len(text)
+    if not csv:
+        head, end = re.match(r'\{"n":([0-9]+),"image":\[', text), text.rfind("]}")
+        if not head or end < head.end() or text[end + 2 :].strip(" \t\n\r"):
+            return None
+        start = head.end()
+    n = text.count(",", start, end) + 1 if start < end else 0
+    if not csv and head[1] != str(n):  # compared as text: no int() of a long N
+        return None
+    decimal, digits, slices, pos = re.compile("[1-9][0-9]*"), len(str(n)), [], start
+    for lo in range(0, n, BLOCK_LINES):
+        size, last = min(BLOCK_LINES, n - lo), n - lo <= BLOCK_LINES
+        entry = decimal.match(text, pos, pos + digits)
+        top = int(entry[0]) if entry else 0
+        # a run's second entry is its first minus one
+        if top >= size and (size == 1 or text.startswith(f"{top},{top - 1}", pos)):
+            run = "".join(_run(top, size, -1, 0, ","))
+            after = pos + len(run)
+            follows = after == end if last else text.startswith(",", after, end)
+            if follows and text.startswith(run, pos):
+                slices.append(range(top, top - size, -1))
+                pos = after + 1
+                continue
+        window = text[pos : min(pos + size * (digits + 1), end)]
+        if last:
+            cut = len(window) if pos + len(window) == end else -1
+        else:
+            parts = window.split(",", size)
+            cut = len(window) - len(parts[-1]) - 1 if len(parts) > size else -1
+        if cut < 0:
+            return None
+        try:
+            values = json.loads(f"[{window[:cut]}]")
+        except (ValueError, RecursionError):  # the int-string digit limit too
+            return None
+        if len(values) != size or not set(map(type, values)) <= {int}:
+            return None
+        slices.append(tuple(values))
+        pos += cut + 1
+    return slices
 
 
 def _read_stdin() -> str:
@@ -347,11 +415,12 @@ def _read_stdin() -> str:
 
 
 def _cmd_verify(args) -> int:
-    perm, runs = _checked_image(_parse_image(args.perm))
+    slices = _parse_image(args.perm)
+    n = _checked_image(slices)
     composite_at: list[int] = []
-    checked = _checked_slices(perm, _sieve_for(perm.n), composite_at, runs)
+    checked = _checked_slices(n, slices, _sieve_for(n), composite_at)
     if args.format == "json":
-        _write(_verify_json(perm, checked, composite_at, runs))
+        _write(_verify_json(n, slices, checked, composite_at))
     else:
         lines = chain.from_iterable(starmap(_verify_lines, checked))
         # the verdict line is made once every slice is checked
@@ -370,42 +439,39 @@ def _is_run(vs: tuple[int, ...]) -> bool:
     return vs[-1] == vs[0] - len(vs) + 1 and vs == tuple(range(vs[0], vs[-1] - 1, -1))
 
 
-def _checked_image(image: tuple[int, ...]) -> tuple[Permutation, list[bool]]:
-    """image as a Permutation, and whether each slice of BLOCK_LINES entries
-    is a run (_is_run), from one pass over the slices. The entries are plain
-    ints. A run slice inside 1..n holds exactly the interval [vs[-1], vs[0]]
-    and marks it with one slice assignment; any other slice inside 1..n
-    marks its entries one by one, and a slice that leaves 1..n marks none.
-    n marked slots are a bijection, stored without Permutation's loop;
-    else Permutation(image) raises, with its message."""
-    n, runs = len(image), []
+def _checked_image(slices: list[Sequence[int]]) -> int:
+    """n, the number of entries in slices, once they are proven a
+    permutation of 1..n in one pass over the slices. A run slice, a range,
+    inside 1..n holds exactly the interval [vs[-1], vs[0]] and marks it
+    with one slice assignment; a tuple inside 1..n marks its entries one
+    by one, and a slice that leaves 1..n marks none. n marked slots are a
+    bijection; else Permutation raises on the entries, with its message."""
+    n = sum(map(len, slices))
     seen = bytearray(n + 1)
-    for vs in _slices(image):
-        runs.append(_is_run(vs))
-        if runs[-1]:
+    for vs in slices:
+        if type(vs) is range:
             if 0 < vs[-1] and vs[0] <= n:
                 seen[vs[-1] : vs[0] + 1] = b"\x01" * len(vs)
         elif 0 < min(vs) and max(vs) <= n:
             for v in vs:
                 seen[v] = 1
     if seen.count(1) != n:
-        return Permutation(image), runs
-    return Permutation._unchecked(image), runs
+        Permutation(tuple(chain.from_iterable(slices)))
+    return n
 
 
 def _checked_slices(
-    perm: Permutation, sieve: PrimeSieve, composite_at: list[int], runs: list[bool]
+    n: int, slices: list[Sequence[int]], sieve: PrimeSieve, composite_at: list[int]
 ) -> Iterator[tuple[range, Sequence[int], list[int], bytes]]:
     """Per slice of BLOCK_LINES positions: the positions, their images, the
-    sums and the sums' prime flags, from one prime_flags call. A slice
-    whose totals are all equal (_is_run), as every slice of a witness but
-    the one that holds a block edge is, has one sum and one flag, and its
-    positions are all composite or none. Appends the slice's composite
-    positions to composite_at before it is yielded. runs[i] tells whether
-    the slice at index i is a run."""
-    for lo, vs, run in zip(range(0, perm.n, BLOCK_LINES), _slices(perm.image), runs):
+    sums and the sums' prime flags, from one prime_flags call. A run slice,
+    a range, as every slice of a witness but the one that holds a block
+    edge is, has one sum and one flag, and its positions are all composite
+    or none. Appends the slice's composite positions to composite_at
+    before it is yielded."""
+    for lo, vs in zip(range(0, n, BLOCK_LINES), slices):
         ks = range(lo + 1, lo + len(vs) + 1)
-        sums = [lo + 1 + vs[0]] if run else list(map(add, ks, vs))
+        sums = [lo + 1 + vs[0]] if type(vs) is range else list(map(add, ks, vs))
         flags = sieve.prime_flags(sums)
         if 0 in flags:  # a run slice has one flag for all its positions
             composite_at.extend(compress(ks, map(not_, flags)) if flags[1:] else ks)
@@ -442,15 +508,15 @@ def _verify_lines(
     return text.decode().splitlines()
 
 
-def _verify_json(perm, checked, composite_at, runs) -> Iterator[str]:
+def _verify_json(n, slices, checked, composite_at) -> Iterator[str]:
     """The bytes of one compact json.dumps of the members n, image, sums,
     composite_positions and valid, plus a newline, one slice at a time. A
-    slice that runs marks as a run is written as construct writes a run,
-    and its sums as one total repeated."""
-    yield f'{{"n":{perm.n},"image":['
+    run slice, a range, is written as construct writes a run, and its sums
+    as one total repeated."""
+    yield f'{{"n":{n},"image":['
     yield from _csv(
-        "".join(_run(vs[0], len(vs), -1, 0, ",")) if run else _ints(vs)
-        for vs, run in zip(_slices(perm.image), runs)
+        "".join(_run(vs[0], len(vs), -1, 0, ",")) if type(vs) is range else _ints(vs)
+        for vs in slices
     )
     yield '],"sums":['
     yield from _csv(

@@ -459,6 +459,88 @@ def test_verify_reversed_blocks(image):
     assert _verify_quietly(image, "json") == (code, _verify_json_by_dumps(image))
 
 
+# Faults in one entry's token: each gives the token's replacement
+_TOKEN_FAULTS = {
+    "leading zero": lambda t: "0" + t,
+    "plus": lambda t: "+" + t,
+    "underscore": lambda t: t[:1] + "_" + (t[1:] or "0"),
+    "arabic-indic digits": lambda t: "".join(chr(0x660 + int(d)) for d in t),
+    "point": lambda t: t + ".0",
+    "exponent": lambda t: t + "e0",
+    "minus": lambda t: "-" + t,
+    "minus zero": lambda t: "-0",
+    "empty": lambda t: "",
+    "newline": lambda t: t + "\n",
+    "space": lambda t: t[:1] + " " + t[1:],
+    "5000 digits": lambda t: "1" * 5000,
+}
+# Whole inputs around a body of comma-separated entries, n of them
+_FORMS = {
+    "csv": "{body}",
+    "leading comma": ",{body}",
+    "trailing comma": "{body},",
+    "json": '{{"n":{n},"image":[{body}]}}\n',
+    "json n one too large": '{{"n":{n1},"image":[{body}]}}',
+    "json n with a leading zero": '{{"n":0{n},"image":[{body}]}}',
+    "json n true": '{{"n":true,"image":[{body}]}}',
+    "json space before a colon": '{{"n" :{n},"image":[{body}]}}',
+    "json keys reordered": '{{"image":[{body}],"n":{n}}}',
+    "json extra key": '{{"n":{n},"image":[{body}],"m":1}}',
+    "json trailing junk": '{{"n":{n},"image":[{body}]}} x',
+    "json 5000-digit n": '{{"n":' + "1" * 5000 + ',"image":[{body}]}}',
+}
+
+
+def _verified(text, stdin, fmt):
+    argv = ["verify", "--format", fmt] + ([] if stdin else ["--perm=" + text])
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(sys, "stdin", io.StringIO(text)):
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize(
+    "fault, form",
+    [(None, form) for form in _FORMS]
+    + [(fault, form) for fault in _TOKEN_FAULTS for form in ("csv", "json")],
+)
+@settings(deadline=None, max_examples=4)
+@given(
+    image=_reversed_blocks(),
+    # the faulty entry's index, or past the last one for the last entry
+    at=st.one_of(
+        st.sampled_from([BLOCK_LINES * b + e for b in (1, 2, 3) for e in (-1, 0, 1)]),
+        st.integers(0, 3 * BLOCK_LINES),
+    ),
+    stdin=st.booleans(),
+)
+# n at the edges of the empty input and of one slice
+@example(image=[], at=0, stdin=True)
+@example(image=[1], at=0, stdin=False)
+@example(image=[2, 1], at=1, stdin=True)
+@example(image=_tiled(BLOCK_LINES - 1, [1]), at=BLOCK_LINES, stdin=False)
+@example(image=_tiled(BLOCK_LINES, [1]), at=BLOCK_LINES, stdin=True)
+@example(image=_tiled(BLOCK_LINES + 1, [1]), at=BLOCK_LINES, stdin=False)
+def test_verify_reads_canonical_text_as_the_decode_path(fault, form, image, at, stdin):
+    # canonical input is read slice by slice from its text; whatever else
+    # the input holds, verify gives the exit code, stdout and stderr that
+    # decoding it whole gives, through --perm and through stdin
+    tokens, n = list(map(str, image)), len(image)
+    if fault is not None and tokens:
+        tokens[min(at, n - 1)] = _TOKEN_FAULTS[fault](tokens[min(at, n - 1)])
+    text = _FORMS[form].format(n=n, n1=n + 1, body=",".join(tokens))
+    if fault is None and form in ("csv", "json"):
+        csv = form == "csv"
+        assert cli._canonical_slices(text.strip() if csv else text, csv) is not None
+    for fmt in ("text", "json"):
+        fast = _verified(text, stdin, fmt)
+        with mock.patch.object(cli, "_canonical_slices", return_value=None):
+            assert fast == _verified(text, stdin, fmt), (fault, form, fmt)
+        if fault == "5000 digits" and tokens or form == "json 5000-digit n":
+            assert fast[:2] == (EXIT_USAGE, ""), fast[2]
+
+
 def test_verify_looks_up_one_total_per_run_slice(monkeypatch):
     # of the 49 slices of the n = 2 * 10^5 witness, the first holds the
     # block edge [1, 2] and the other 48 are runs: one lookup each. No
@@ -486,25 +568,44 @@ def test_verify_looks_up_one_total_per_run_slice(monkeypatch):
 
 
 def test_verify_decides_each_slice_once(monkeypatch):
-    # verify decides whether a slice is a run as it checks the bijection,
-    # before any output, and text lines, JSON images and sums read that
-    # verdict back: 49 slices at n = 2 * 10^5, 49 calls
+    # verify decides whether a slice is a run once, before any output, and
+    # text lines, JSON images and sums read that verdict back from the
+    # slice's type. Canonical input is decided by its text, slice by slice,
+    # with no _is_run call and no json.loads of the whole document; other
+    # input, here JSON with a space after each ":", is decoded whole and
+    # then decided by _is_run: 49 slices at n = 2 * 10^5, 49 calls
     n = 200_000
     witness = construct_prime_sum_permutation(n, build_sieve(2 * n)).image
     shuffled = random.Random(1).sample(range(1, n + 1), n)
-    is_run, decided = cli._is_run, []
+    is_run, loads, decided, loaded = cli._is_run, json.loads, [], []
 
     def counted(vs):
         decided.append(vs[0])
         return is_run(vs)
 
+    def measured(text, *args, **kwargs):
+        loaded.append(len(text))
+        return loads(text, *args, **kwargs)
+
     monkeypatch.setattr(cli, "_is_run", counted)
-    for image, fmt in itertools.product((witness, shuffled), ("text", "json")):
-        decided.clear()
-        monkeypatch.setattr("sys.stdin", io.StringIO(",".join(map(str, image))))
-        with redirect_stdout(io.StringIO()):
-            main(["verify", "--format", fmt])
-        assert decided == [image[lo] for lo in range(0, n, BLOCK_LINES)], fmt
+    monkeypatch.setattr(json, "loads", measured)
+    firsts = [witness[lo] for lo in range(0, n, BLOCK_LINES)]
+    csv = ",".join(map(str, witness))
+    for text, code, decisions in (
+        (csv, EXIT_OK, []),
+        (f'{{"n":{n},"image":[{csv}]}}\n', EXIT_OK, []),
+        (",".join(map(str, shuffled)), EXIT_COMPOSITE, []),
+        (f'{{"n": {n},"image": [{csv}]}}', EXIT_OK, firsts),
+    ):
+        for fmt in ("text", "json"):
+            decided.clear()
+            loaded.clear()
+            monkeypatch.setattr("sys.stdin", io.StringIO(text))
+            with redirect_stdout(io.StringIO()):
+                assert main(["verify", "--format", fmt]) == code
+            assert decided == decisions, (text[:20], fmt)
+            whole = [size for size in loaded if size >= len(text) - 1]
+            assert whole == ([len(text)] if decisions else []), (text[:20], fmt)
 
 
 @st.composite
@@ -639,7 +740,7 @@ def test_verify_bad_json_quotes_offsets_past_the_whitespace(capsys, text):
 
 def _readme_witness_peaks():
     """MB from the README's "`construct --n 1000000 --format json` peaks at
-    57 MB" and "`verify --format json` of the n = 10^6 witness peaks at 62
+    57 MB" and "`verify --format json` of the n = 10^6 witness peaks at 28
     MB"."""
     text = README.read_text()
     construct = re.search(
