@@ -17,7 +17,7 @@ import os
 import re
 import sys
 from collections.abc import Iterable, Iterator, Sequence
-from functools import cache
+from functools import cache, lru_cache, partial
 from itertools import chain, compress, groupby, islice, starmap
 from operator import add, not_
 
@@ -259,54 +259,58 @@ def _cells(
 
 def _run(first: int, size: int, step: int, width: int, sep: str) -> Iterator[str]:
     """sep.join("%*d" % (width, v) for v in range(first, first + size * step,
-    step)), for step 1 or -1, values >= 0 and a sep without "@", in pieces
-    of at most 1000 cells. The values below 1000 take one %-format. Each
-    group of values that share their digits above the last three is one
-    slice of _template, whose one str.replace writes those digits,
-    right-aligned to width: no Python step per value."""
+    step)), for step 1 or -1, values from 0 below 10^29 and a sep without
+    lowercase letters, in pieces of at most 1000 cells. The values below
+    1000 take one %-format. Each group of values that share their digits
+    above the last three is one slice of _template, whose one str.translate
+    writes those digits, right-aligned to width: no Python step per value."""
     order = range(1000)[::step]  # the last three digits, in the run's order
     last = first + (size - 1) * step
-    stride, skip = len(sep) + 4, len(sep)  # the first piece has no sep before it
+    skip = len(sep)  # the first piece has no sep before it
     for high in range(first // 1000, last // 1000 + step, step) if size else ():
         # the group's first and last values: the run's, clamped to the group
         a, b = (min(max(v, 1000 * high), 1000 * high + 999) for v in (first, last))
         if high:
+            digits = str(high).rjust(width - 3)
             i, j = order.index(a % 1000), order.index(b % 1000)
-            piece = _template(sep, step)[i * stride + skip : (j + 1) * stride]
-            yield piece.replace("@", str(high).rjust(width - 3))
+            stride = len(sep) + len(digits) + 3
+            template = _template(sep, step, len(digits))
+            piece = template[i * stride + skip : (j + 1) * stride]
+            yield piece.translate(str.maketrans(_MARKS[: len(digits)], digits))
         else:
             values = range(a, b + step, step)
             yield sep[skip:] + sep.join([f"%{width}d"] * len(values)) % tuple(values)
         skip = 0
 
 
+_MARKS = "abcdefghijklmnopqrstuvwxyz"
+
+
 @cache
-def _template(sep: str, step: int) -> str:
-    """sep + "@ddd" for ddd from 000 up to 999 (step 1) or down (step -1):
-    with "@" replaced, the cells of the values with those digits above
-    the last three. Built on first use: construct --n 1 never needs it."""
-    return "".join(map(f"{sep}@%03d".__mod__, range(1000)[::step]))
+def _template(sep: str, step: int, marks: int) -> str:
+    """sep + marks letters + "ddd" for ddd from 000 up to 999 (step 1) or
+    down (step -1): with the letters translated, the cells of the values with
+    those digits above the last three. Built on first use, not by --n 1."""
+    return "".join(map(f"{sep}{_MARKS[:marks]}%03d".__mod__, range(1000)[::step]))
 
 
 def _parse_image(text: str | None) -> list[Sequence[int]]:
     """The entries in text, or in stdin if text is None, in slices of
     BLOCK_LINES entries not yet checked to be a permutation: a run slice,
     whose images count down by one, as a range, any other as a tuple of
-    plain ints. Canonical text is read slice by slice (_canonical_slices).
-    Any other text is decoded whole, as from_text or from_json decode it,
-    the one path that words parse errors, and _is_run decides its slices.
-    JSON text gets no stripped copy unless decoding needs one, and is let
-    go once decoded; the decoded list is let go before slicing."""
+    plain ints. Canonical text is read slice by slice as it arrives
+    (_canonical_slices); any other is decoded whole, as from_text or
+    from_json decode it, the one path that words parse errors, and _is_run
+    decides its slices. JSON text gets no stripped copy unless decoding
+    needs one, and is let go once decoded, the decoded list before slicing."""
     import json  # here, not at the top: only verify reads JSON
 
     try:
-        if text is None:
-            text = _read_stdin()  # a strict decoder's error is a ValueError
-        csv = not text.startswith("{", re.match(r"\s*", text).end())
-        slices = _canonical_slices(text.strip() if csv else text, csv)
-        if slices is not None:
-            return slices
-        if csv:
+        try:  # a strict stdin decoder's error is a ValueError
+            return list(_canonical_slices(_stdin() if text is None else iter((text,))))
+        except _Whole as whole:
+            text = whole.args[0]
+        if not text.startswith("{", re.match(r"\s*", text).end()):
             image = Permutation._text_values(text)  # which strips it
         else:
             try:
@@ -331,76 +335,116 @@ def _parse_image(text: str | None) -> list[Sequence[int]]:
     ]
 
 
-def _canonical_slices(text: str, csv: bool) -> list[Sequence[int]] | None:
-    """_parse_image's slices of canonical text, or None. Canonical text is
-    a BODY of comma-separated entries, or a JSON document that is exactly
+class _Whole(Exception):
+    """The whole input text, raised when it is not canonical."""
+
+
+def _canonical_slices(pieces: Iterator[str]) -> Iterator[Sequence[int]]:
+    """_parse_image's slices of canonical text, each yielded as soon as the
+    pieces hold its text, which is then let go. Canonical text is a BODY of
+    comma-separated entries, stripped, or a JSON document that is exactly
     {"n":N,"image":[BODY]} plus JSON whitespace, with N the number of
-    entries in plain decimal. A slice is a run, a range, when its text is
-    construct's run text from its first entry (_run), followed by a comma
-    or, for the last slice, by BODY's end: one str.startswith. Any other
-    slice is cut by one split from a window as long as size entries of
-    len(str(n)) digits, and kept as a tuple when one json.loads of it, as
-    from_text would decode it, gives size values whose type is int."""
+    entries in plain decimal, compared as text. Every slice but the last is
+    followed by a comma, so it is decided before the input ends. Any other
+    text raises _Whole with the whole text: the slices decided so far,
+    rebuilt, and the rest. So does text that holds 16 * BLOCK_LINES
+    characters (16 an entry and its comma) past the last slice decided,
+    before its end: no slice's text is matched more than a few times."""
+    buf = next(pieces, "")
+    pos = re.match(r"\s*", buf).end()
+    csv = not buf.startswith("{", pos)
+    head = None if csv else re.match(r'\{"n":([0-9]{1,15}),"image":\[', buf)
+    prefix, kept, end = buf[: head.end() if head else pos], [], None
+
+    def whole() -> _Whole:
+        texts = (_slice_text(vs) + "," for vs in kept)
+        return _Whole("".join(chain((prefix,), texts, (buf[pos:],), pieces)))
+
+    if not csv and not head:
+        raise whole()
+    pos = len(prefix)
+    while True:
+        stop = len(buf) if end is None else end
+        while decided := _decided(buf, pos, stop, BLOCK_LINES, False):
+            vs, pos = decided[0], decided[1] + 1
+            kept.append(vs)
+            yield vs
+        if end is not None:
+            break
+        if len(buf) - pos >= 16 * BLOCK_LINES:
+            raise whole()
+        piece = next(pieces, None)
+        if piece is not None:
+            buf, pos = buf[pos:] + piece, 0
+        elif csv:
+            end = len(buf.rstrip())
+        else:
+            end = buf.rfind("]}", pos)
+            if end < 0 or buf[end + 2 :].strip(" \t\n\r"):
+                raise whole()
+    size = buf.count(",", pos, end) + 1 if pos < end else 0
+    n = len(kept) * BLOCK_LINES + size
+    if size > BLOCK_LINES or kept and not size or head and head[1] != str(n):
+        raise whole()
+    if size:
+        if not (decided := _decided(buf, pos, end, size, True)):
+            raise whole()
+        yield decided[0]
+
+
+def _decided(text: str, pos: int, end: int, size: int, last: bool) -> tuple | None:
+    """The slice of size entries whose text starts at pos, and where that
+    text ends: at end for the last slice, else at a comma before end; None
+    if it is not canonical or not all here. A run is construct's run text
+    (_run). Any other slice's entries, digits and minus signs but no "-0",
+    are cut by one re match and decoded by one json.loads, as from_text
+    decodes them: its text is _slice_text's."""
     import json
 
-    start, end = 0, len(text)
-    if not csv:
-        head, end = re.match(r'\{"n":([0-9]+),"image":\[', text), text.rfind("]}")
-        if not head or end < head.end() or text[end + 2 :].strip(" \t\n\r"):
-            return None
-        start = head.end()
-    n = text.count(",", start, end) + 1 if start < end else 0
-    if not csv and head[1] != str(n):  # compared as text: no int() of a long N
+    top = re.compile("[1-9][0-9]{0,13}").match(text, pos, end)
+    top = int(top[0]) if top else 0
+    if top >= size and (size == 1 or text.startswith(f"{top},{top - 1}", pos, end)):
+        run = _slice_text(vs := range(top, top - size, -1))
+        after = pos + len(run)
+        if not last and after >= end:
+            return None  # the run's text or its comma is still to come
+        if (after == end if last else text[after] == ",") and text.startswith(run, pos):
+            return vs, after
+    cut = re.compile(f"(?:[0-9-]*,){{{size - 1}}}[0-9-]*").match(text, pos, end)
+    if not cut or (
+        cut.end() < end if last else not text.startswith(",", cut.end(), end)
+    ):
         return None
-    decimal, digits, slices, pos = re.compile("[1-9][0-9]*"), len(str(n)), [], start
-    for lo in range(0, n, BLOCK_LINES):
-        size, last = min(BLOCK_LINES, n - lo), n - lo <= BLOCK_LINES
-        entry = decimal.match(text, pos, pos + digits)
-        top = int(entry[0]) if entry else 0
-        # a run's second entry is its first minus one
-        if top >= size and (size == 1 or text.startswith(f"{top},{top - 1}", pos)):
-            run = "".join(_run(top, size, -1, 0, ","))
-            after = pos + len(run)
-            follows = after == end if last else text.startswith(",", after, end)
-            if follows and text.startswith(run, pos):
-                slices.append(range(top, top - size, -1))
-                pos = after + 1
-                continue
-        window = text[pos : min(pos + size * (digits + 1), end)]
-        if last:
-            cut = len(window) if pos + len(window) == end else -1
-        else:
-            parts = window.split(",", size)
-            cut = len(window) - len(parts[-1]) - 1 if len(parts) > size else -1
-        if cut < 0:
-            return None
-        try:
-            values = json.loads(f"[{window[:cut]}]")
-        except (ValueError, RecursionError):  # the int-string digit limit too
-            return None
-        if len(values) != size or not set(map(type, values)) <= {int}:
-            return None
-        slices.append(tuple(values))
-        pos += cut + 1
-    return slices
+    if "-0" in (window := text[pos : cut.end()]):
+        return None
+    try:
+        return tuple(json.loads(f"[{window}]")), cut.end()
+    except ValueError:  # not JSON, or past the int-string digit limit
+        return None
 
 
-def _read_stdin() -> str:
-    """All of stdin, decoded as sys.stdin decodes it, from STDIN_PIECE bytes
-    at a time: one whole read would free its bytes only after decoding
-    them, and how much the heap then grows for the parse depends on its
-    layout. A decoding error gives its offsets within the whole input, as
-    one read would."""
+@lru_cache(maxsize=1)
+def _slice_text(vs: Sequence[int]) -> str:
+    """A slice's images, comma-separated, as construct writes them; kept for
+    the next call, which asks again for a run whose text had not all come."""
+    return "".join(_run(vs[0], len(vs), -1, 0, ",")) if type(vs) is range else _ints(vs)
+
+
+def _stdin() -> Iterator[str]:
+    """stdin, decoded as sys.stdin decodes it, in pieces of STDIN_PIECE
+    bytes, each read when the last has been matched. A decoding error gives
+    its offsets within the whole input, as one read would."""
     stream = getattr(sys.stdin, "buffer", None)
     if stream is None:  # a text stream with no bytes below it, e.g. io.StringIO
-        return sys.stdin.read()
+        yield from iter(partial(sys.stdin.read, STDIN_PIECE), "")
+        return
     decoder = codecs.getincrementaldecoder(sys.stdin.encoding)(sys.stdin.errors)
-    parts, done = [], 0
-    while True:
+    done, piece = 0, True
+    while piece:
         piece = stream.read(STDIN_PIECE)
         held = len(decoder.getstate()[0])  # undecoded bytes from earlier pieces
         try:
-            parts.append(decoder.decode(piece, final=not piece))
+            text = decoder.decode(piece, final=not piece)
         except UnicodeDecodeError as exc:
             # the message reads the offending bytes from the object at the
             # offsets, so both are moved to where they are in the input
@@ -409,8 +453,7 @@ def _read_stdin() -> str:
                 exc.encoding, bytes(shift) + exc.object,
                 exc.start + shift, exc.end + shift, exc.reason,
             ) from None
-        if not piece:
-            return "".join(parts)
+        yield text
         done += len(piece)
 
 
@@ -514,13 +557,10 @@ def _verify_json(n, slices, checked, composite_at) -> Iterator[str]:
     run slice, a range, is written as construct writes a run, and its sums
     as one total repeated."""
     yield f'{{"n":{n},"image":['
-    yield from _csv(
-        "".join(_run(vs[0], len(vs), -1, 0, ",")) if type(vs) is range else _ints(vs)
-        for vs in slices
-    )
+    yield from _csv(map(_slice_text, slices))
     yield '],"sums":['
     yield from _csv(
-        _ints(sums) if len(sums) > 1 else ",".join([str(sums[0])] * len(vs))
+        _ints(sums) if len(sums) > 1 else (f",{sums[0]}" * len(vs))[1:]
         for _, vs, sums, _ in checked
     )
     yield '],"composite_positions":['

@@ -9,22 +9,28 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 # A child's ru_maxrss counts the resident size of the process that spawned
 # it, so a bare interpreter, not the test process, spawns the command and
-# reports its exit code and peak RSS (KiB) from os.wait4.
+# reports its exit code and peak RSS (KiB) from os.wait4. Its first
+# argument, "devnull", sends the command's stdout to os.devnull.
 _SPAWNER = """\
 import os, sys
-pid = os.posix_spawn(sys.executable, [sys.executable, *sys.argv[1:]], os.environ)
+to_devnull = [(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)]
+actions = to_devnull if sys.argv[1] == "devnull" else []
+argv = [sys.executable, *sys.argv[2:]]
+pid = os.posix_spawn(sys.executable, argv, os.environ, file_actions=actions)
 _, status, usage = os.wait4(pid, 0)
 print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
 """
 
 
-def run_cli(argv, stdin: str | None = None) -> tuple[int, str, float]:
+def run_cli(argv, stdin: str | None = None, stdout=True) -> tuple[int, str, float]:
     """Run `python -m primeperm.cli *argv` with stdin; its exit code, its
-    stdout and its peak RSS in MB. A run past 120 s raises
-    subprocess.TimeoutExpired, so a slow command fails its test."""
+    stdout (empty when stdout is False: it then goes to os.devnull) and its
+    peak RSS in MB. A run past 120 s raises subprocess.TimeoutExpired, so a
+    slow command fails its test."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     out = subprocess.run(
-        [sys.executable, "-c", _SPAWNER, "-m", "primeperm.cli", *argv],
+        [sys.executable, "-c", _SPAWNER, "stdout" if stdout else "devnull",
+         "-m", "primeperm.cli", *argv],
         input=stdin,
         env=env,
         capture_output=True,

@@ -26,6 +26,7 @@ from primeperm import (
     PrimeSieve,
     build_sieve,
     construct_prime_sum_permutation,
+    decompose_blocks,
 )
 from primeperm import cli
 from primeperm import construct as construct_module
@@ -531,14 +532,18 @@ def test_verify_reads_canonical_text_as_the_decode_path(fault, form, image, at, 
         tokens[min(at, n - 1)] = _TOKEN_FAULTS[fault](tokens[min(at, n - 1)])
     text = _FORMS[form].format(n=n, n1=n + 1, body=",".join(tokens))
     if fault is None and form in ("csv", "json"):
-        csv = form == "csv"
-        assert cli._canonical_slices(text.strip() if csv else text, csv) is not None
+        list(cli._canonical_slices(iter([text])))  # raises cli._Whole if not canonical
     for fmt in ("text", "json"):
         fast = _verified(text, stdin, fmt)
-        with mock.patch.object(cli, "_canonical_slices", return_value=None):
+        with mock.patch.object(cli, "_canonical_slices", _read_whole):
             assert fast == _verified(text, stdin, fmt), (fault, form, fmt)
         if fault == "5000 digits" and tokens or form == "json 5000-digit n":
             assert fast[:2] == (EXIT_USAGE, ""), fast[2]
+
+
+def _read_whole(pieces):
+    # _canonical_slices as if no input were canonical: the decode path
+    raise cli._Whole("".join(pieces))
 
 
 def test_verify_looks_up_one_total_per_run_slice(monkeypatch):
@@ -606,6 +611,42 @@ def test_verify_decides_each_slice_once(monkeypatch):
             assert decided == decisions, (text[:20], fmt)
             whole = [size for size in loaded if size >= len(text) - 1]
             assert whole == ([len(text)] if decisions else []), (text[:20], fmt)
+
+
+def test_verify_decides_every_slice_but_the_last_before_the_input_ends(monkeypatch):
+    # canonical stdin is matched slice by slice as its pieces are read: of
+    # the 49 slices of the n = 2 * 10^5 witness, as CSV and as JSON, the
+    # first is decided after the first read, and the other 47 before the
+    # read that returns EOF; only the last waits for the end of the input
+    n = 200_000
+    csv = ",".join(map(str, _witness(n)))
+    canonical, reads, decided = cli._canonical_slices, [], []
+
+    class Stdin(io.BytesIO):
+        def read(self, size=-1):
+            piece = super().read(size)
+            reads.append(len(piece))
+            return piece
+
+    def counted(pieces):
+        for vs in canonical(pieces):
+            decided.append((len(reads), 0 in reads))  # reads so far, EOF among them
+            yield vs
+
+    monkeypatch.setattr(cli, "_canonical_slices", counted)
+    for text in (csv, f'{{"n":{n},"image":[{csv}]}}\n'):
+        reads.clear()
+        decided.clear()
+        stdin = io.TextIOWrapper(Stdin(text.encode()), encoding="utf-8")
+        monkeypatch.setattr("sys.stdin", stdin)
+        with redirect_stdout(io.StringIO()):
+            assert main(["verify", "--format", "json"]) == EXIT_OK
+        assert reads == [cli.STDIN_PIECE] * (len(text) // cli.STDIN_PIECE) + [
+            len(text) % cli.STDIN_PIECE, 0
+        ]
+        assert len(decided) == 49 and decided[0] == (1, False)
+        assert [eof for _, eof in decided] == [False] * 48 + [True]
+        assert [at for at, _ in decided] == sorted(at for at, _ in decided)
 
 
 @st.composite
@@ -764,6 +805,28 @@ def test_readme_witness_peak_rss():
     assert code == EXIT_OK
     assert out.startswith('{"n":1000000,"image":[') and out.endswith(',"valid":true}\n')
     assert rss_mb <= 1.25 * verify_mb, (rss_mb, verify_mb)
+
+
+def _witness_json(n):
+    """construct --n n --format json's output, written from the witness's
+    blocks by construct's own writer (_cells), with no n-int image."""
+    blocks = decompose_blocks(n, build_sieve(2 * n))[::-1]  # in position order
+    runs = [(b.prime, b.hi - b.lo + 1) for b in blocks]
+    return f'{{"n":{n},"image":[' + "".join(cli._cells(runs, -1, ",", False)) + "]}\n"
+
+
+def test_verify_of_the_10_7_witness_reads_it_in_bounded_memory(capsys):
+    # verify holds the run slices of canonical stdin as ranges and lets
+    # their text go as it reads: the n = 10^7 witness (79 MB of JSON) peaks
+    # under 60 MB, where holding the input text took 165 MB
+    assert _witness_json(10**6) == run(
+        capsys, "construct", "--n", "1000000", "--format", "json"
+    )[1]
+    code, _, rss_mb = run_cli(
+        ["verify", "--format", "json"], stdin=_witness_json(10**7), stdout=False
+    )
+    assert code == EXIT_OK
+    assert rss_mb < 60, rss_mb
 
 
 def test_verify_reads_stdin_csv(capsys, monkeypatch):
