@@ -296,32 +296,26 @@ def _template(sep: str, step: int, marks: int) -> str:
 
 def _parse_image(text: str | None) -> list[Sequence[int]]:
     """The entries in text, or in stdin if text is None, in slices of
-    BLOCK_LINES entries not yet checked to be a permutation: a run slice,
-    whose images count down by one, as a range, any other as a tuple of
-    plain ints. Canonical text is read slice by slice as it arrives
-    (_canonical_slices); any other is decoded whole, as from_text or
-    from_json decode it, the one path that words parse errors, and _is_run
-    decides its slices. JSON text gets no stripped copy unless decoding
-    needs one, and is let go once decoded, the decoded list before slicing."""
+    BLOCK_LINES entries not yet checked to be a permutation. Canonical text
+    is read slice by slice as it arrives (_canonical_slices), a run slice
+    as a range; any other text is stripped and decoded whole, as from_text
+    or from_json decode it, the one path that words parse errors, into
+    tuples of plain ints. JSON text is let go once decoded, the decoded
+    list before it is copied into a tuple."""
     import json  # here, not at the top: only verify reads JSON
 
     try:
         try:  # a strict stdin decoder's error is a ValueError
             return list(_canonical_slices(_stdin() if text is None else iter((text,))))
         except _Whole as whole:
-            text = whole.args[0]
-        if not text.startswith("{", re.match(r"\s*", text).end()):
-            image = Permutation._text_values(text)  # which strips it
+            text = whole.args[0].strip()
+        if not text.startswith("{"):
+            image = Permutation._text_values(text)
         else:
             try:
                 obj = json.loads(text)
-            except (json.JSONDecodeError, RecursionError):  # or nested too deep
-                # json.loads skips only " \t\n\r", str.strip every Unicode space;
-                # the stripped text also sets the offsets the message gives
-                try:
-                    obj = json.loads(text.strip())
-                except (json.JSONDecodeError, RecursionError) as exc:
-                    raise _UsageError(f"invalid JSON permutation: {exc}") from None
+            except (json.JSONDecodeError, RecursionError) as exc:  # or too deep
+                raise _UsageError(f"invalid JSON permutation: {exc}") from None
             del text  # before the decoded list is copied into a tuple
             image = Permutation._json_values(obj)
             del obj
@@ -329,10 +323,7 @@ def _parse_image(text: str | None) -> list[Sequence[int]]:
         raise
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
-    return [
-        range(vs[0], vs[0] - len(vs), -1) if _is_run(vs) else vs
-        for vs in _slices(image)
-    ]
+    return list(_slices(image))
 
 
 class _Whole(Exception):
@@ -396,9 +387,9 @@ def _decided(text: str, pos: int, end: int, size: int, last: bool) -> tuple | No
     """The slice of size entries whose text starts at pos, and where that
     text ends: at end for the last slice, else at a comma before end; None
     if it is not canonical or not all here. A run is construct's run text
-    (_run). Any other slice's entries, digits and minus signs but no "-0",
-    are cut by one re match and decoded by one json.loads, as from_text
-    decodes them: its text is _slice_text's."""
+    (_run). Any other slice's entries, digits only, are cut by one re match
+    and decoded by one json.loads, which refuses a leading zero, so the
+    slice's text is _slice_text's."""
     import json
 
     top = re.compile("[1-9][0-9]{0,13}").match(text, pos, end)
@@ -410,15 +401,13 @@ def _decided(text: str, pos: int, end: int, size: int, last: bool) -> tuple | No
             return None  # the run's text or its comma is still to come
         if (after == end if last else text[after] == ",") and text.startswith(run, pos):
             return vs, after
-    cut = re.compile(f"(?:[0-9-]*,){{{size - 1}}}[0-9-]*").match(text, pos, end)
+    cut = re.compile(f"(?:[0-9]*,){{{size - 1}}}[0-9]*").match(text, pos, end)
     if not cut or (
         cut.end() < end if last else not text.startswith(",", cut.end(), end)
     ):
         return None
-    if "-0" in (window := text[pos : cut.end()]):
-        return None
     try:
-        return tuple(json.loads(f"[{window}]")), cut.end()
+        return tuple(json.loads(f"[{text[pos : cut.end()]}]")), cut.end()
     except ValueError:  # not JSON, or past the int-string digit limit
         return None
 
@@ -434,6 +423,8 @@ def _stdin() -> Iterator[str]:
     """stdin, decoded as sys.stdin decodes it, in pieces of STDIN_PIECE
     bytes, each read when the last has been matched. A decoding error gives
     its offsets within the whole input, as one read would."""
+    if sys.stdin is None:  # fd 0 was closed when Python started
+        raise _UsageError("no input: stdin is closed and --perm is not given")
     stream = getattr(sys.stdin, "buffer", None)
     if stream is None:  # a text stream with no bytes below it, e.g. io.StringIO
         yield from iter(partial(sys.stdin.read, STDIN_PIECE), "")
@@ -473,13 +464,6 @@ def _cmd_verify(args) -> int:
     for _ in checked:
         pass
     return EXIT_COMPOSITE if composite_at else EXIT_OK
-
-
-def _is_run(vs: tuple[int, ...]) -> bool:
-    """Whether the images vs of a slice count down by one, that is, whether
-    all the slice's totals k + v are equal: first at both ends, then at
-    every entry."""
-    return vs[-1] == vs[0] - len(vs) + 1 and vs == tuple(range(vs[0], vs[-1] - 1, -1))
 
 
 def _checked_image(slices: list[Sequence[int]]) -> int:

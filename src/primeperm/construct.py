@@ -140,23 +140,11 @@ class Permutation(_Frozen):
 
     @staticmethod
     def _text_values(text: str) -> tuple[int, ...]:
-        """from_text's entries, as plain ints not yet checked."""
+        """from_text's entries, as plain ints not yet checked: each
+        comma-separated token of the stripped text, read by int()."""
         stripped = text.strip()
         if not stripped:
             return ()
-        import json  # here, not at the top: construct and count never load it
-
-        # JSON integers and whitespace are subsets of what int() and str.strip
-        # accept, with the same values, so the C scanner reads canonical
-        # input. Other input, 10^4 "[" among it (a RecursionError in the
-        # scanner), takes the token path, which alone words parse errors.
-        try:
-            values = json.loads(f"[{stripped}]")
-            canonical = set(map(type, values)) <= {int}
-        except (ValueError, RecursionError):
-            canonical = False
-        if canonical:
-            return tuple(values)
         tokens = stripped.split(",")
         try:
             return tuple(map(int, tokens))

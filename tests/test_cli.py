@@ -523,10 +523,15 @@ def _verified(text, stdin, fmt):
 @example(image=_tiled(BLOCK_LINES - 1, [1]), at=BLOCK_LINES, stdin=False)
 @example(image=_tiled(BLOCK_LINES, [1]), at=BLOCK_LINES, stdin=True)
 @example(image=_tiled(BLOCK_LINES + 1, [1]), at=BLOCK_LINES, stdin=False)
+# a run slice whose positions cross 10^4 and whose images cross 10^3
+@example(image=_tiled(3 * BLOCK_LINES + 1, [1, 3 * BLOCK_LINES]), at=0, stdin=True)
 def test_verify_reads_canonical_text_as_the_decode_path(fault, form, image, at, stdin):
-    # canonical input is read slice by slice from its text; whatever else
-    # the input holds, verify gives the exit code, stdout and stderr that
-    # decoding it whole gives, through --perm and through stdin
+    # canonical input is read slice by slice from its text, a run slice as
+    # a range; whatever else the input holds, verify gives the exit code,
+    # stdout and stderr that decoding it whole into tuples gives, through
+    # --perm and through stdin. So the run code (interval marks, one sum per
+    # slice, digit-column lines, a repeated total in JSON) is checked against
+    # the plain code of tuple slices
     tokens, n = list(map(str, image)), len(image)
     if fault is not None and tokens:
         tokens[min(at, n - 1)] = _TOKEN_FAULTS[fault](tokens[min(at, n - 1)])
@@ -544,6 +549,38 @@ def test_verify_reads_canonical_text_as_the_decode_path(fault, form, image, at, 
 def _read_whole(pieces):
     # _canonical_slices as if no input were canonical: the decode path
     raise cli._Whole("".join(pieces))
+
+
+# Textual forms of one permutation, from its entries
+_SPELLINGS = {
+    "json.dumps": lambda vs: json.dumps({"n": len(vs), "image": vs}),
+    "csv with ', '": lambda vs: ", ".join(map(str, vs)),
+    "json with CRLF line ends": lambda vs: json.dumps(
+        {"n": len(vs), "image": vs}, indent=1
+    ).replace("\n", "\r\n") + "\r\n",
+    "csv with CRLF line ends": lambda vs: ",\r\n".join(map(str, vs)) + "\r\n",
+    "json in Unicode spaces": lambda vs: "\u00a0\u2003"
+    + json.dumps({"n": len(vs), "image": vs}, separators=(",", ":"))
+    + "\u3000\n",
+    "csv in Unicode spaces": lambda vs: "\u2028" + ",".join(map(str, vs)) + "\x1c",
+}
+
+
+@pytest.mark.parametrize("spelling", _SPELLINGS)
+def test_verify_reads_every_spelling_of_a_permutation_alike(spelling):
+    # each textual form of a permutation gives the exit code, stdout and
+    # stderr of its compact form, canonical text, in text and JSON output,
+    # through --perm and through stdin
+    n = 2 * BLOCK_LINES + 1
+    images = [[], [1], _witness(n), random.Random(5).sample(range(1, n + 1), n)]
+    assert _composites(images[-1])
+    for image in images:
+        compact = ",".join(map(str, image))
+        text = _SPELLINGS[spelling](image)
+        for fmt in ("text", "json"):
+            for stdin in (False, True):
+                expected = _verified(compact, stdin, fmt)
+                assert _verified(text, stdin, fmt) == expected, (len(image), fmt)
 
 
 def test_verify_looks_up_one_total_per_run_slice(monkeypatch):
@@ -573,44 +610,33 @@ def test_verify_looks_up_one_total_per_run_slice(monkeypatch):
 
 
 def test_verify_decides_each_slice_once(monkeypatch):
-    # verify decides whether a slice is a run once, before any output, and
-    # text lines, JSON images and sums read that verdict back from the
-    # slice's type. Canonical input is decided by its text, slice by slice,
-    # with no _is_run call and no json.loads of the whole document; other
-    # input, here JSON with a space after each ":", is decoded whole and
-    # then decided by _is_run: 49 slices at n = 2 * 10^5, 49 calls
+    # canonical input is decided by its text, slice by slice, with no
+    # json.loads of the whole document; other input, here JSON with a space
+    # after each ":", is decoded whole, by one json.loads, into tuples
     n = 200_000
     witness = construct_prime_sum_permutation(n, build_sieve(2 * n)).image
     shuffled = random.Random(1).sample(range(1, n + 1), n)
-    is_run, loads, decided, loaded = cli._is_run, json.loads, [], []
-
-    def counted(vs):
-        decided.append(vs[0])
-        return is_run(vs)
+    loads, loaded = json.loads, []
 
     def measured(text, *args, **kwargs):
         loaded.append(len(text))
         return loads(text, *args, **kwargs)
 
-    monkeypatch.setattr(cli, "_is_run", counted)
     monkeypatch.setattr(json, "loads", measured)
-    firsts = [witness[lo] for lo in range(0, n, BLOCK_LINES)]
     csv = ",".join(map(str, witness))
-    for text, code, decisions in (
-        (csv, EXIT_OK, []),
-        (f'{{"n":{n},"image":[{csv}]}}\n', EXIT_OK, []),
-        (",".join(map(str, shuffled)), EXIT_COMPOSITE, []),
-        (f'{{"n": {n},"image": [{csv}]}}', EXIT_OK, firsts),
+    for text, code, whole_loads in (
+        (csv, EXIT_OK, 0),
+        (f'{{"n":{n},"image":[{csv}]}}\n', EXIT_OK, 0),
+        (",".join(map(str, shuffled)), EXIT_COMPOSITE, 0),
+        (f'{{"n": {n},"image": [{csv}]}}', EXIT_OK, 1),
     ):
         for fmt in ("text", "json"):
-            decided.clear()
             loaded.clear()
             monkeypatch.setattr("sys.stdin", io.StringIO(text))
             with redirect_stdout(io.StringIO()):
                 assert main(["verify", "--format", fmt]) == code
-            assert decided == decisions, (text[:20], fmt)
             whole = [size for size in loaded if size >= len(text) - 1]
-            assert whole == ([len(text)] if decisions else []), (text[:20], fmt)
+            assert whole == [len(text)] * whole_loads, (text[:20], fmt)
 
 
 def test_verify_decides_every_slice_but_the_last_before_the_input_ends(monkeypatch):
@@ -807,6 +833,18 @@ def test_readme_witness_peak_rss():
     assert rss_mb <= 1.25 * verify_mb, (rss_mb, verify_mb)
 
 
+def test_readme_decode_path_peak_rss():
+    # verify of the n = 10^6 witness as CSV with ", " between entries, which
+    # takes the decode path, stays within the memory the README states for it
+    phrase = "as CSV with `, ` between entries, which takes the decode path, peaks at"
+    pattern = r"\s+".join(map(re.escape, phrase.split())) + r"\s+([\d.]+) MB"
+    stated = re.search(pattern, README.read_text())
+    csv = ", ".join(map(str, _witness(10**6)))
+    code, _, rss_mb = run_cli(["verify", "--format", "json"], stdin=csv, stdout=False)
+    assert code == EXIT_OK
+    assert rss_mb <= 1.25 * float(stated[1]), (rss_mb, stated[1])
+
+
 def _witness_json(n):
     """construct --n n --format json's output, written from the witness's
     blocks by construct's own writer (_cells), with no n-int image."""
@@ -894,6 +932,22 @@ def test_verify_undecodable_stdin_is_a_usage_error():
     assert done.stderr == (
         b"primeperm: error: 'utf-8' codec can't decode byte 0xff in position 2: "
         b"invalid start byte\n"
+    )
+
+
+def test_verify_with_stdin_closed_is_a_usage_error():
+    # Python sets sys.stdin to None when fd 0 is closed at start-up: verify
+    # with no --perm names its missing input
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        ["sh", "-c", 'exec "$0" -m primeperm.cli verify <&-', sys.executable],
+        env=env,
+        capture_output=True,
+        timeout=60,
+    )
+    assert (done.returncode, done.stdout) == (EXIT_USAGE, b"")
+    assert done.stderr == (
+        b"primeperm: error: no input: stdin is closed and --perm is not given\n"
     )
 
 

@@ -391,8 +391,8 @@ def _outcome(parse, text):
     ],
 )
 def test_from_text_matches_the_token_parser(text):
-    # the JSON scanner reads canonical input; every other input gets the
-    # token path's value or error
+    # from_text reads every input, canonical or not, by its tokens alone:
+    # the value or error of the parser as first written
     assert _outcome(Permutation.from_text, text) == _outcome(_from_text_by_tokens, text)
 
 
