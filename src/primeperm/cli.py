@@ -19,7 +19,7 @@ import sys
 from collections.abc import Iterable, Iterator, Sequence
 from functools import cache, lru_cache, partial
 from itertools import chain, compress, groupby, islice, starmap
-from operator import add, not_
+from operator import add
 
 from .construct import (
     NotAPermutationError,
@@ -34,7 +34,7 @@ from .count import (
     enumerate_solutions,
     sequence_table,
 )
-from .primes import PrimeSieve, SieveCapError, build_sieve
+from .primes import DEFAULT_LIMIT_CAP, PrimeSieve, SieveCapError, build_sieve
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -126,6 +126,26 @@ def _blocks(lines: Iterator[str]) -> Iterator[str]:
     while block := list(islice(lines, size)):
         yield "\n".join(block) + "\n"
         size = min(2 * size, BLOCK_LINES)
+
+
+def _text_blocks(texts: Iterable[str]) -> Iterator[str]:
+    """_blocks of the lines in texts, each text whole lines, newlines
+    included. Once blocks are BLOCK_LINES lines, a text of BLOCK_LINES
+    lines is cut by one rfind: the line held back and all its lines but
+    the last, which is held back in turn."""
+    held, size = [], 1  # lines not yet written, fewer than size
+    for text in texts:
+        if len(held) == 1 and size == BLOCK_LINES == text.count("\n"):
+            cut = text.rfind("\n", 0, -1) + 1
+            yield held.pop() + text[:cut]
+            text = text[cut:]
+        held += text.splitlines(True)
+        while len(held) >= size:
+            yield "".join(held[:size])
+            del held[:size]
+            size = min(2 * size, BLOCK_LINES)
+    if held:
+        yield "".join(held)
 
 
 def _slices(values: Sequence[int]) -> Iterator[Sequence[int]]:
@@ -301,12 +321,14 @@ def _parse_image(text: str | None) -> list[Sequence[int]]:
     as a range; any other text is stripped and decoded whole, as from_text
     or from_json decode it, the one path that words parse errors, into
     tuples of plain ints. JSON text is let go once decoded, the decoded
-    list before it is copied into a tuple."""
+    list before it is copied into a tuple. Either path is refused once
+    its slices pass the sieve cap (_capped)."""
     import json  # here, not at the top: only verify reads JSON
 
     try:
         try:  # a strict stdin decoder's error is a ValueError
-            return list(_canonical_slices(_stdin() if text is None else iter((text,))))
+            pieces = _stdin() if text is None else iter((text,))
+            return list(_capped(_canonical_slices(pieces)))
         except _Whole as whole:
             text = whole.args[0].strip()
         if not text.startswith("{"):
@@ -323,11 +345,29 @@ def _parse_image(text: str | None) -> list[Sequence[int]]:
         raise
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
-    return list(_slices(image))
+    return list(_capped(_slices(image)))
+
+
+def _capped(slices: Iterable[Sequence[int]]) -> Iterator[Sequence[int]]:
+    """slices, refused as soon as they hold more entries than a sieve within
+    DEFAULT_LIMIT_CAP can check, before the rest is read or held. Judged by
+    the entries read, as a JSON head's N may lie."""
+    read = 0
+    for vs in slices:
+        if (read := read + len(vs)) > DEFAULT_LIMIT_CAP // 2:  # sums reach 2n
+            raise SieveCapError(
+                f"input of {read} or more entries: their sums pass the sieve "
+                f"cap of {DEFAULT_LIMIT_CAP} entries"
+            )
+        yield vs
 
 
 class _Whole(Exception):
     """The whole input text, raised when it is not canonical."""
+
+
+class _Decoded(tuple):
+    """A canonical slice that is not a run, with its input text as .text."""
 
 
 def _canonical_slices(pieces: Iterator[str]) -> Iterator[Sequence[int]]:
@@ -389,7 +429,7 @@ def _decided(text: str, pos: int, end: int, size: int, last: bool) -> tuple | No
     if it is not canonical or not all here. A run is construct's run text
     (_run). Any other slice's entries, digits only, are cut by one re match
     and decoded by one json.loads, which refuses a leading zero, so the
-    slice's text is _slice_text's."""
+    slice's text is _ints of them: it is kept, a _Decoded, to be echoed."""
     import json
 
     top = re.compile("[1-9][0-9]{0,13}").match(text, pos, end)
@@ -406,17 +446,23 @@ def _decided(text: str, pos: int, end: int, size: int, last: bool) -> tuple | No
         cut.end() < end if last else not text.startswith(",", cut.end(), end)
     ):
         return None
+    body = text[pos : cut.end()]
     try:
-        return tuple(json.loads(f"[{text[pos : cut.end()]}]")), cut.end()
+        vs = _Decoded(json.loads(f"[{body}]"))
     except ValueError:  # not JSON, or past the int-string digit limit
         return None
+    vs.text = body
+    return vs, cut.end()
 
 
 @lru_cache(maxsize=1)
 def _slice_text(vs: Sequence[int]) -> str:
-    """A slice's images, comma-separated, as construct writes them; kept for
-    the next call, which asks again for a run whose text had not all come."""
-    return "".join(_run(vs[0], len(vs), -1, 0, ",")) if type(vs) is range else _ints(vs)
+    """A slice's images, comma-separated, as construct writes them: a run's
+    from _run, kept for the next call, which asks again for a run whose
+    text had not all come; a _Decoded's the text it was read from."""
+    if type(vs) is range:
+        return "".join(_run(vs[0], len(vs), -1, 0, ","))
+    return vs.text if type(vs) is _Decoded else _ints(vs)
 
 
 def _stdin() -> Iterator[str]:
@@ -451,19 +497,19 @@ def _stdin() -> Iterator[str]:
 def _cmd_verify(args) -> int:
     slices = _parse_image(args.perm)
     n = _checked_image(slices)
-    composite_at: list[int] = []
-    checked = _checked_slices(n, slices, _sieve_for(n), composite_at)
+    flagged: list[tuple[range, bytes]] = []
+    checked = _checked_slices(n, slices, _sieve_for(n), flagged)
     if args.format == "json":
-        _write(_verify_json(n, slices, checked, composite_at))
+        _write(_verify_json(n, slices, checked, flagged))
     else:
-        lines = chain.from_iterable(starmap(_verify_lines, checked))
+        texts = starmap(_verify_lines, checked)
         # the verdict line is made once every slice is checked
-        _write_lines(chain(lines, map(_verdict, (composite_at,))))
+        _write(_text_blocks(chain(texts, map(_verdict, (flagged,)))))
     # a reader that stopped early left slices unchecked, but the exit code
     # answers for every position
     for _ in checked:
         pass
-    return EXIT_COMPOSITE if composite_at else EXIT_OK
+    return EXIT_COMPOSITE if flagged else EXIT_OK
 
 
 def _checked_image(slices: list[Sequence[int]]) -> int:
@@ -488,37 +534,37 @@ def _checked_image(slices: list[Sequence[int]]) -> int:
 
 
 def _checked_slices(
-    n: int, slices: list[Sequence[int]], sieve: PrimeSieve, composite_at: list[int]
-) -> Iterator[tuple[range, Sequence[int], list[int], bytes]]:
+    n: int, slices: list[Sequence[int]], sieve: PrimeSieve, flagged: list
+) -> Iterator[tuple[range, Sequence[int], tuple[int, ...], bytes]]:
     """Per slice of BLOCK_LINES positions: the positions, their images, the
-    sums and the sums' prime flags, from one prime_flags call. A run slice,
-    a range, as every slice of a witness but the one that holds a block
-    edge is, has one sum and one flag, and its positions are all composite
-    or none. Appends the slice's composite positions to composite_at
-    before it is yielded."""
+    sums as one tuple, and the sums' prime flags, from one prime_flags call.
+    A run slice, a range, as every slice of a witness but the one that
+    holds a block edge is, has one sum and one flag, and its positions are
+    all composite or none. A slice with a composite sum is appended to
+    flagged as (positions, flags) before it is yielded."""
     for lo, vs in zip(range(0, n, BLOCK_LINES), slices):
         ks = range(lo + 1, lo + len(vs) + 1)
-        sums = [lo + 1 + vs[0]] if type(vs) is range else list(map(add, ks, vs))
+        sums = (lo + 1 + vs[0],) if type(vs) is range else tuple(map(add, ks, vs))
         flags = sieve.prime_flags(sums)
-        if 0 in flags:  # a run slice has one flag for all its positions
-            composite_at.extend(compress(ks, map(not_, flags)) if flags[1:] else ks)
+        if 0 in flags:
+            flagged.append((ks, flags))
         yield ks, vs, sums, flags
 
 
 def _verify_lines(
-    ks: range, vs: Sequence[int], sums: list[int], flags: bytes
-) -> list[str]:
-    """The text lines of one checked slice. A slice with one sum, a run, is
-    written by digit columns: in each piece of it whose positions k and
-    images total - k keep their number of digits, every line has the same
-    length, and each digit column of the positions and of the images,
-    from construct's templates (_run), is one strided slice assignment
-    into the piece's lines. Any other slice is one %-format."""
+    ks: range, vs: Sequence[int], sums: tuple[int, ...], flags: bytes
+) -> str:
+    """The text lines of one checked slice, as one text. A slice with one
+    sum, a run, is written by digit columns: in each piece of it whose
+    positions k and images total - k keep their number of digits, every
+    line has the same length, and each digit column of the positions and
+    of the images, from construct's templates (_run), is one strided slice
+    assignment into the piece's lines. Any other slice is one %-format."""
     label = ("composite", "prime")
     if len(sums) > 1:
         line = "%d + %d = %d  %s\n"
         cells = zip(ks, vs, sums, map(label.__getitem__, flags))
-        return (line * len(vs) % tuple(chain.from_iterable(cells))).splitlines()
+        return line * len(vs) % tuple(chain.from_iterable(cells))
     total, tail = sums[0], f" = {sums[0]}  {label[flags[0]]}\n".encode()
     powers = [10**d for d in range(1, len(str(total)))]
     cuts = {c for p in powers for c in (p, total - p + 1) if ks.start < c < ks.stop}
@@ -532,14 +578,23 @@ def _verify_lines(
             for j in range(width):
                 piece[at + j :: len(line)] = column[j::width]
         text += piece
-    return text.decode().splitlines()
+    return text.decode()
 
 
-def _verify_json(n, slices, checked, composite_at) -> Iterator[str]:
+def _composites(ks: range, flags: bytes) -> str:
+    """The positions in ks whose flag is 0, comma-separated, cut from their
+    _run text with no int made: a run's one flag stands for all of them."""
+    text = "".join(_run(ks.start, len(ks), 1, 0, ","))
+    keep = flags.translate(bytes.maketrans(b"\0\1", b"\1\0"))  # the 0 flags
+    return text if len(flags) == 1 else ",".join(compress(text.split(","), keep))
+
+
+def _verify_json(n, slices, checked, flagged) -> Iterator[str]:
     """The bytes of one compact json.dumps of the members n, image, sums,
-    composite_positions and valid, plus a newline, one slice at a time. A
-    run slice, a range, is written as construct writes a run, and its sums
-    as one total repeated."""
+    composite_positions and valid, plus a newline, one slice at a time:
+    the images by _slice_text, which echoes a canonical slice's input text;
+    a run's sums as one total repeated, any other's by one %-format; and,
+    once every slice is checked, the flagged slices' _composites."""
     yield f'{{"n":{n},"image":['
     yield from _csv(map(_slice_text, slices))
     yield '],"sums":['
@@ -548,16 +603,16 @@ def _verify_json(n, slices, checked, composite_at) -> Iterator[str]:
         for _, vs, sums, _ in checked
     )
     yield '],"composite_positions":['
-    yield from _csv(map(_ints, _slices(composite_at)))
-    yield f'],"valid":{"false" if composite_at else "true"}}}\n'
+    yield from _csv(starmap(_composites, flagged))
+    yield f'],"valid":{"false" if flagged else "true"}}}\n'
 
 
-def _verdict(composite_at: list[int]) -> str:
-    if composite_at:
-        return "invalid: composite totals at positions " + ",".join(
-            map(_ints, _slices(composite_at))
-        )
-    return "valid: every total is prime"
+def _verdict(flagged: list[tuple[range, bytes]]) -> str:
+    """Text verify's last line: the flagged slices' _composites, if any."""
+    if flagged:
+        positions = ",".join(starmap(_composites, flagged))
+        return f"invalid: composite totals at positions {positions}\n"
+    return "valid: every total is prime\n"
 
 
 def _cmd_count(args) -> int:

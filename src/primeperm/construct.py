@@ -6,7 +6,7 @@ for every k. One always exists: partition {1..n} into descending blocks
 block so every position in it sums to that prime.
 """
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from itertools import chain
 from operator import add
 
@@ -82,6 +82,17 @@ def _first_fault(image: tuple) -> str:
         return f"entry {_clip(v)} at position {k} {why}: not a permutation of 1..{n}"
 
 
+def _comma_pieces(text: str) -> Iterator[list[str]]:
+    """The comma-separated tokens of text, one list for each piece of about
+    64 KiB (2^16 characters, then up to the next comma)."""
+    start = 0
+    while start <= len(text):
+        end = text.find(",", start + (1 << 16))
+        end = len(text) if end < 0 else end
+        yield text[start:end].split(",")
+        start = end + 1
+
+
 class Permutation(_Frozen):
     """A permutation of {1..n} in 1-indexed one-line notation.
 
@@ -141,22 +152,23 @@ class Permutation(_Frozen):
     @staticmethod
     def _text_values(text: str) -> tuple[int, ...]:
         """from_text's entries, as plain ints not yet checked: each
-        comma-separated token of the stripped text, read by int()."""
+        comma-separated token of the stripped text, read by int(). The text
+        is split in pieces of about 64 KiB, cut at commas, so only one
+        piece's token strings are held at a time."""
         stripped = text.strip()
         if not stripped:
             return ()
-        tokens = stripped.split(",")
         try:
-            return tuple(map(int, tokens))
+            return tuple(map(int, chain.from_iterable(_comma_pieces(stripped))))
         except ValueError:
-            for k, token in enumerate(tokens, 1):
+            for k, token in enumerate(chain.from_iterable(_comma_pieces(stripped)), 1):
                 try:
                     int(token)
                 except ValueError:
                     break
             raise ValueError(
-                f"cannot parse token {k} of {len(tokens)} ({_clip(token)}): "
-                "expected comma-separated integers"
+                f"cannot parse token {k} of {stripped.count(',') + 1} "
+                f"({_clip(token)}): expected comma-separated integers"
             ) from None
 
     def as_json_dict(self) -> dict:

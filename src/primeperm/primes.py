@@ -3,9 +3,8 @@ the rest of the package needs (membership, prime windows as bitsets,
 least prime above, strict prime counting)."""
 
 from collections.abc import Sequence
-from itertools import repeat
 from math import isqrt
-from operator import getitem
+from operator import itemgetter
 
 # One byte per integer; 2**27 entries is ~134 MB, far beyond anything the
 # desk-scale commands need (problem size n requires a sieve to 2n).
@@ -63,11 +62,13 @@ class PrimeSieve:
 
     def prime_flags(self, values: Sequence[int]) -> bytes:
         """Byte i is 1 iff values[i] is prime, 0 otherwise. Every value
-        must lie within the sieve, as for is_prime."""
+        must lie within the sieve, as for is_prime; one itemgetter call
+        reads them all, once no negative value can index from the end."""
         if values and min(values) < 0:
             raise ValueError(f"m must be nonnegative, got {min(values)}")
         try:
-            return bytes(map(getitem, repeat(self._flags), values))
+            flags = itemgetter(*values)(self._flags) if values else ()
+            return bytes((flags,) if len(values) == 1 else flags)
         except IndexError:
             raise SieveRangeError(
                 f"{max(values)} is beyond the sieve limit {self.limit}"

@@ -31,6 +31,7 @@ from primeperm import (
 from primeperm import cli
 from primeperm import construct as construct_module
 from primeperm import count as count_module
+from primeperm import primes as primes_module
 from primeperm.cli import (
     BLOCK_LINES,
     EXIT_CAP,
@@ -501,6 +502,19 @@ def _verified(text, stdin, fmt):
     return code, out.getvalue(), err.getvalue()
 
 
+def _composite_edges(n):
+    """A shuffle of 1..n, so that no slice is a run, with a composite sum at
+    the first and the last position of every slice: position 1 holds 3, and
+    every other such position k holds k (k + k = 2k)."""
+    image = random.Random(n).sample(range(1, n + 1), n)
+    edges = {e for lo in range(0, n, BLOCK_LINES) for e in (lo + 1, lo + BLOCK_LINES)}
+    for k in sorted(edges & set(range(1, n + 1))):
+        at = image.index(3 if k == 1 else k)
+        image[k - 1], image[at] = image[at], image[k - 1]
+    assert edges & set(range(1, n + 1)) <= set(_composites(image))
+    return image
+
+
 @pytest.mark.parametrize(
     "fault, form",
     [(None, form) for form in _FORMS]
@@ -525,23 +539,38 @@ def _verified(text, stdin, fmt):
 @example(image=_tiled(BLOCK_LINES + 1, [1]), at=BLOCK_LINES, stdin=False)
 # a run slice whose positions cross 10^4 and whose images cross 10^3
 @example(image=_tiled(3 * BLOCK_LINES + 1, [1, 3 * BLOCK_LINES]), at=0, stdin=True)
+# shuffles, with composite sums at the slice edges, at and next to whole slices
+@example(image=_composite_edges(BLOCK_LINES - 1), at=0, stdin=True)
+@example(image=_composite_edges(BLOCK_LINES), at=BLOCK_LINES - 1, stdin=False)
+@example(image=_composite_edges(BLOCK_LINES + 1), at=BLOCK_LINES, stdin=True)
+@example(image=_composite_edges(2 * BLOCK_LINES - 1), at=1, stdin=False)
+@example(image=_composite_edges(2 * BLOCK_LINES), at=BLOCK_LINES, stdin=True)
+@example(image=_composite_edges(2 * BLOCK_LINES + 1), at=2 * BLOCK_LINES, stdin=False)
 def test_verify_reads_canonical_text_as_the_decode_path(fault, form, image, at, stdin):
     # canonical input is read slice by slice from its text, a run slice as
-    # a range; whatever else the input holds, verify gives the exit code,
-    # stdout and stderr that decoding it whole into tuples gives, through
-    # --perm and through stdin. So the run code (interval marks, one sum per
-    # slice, digit-column lines, a repeated total in JSON) is checked against
-    # the plain code of tuple slices
+    # a range and any other as a tuple that keeps its text; whatever else
+    # the input holds, verify gives the exit code, stdout and stderr that
+    # decoding it whole into tuples gives, through --perm and through
+    # stdin. So the run code (interval marks, one sum per slice,
+    # digit-column lines, a repeated total in JSON) and the echoed text of
+    # other slices are checked against the plain code of tuple slices, and
+    # canonical input, with the composite positions cut from the position
+    # templates, against a per-entry oracle
     tokens, n = list(map(str, image)), len(image)
     if fault is not None and tokens:
         tokens[min(at, n - 1)] = _TOKEN_FAULTS[fault](tokens[min(at, n - 1)])
     text = _FORMS[form].format(n=n, n1=n + 1, body=",".join(tokens))
-    if fault is None and form in ("csv", "json"):
+    canonical = fault is None and form in ("csv", "json")
+    if canonical:
         list(cli._canonical_slices(iter([text])))  # raises cli._Whole if not canonical
+    code = EXIT_COMPOSITE if _composites(image) else EXIT_OK
+    oracles = {"text": _verify_text_by_lines, "json": _verify_json_by_dumps}
     for fmt in ("text", "json"):
         fast = _verified(text, stdin, fmt)
         with mock.patch.object(cli, "_canonical_slices", _read_whole):
             assert fast == _verified(text, stdin, fmt), (fault, form, fmt)
+        if canonical:
+            assert fast == (code, oracles[fmt](image), ""), (form, fmt)
         if fault == "5000 digits" and tokens or form == "json 5000-digit n":
             assert fast[:2] == (EXIT_USAGE, ""), fast[2]
 
@@ -675,6 +704,59 @@ def test_verify_decides_every_slice_but_the_last_before_the_input_ends(monkeypat
         assert [at for at, _ in decided] == sorted(at for at, _ in decided)
 
 
+def test_verify_refuses_an_input_over_the_sieve_cap_as_it_reads(monkeypatch):
+    # the sums of n entries reach 2n: with the cap patched to 4 * BLOCK_LINES,
+    # an input of more entries than 2 * BLOCK_LINES is refused (exit 65) once
+    # that many are read, before any check or output: canonical stdin before
+    # its end is read, whatever its JSON head says, and the decode path
+    # right after decoding. Entries read are what counts: a JSON head whose
+    # N passes the cap over a few entries is refused as any lying head is
+    at_cap, past_cap = (_witness(2 * BLOCK_LINES + e) for e in (0, 1))
+    cap = 4 * BLOCK_LINES
+    monkeypatch.setattr(cli, "DEFAULT_LIMIT_CAP", cap)
+    monkeypatch.setattr(primes_module, "DEFAULT_LIMIT_CAP", cap)
+    reads = []
+
+    class Stdin(io.BytesIO):
+        def read(self, size=-1):
+            piece = super().read(size)
+            reads.append(len(piece))
+            return piece
+
+    def verified(text, argv=()):
+        reads.clear()
+        stdin = io.TextIOWrapper(Stdin(text.encode()), encoding="utf-8")
+        monkeypatch.setattr("sys.stdin", stdin)
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["verify", *argv])
+        return code, out.getvalue(), err.getvalue()
+
+    def refused(read):
+        return (
+            EXIT_CAP,
+            "",
+            f"primeperm: input of {read} or more entries: their sums pass the "
+            f"sieve cap of {cap} entries\n",
+        )
+
+    n = 200_000
+    csv = ",".join(map(str, random.Random(3).sample(range(1, n + 1), n)))
+    for text in (csv, f'{{"n":{n},"image":[{csv}]}}', f'{{"n":5,"image":[{csv}]}}'):
+        assert verified(text) == refused(3 * BLOCK_LINES)
+        assert 0 not in reads and sum(reads) < len(text) // 4
+    assert verified(csv.replace(",", ", ")) == refused(3 * BLOCK_LINES)
+    assert verified("", ["--perm", csv.replace(",", ", ")]) == refused(3 * BLOCK_LINES)
+    # at the cap and one past it
+    assert verified(",".join(map(str, at_cap)), ["--format", "json"])[0] == EXIT_OK
+    assert verified(",".join(map(str, past_cap))) == refused(2 * BLOCK_LINES + 1)
+    assert verified('{"n":99999999,"image":[2,1]}') == (
+        EXIT_NOT_PERMUTATION,
+        "",
+        "primeperm: declared n=99999999 does not match image length 2\n",
+    )
+
+
 @st.composite
 def _faulty_runs(draw):
     # n reversed in one block, so that every slice of BLOCK_LINES positions
@@ -770,14 +852,16 @@ def _run_slices(draw):
 @example((1, BLOCK_LINES, 10**6 + 1), True)
 def test_verify_lines_of_a_run_by_digit_columns(run, prime):
     # a run slice's lines are written by digit columns, in pieces whose
-    # positions and images keep their number of digits; the bytes are one
-    # %-format per line
+    # positions and images keep their number of digits, as one text; its
+    # bytes are one %-format per line, each line ending in a newline
     first, size, total = run
     ks = range(first, first + size)
     vs = tuple(total - k for k in ks)
     label = "prime" if prime else "composite"
-    lines = cli._verify_lines(ks, vs, [total], bytes([prime]))
-    assert lines == ["%d + %d = %d  %s" % (k, total - k, total, label) for k in ks]
+    text = cli._verify_lines(ks, vs, (total,), bytes([prime]))
+    assert text == "".join(
+        "%d + %d = %d  %s\n" % (k, total - k, total, label) for k in ks
+    )
 
 
 @pytest.mark.parametrize("space", [" \t\n\r", "\x0c", "\u00a0", "\u2028\x1c"])
@@ -843,6 +927,22 @@ def test_readme_decode_path_peak_rss():
     code, _, rss_mb = run_cli(["verify", "--format", "json"], stdin=csv, stdout=False)
     assert code == EXIT_OK
     assert rss_mb <= 1.25 * float(stated[1]), (rss_mb, stated[1])
+
+
+def test_readme_shuffled_candidate_peak_rss():
+    # verify --format json of a shuffled n = 2 * 10^5, with no run slice and
+    # about 180 000 composite positions, stays within 4 % of the memory the
+    # README states for it: the 30.6 MB it took while it held those
+    # positions and every slice's sums as lists of ints would fail
+    phrase = "`verify --format json` of the shuffled n = 2·10^5 candidate peaks at"
+    pattern = r"\s+".join(map(re.escape, phrase.split())) + r"\s+([\d.]+) MB"
+    stated = float(re.search(pattern, README.read_text())[1])
+    n = 200_000
+    shuffled = random.Random(1).sample(range(1, n + 1), n)
+    csv = ",".join(map(str, shuffled))
+    code, _, rss_mb = run_cli(["verify", "--format", "json"], stdin=csv, stdout=False)
+    assert code == EXIT_COMPOSITE
+    assert rss_mb <= 1.04 * stated, (rss_mb, stated)
 
 
 def _witness_json(n):
@@ -1445,18 +1545,34 @@ def _block_sizes(lines):
     return sizes
 
 
-@pytest.mark.parametrize("command", ["verify", "enumerate"])
-def test_output_leaves_in_doubling_blocks(monkeypatch, command):
+@pytest.mark.parametrize(
+    "command, n",
+    [
+        pytest.param("verify", 200_000, id="verify"),
+        pytest.param("enumerate", 12, id="enumerate"),
+        *(
+            pytest.param("verify", n, id=f"verify-{n}")
+            for n in (1, BLOCK_LINES - 1, BLOCK_LINES, BLOCK_LINES + 1, 2 * BLOCK_LINES)
+        ),
+        pytest.param("verify", None, id="verify-shuffle"),
+    ],
+)
+def test_output_leaves_in_doubling_blocks(monkeypatch, command, n):
+    # verify's lines leave in the blocks of _write_lines, cut from each
+    # slice's text: whole slices, a last slice of one line or one short of
+    # whole, and a shuffle, whose slices are not runs and whose verdict
+    # line names composite positions
+    code = EXIT_OK
     if command == "verify":
-        n = 200_000
-        witness = construct_prime_sum_permutation(n, build_sieve(2 * n))
-        monkeypatch.setattr("sys.stdin", io.StringIO(witness.to_text()))
-        argv, lines, first = ["verify"], n + 1, f"1 + {witness.image[0]} = "
+        image = _witness(n) if n else _composite_edges(3 * BLOCK_LINES + 5)
+        code = EXIT_COMPOSITE if n is None else code
+        monkeypatch.setattr("sys.stdin", io.StringIO(",".join(map(str, image))))
+        argv, lines, first = ["verify"], len(image) + 1, f"1 + {image[0]} = "
     else:
         argv, lines, first = ["enumerate", "--n", "12"], 9216, "2,1,4,3,"
     stdout = _CountingStdout()
     monkeypatch.setattr("sys.stdout", stdout)
-    assert main(argv) == EXIT_OK
+    assert main(argv) == code
     writes = stdout.writes
     assert len(writes) <= 64
     assert writes[0].count("\n") == 1 and writes[0].startswith(first)

@@ -351,6 +351,9 @@ def _from_text_by_tokens(text):
     return Permutation(tuple(map(int, tokens)))
 
 
+_SHUFFLE_30000 = ",".join(map(str, random.Random(8).sample(range(1, 30001), 30000)))
+
+
 def _outcome(parse, text):
     try:
         return parse(text)
@@ -382,12 +385,24 @@ def _outcome(parse, text):
         "[1],[2]",
         "[" * 10**4,
         "1," + "9" * 5000,
+        # text of 2^16 characters and more, read a piece at a time: faults
+        # in later pieces, commas at the first cut, a token longer than a piece
+        _SHUFFLE_30000,
+        _SHUFFLE_30000.replace(",20000,", ",x,"),
+        _SHUFFLE_30000 + ",",
+        "11," + "1," * 40000 + "1",
+        "11," + "1," * 32767,
+        "11," + "1," * 32767 + ",1",
+        "1," + "9" * 100_000 + ",2",
     ],
     ids=[
         "canonical", "canonical-1000", "spaces", "newlines", "vertical-tab",
         "no-break-space", "plus-sign", "underscore", "leading-zero",
         "arabic-indic", "trailing-comma", "doubled-comma", "true", "NaN", "1.0",
         "1e0", "-1", "out-of-range", "[1],[2]", "deep-brackets", "5000-digits",
+        "canonical-30000", "fault-in-a-later-piece", "trailing-comma-30000",
+        "comma-at-the-cut", "trailing-comma-at-the-cut", "empty-token-at-the-cut",
+        "token-longer-than-a-piece",
     ],
 )
 def test_from_text_matches_the_token_parser(text):

@@ -67,6 +67,33 @@ def test_prime_flags_out_of_range(sieve_small):
     assert not isinstance(excinfo.value, SieveRangeError)
 
 
+@pytest.mark.parametrize(
+    "values",
+    [[], (), [0], [1], [2], (500,), [2, 3], [4, 9], (1, 0), range(7), range(2, 3)],
+)
+def test_prime_flags_of_few_values(values):
+    # every value is looked up in one call, which for one value gives an
+    # int, not a tuple, and takes no value at all for none
+    sieve = build_sieve(500)
+    assert sieve.prime_flags(values) == bytes(map(is_prime_trial, values))
+
+
+def test_prime_flags_refuse_a_negative_among_many():
+    # a negative index would read a flag from the end of the sieve, so it
+    # is refused wherever it stands, as is_prime refuses it; past the limit,
+    # the largest value is named
+    sieve = build_sieve(500)
+    for at in (0, 1, 250, 499):
+        values = list(range(2, 502))
+        values[at] = -1 - at
+        with pytest.raises(ValueError, match=f"got {-1 - at}$") as excinfo:
+            sieve.prime_flags(values)
+        assert not isinstance(excinfo.value, SieveRangeError)
+    values = [*range(300), 900, *range(300), 501]
+    with pytest.raises(SieveRangeError, match="^900 is beyond the sieve limit 500$"):
+        sieve.prime_flags(values)
+
+
 def test_prime_bits_match_trial_division():
     sieve = build_sieve(500)
     for values in (
