@@ -12,6 +12,10 @@ from operator import add
 
 from .primes import BertrandViolationError, PrimeSieve
 
+# Largest block of lines the CLI joins into one write, and the number of
+# entries verify reads, checks and formats at a time.
+BLOCK_LINES = 4096
+
 
 class NotAPermutationError(ValueError):
     """Sequence is not a bijection on {1..n}."""

@@ -1,0 +1,260 @@
+"""The enumerator's walk and its blocks of solutions, imported only when
+enumerate_solutions or count_solutions_naive is called."""
+
+import functools
+import itertools
+from collections.abc import Iterator, Sequence
+from operator import mul, or_
+
+from .construct import NotAPermutationError, Permutation
+
+# The rows each half may have left when enumeration lists the leaves below
+# as a product instead of walking to them (see _walk). In-process on a
+# 2-core VM, `enumerate --n 15` into a null writer took 59-61, 30-32 and
+# 28-30 ms with 4, 5 and 6 (two rounds of medians of 15 alternating runs),
+# and the n = 16 stream 1.95, 0.83 and 0.85 s. With 6, a list may hold 6!
+# tuples and a pair's order (6!)^2 indices.
+_TAIL_ROWS = 5
+
+# The units of completion lists and pair orders that enumeration keeps
+# (see _walk), whatever n is: the full n = 16 stream peaks at 472 611.
+_LIST_ROOM = 1 << 19
+
+
+def _permutations(
+    prefix: tuple, firsts: tuple, seconds: tuple, order: tuple
+) -> Iterator[Permutation]:
+    """Each solution of one _proven block, in its order, stored as a
+    Permutation without a second check, from a list per first whose
+    second's slots each solution writes over."""
+    (entries, *_), (others, *_), (fi, sj) = firsts, seconds, order
+    images = [[*prefix, *_interleave(entry, others[0])] for entry in entries if fi]
+    start = len(prefix) + 1
+    for image, j in zip(map(images.__getitem__, fi), sj):
+        image[start::2] = others[j]
+        yield Permutation._unchecked(tuple(image))
+
+
+def _lines(
+    line: str, prefix: tuple, firsts: tuple, seconds: tuple, order: tuple
+) -> Iterator[str]:
+    """The text of each solution of one _proven block, in its order: line's
+    text, which is escaped for two % passes (each % as %%%%), around its
+    csv. Each line is one %-format: its first's template, line holding the
+    prefix's digits and the first's cell, filled in with its second's
+    digits. The prefix is not empty."""
+    head = ",".join(map("%d".__mod__, prefix))
+    templates = list(map(line.__mod__, map(head.__add__, firsts[2])))
+    fi, sj = order
+    cells = map(templates.__getitem__, fi), map(seconds[2].__getitem__, sj)
+    return map(str.__mod__, *cells)
+
+
+
+def _walk(rows: Sequence[int], match: list | None = None) -> Iterator[tuple]:
+    """Lowest-bit-first backtracking over bitset rows, on a list of each
+    depth's value and one mask of the values the depths above take, so
+    its depth is not bound by the recursion limit.
+    It yields the leaves in blocks (prefix, firsts, seconds, order), firsts
+    and seconds as _keyed lists: each leaf's image is the prefix followed
+    by a first and a second interleaved, the first's values at the even
+    offsets, and the pairs of indices into the entries that order lists,
+    by _order, come in the order the walk would reach their leaves.
+
+    With match, a perfect matching of the rows as the value of each depth,
+    the rows at even and at odd depths must hold disjoint sets of values,
+    as in enumerate_solutions. An image keeps a leaf below iff the rows
+    below can still take distinct values (Hall 1935), that is, iff _repair
+    can change match, in place, to give the image to its depth and agree
+    with the prefix above; else the walk skips it. Any such matching will
+    do, so nothing is undone on backtrack. Once each half has at most
+    _TAIL_ROWS rows left, and past depth 0, the walk stops descending: the
+    leaves below are one block, whose firsts and seconds are the
+    _completions of the half that takes the next depth and of the other
+    half. The product is not built here, so a block holds two lists of at
+    most _TAIL_ROWS! short tuples, which the walk keys and keeps by half
+    state and hands to many blocks, and their order, kept by the pair of
+    states; each block is _proven before it is yielded. The lists and
+    orders hold at most _LIST_ROOM units, one per list or order and one
+    per entry of each of their parts, and are all dropped when a new one
+    would not fit.
+    Without match, the walk skips only used images, and each block is one
+    leaf, (image, *_LEAF).
+    """
+    n = len(rows)
+    image = [0] * n  # the value each depth holds, 0 before its first
+    taken = 0  # the values of the depths above pos
+    cut = n
+    if match is not None:
+        owner = [0] * (n + 1)  # the depth that takes each value in match
+        for depth, value in enumerate(match):
+            owner[value] = depth
+        halves = (rows[0::2], rows[1::2])
+        values = tuple(functools.reduce(or_, half, 0) for half in halves)
+        # The cut is past depth 0, so at most the odd half's key is empty
+        # there, and one dict holds both halves' lists and, by the pair of
+        # their keys, their orders.
+        cut = max(1, n - 2 * _TAIL_ROWS)
+        lists: dict[int | tuple[int, int], tuple] = {}
+        held = 0  # units in lists
+    pos = 0
+    while True:
+        avail = rows[pos] & ~taken & -1 << image[pos]  # free, above its value
+        if not avail:
+            if not pos:
+                return
+            pos -= 1
+            taken ^= 1 << image[pos] - 1
+            continue
+        # lowest set bit first keeps the stream lexicographic
+        bit = avail & -avail
+        image[pos] = bit.bit_length()
+        if match is not None and match[pos] != image[pos]:
+            if not _repair(rows, match, owner, pos, image[pos], taken):
+                continue
+        if pos + 1 == cut:
+            if match is None:
+                yield tuple(image), *_LEAF
+                continue
+            pair = ((taken | bit) & values[cut & 1], (taken | bit) & values[~cut & 1])
+            block = []
+            for key in (*pair, pair):
+                found = lists.get(key)
+                if found is None:
+                    if key is pair:
+                        found = _order(*block)
+                    else:
+                        offset = len(block)  # 0 for the firsts
+                        entries = _completions(halves[(cut + offset) & 1], key)
+                        found = _keyed(entries, n, offset, n - cut)
+                    units = 1 + sum(map(len, found))
+                    if held + units > _LIST_ROOM:
+                        lists.clear()
+                        held = 0
+                    if units <= _LIST_ROOM:
+                        lists[key] = found
+                        held += units
+                block.append(found)
+            prefix = tuple(image[:cut])
+            _proven(prefix, *block)
+            yield prefix, *block
+            continue
+        taken |= bit
+        pos += 1
+        image[pos] = 0
+
+
+def _repair(
+    rows: Sequence[int], match: list, owner: list, pos: int, value: int, taken: int
+) -> bool:
+    """Whether depth pos can take value while the depths below it take
+    distinct values of their rows outside taken, the values of the depths
+    above it, given match, a perfect matching of rows that agrees with
+    them, and owner, its inverse; if so, both become such a matching.
+
+    One depth-first search, on a list, for an alternating path: from the
+    depth that holds value, each depth on it takes the next one's value,
+    until one takes the value that pos gives up. Each depth tries that
+    value first, then the lowest value not yet entered; no value is
+    entered twice. On failure match is unchanged."""
+    lost = match[pos]
+    goal = 1 << lost - 1
+    free = ~taken ^ 1 << value - 1  # values the path may still enter
+    path = [owner[value]]
+    while path:
+        row = rows[path[-1]]
+        if row & goal:
+            break
+        avail = row & free
+        if avail:
+            bit = avail & -avail
+            free ^= bit
+            path.append(owner[bit.bit_length()])
+        else:
+            path.pop()
+    else:
+        return False
+    for depth in reversed(path):
+        match[depth], lost = lost, match[depth]
+        owner[match[depth]] = depth
+    match[pos], owner[value] = value, pos
+    return True
+
+
+def _completions(rows: Sequence[int], key: int) -> list[tuple[int, ...]]:
+    """Every way for the rows past the first key.bit_count() to take
+    distinct values outside key, which those first rows took, as tuples of
+    values in lexicographic order."""
+    partial = [((), key)]
+    for row in rows[key.bit_count() :]:
+        grown = []
+        for taken, used in partial:
+            avail = row & ~used
+            while avail:
+                bit = avail & -avail
+                avail ^= bit
+                grown.append(((*taken, bit.bit_length()), used | bit))
+        partial = grown
+    return [taken for taken, _ in partial]
+
+
+def _keyed(entries: list, n: int, offset: int, length: int) -> tuple:
+    """(entries, keys, cells) for a completion list whose values go at
+    offsets offset, offset + 2, ... of tails of the given length.
+
+    Unless the entries hold only ints (not bools) in 1..n, each as long as
+    its offsets, all of one set of values, RuntimeError. An entry's key is
+    its values as digits in base n + 1 at those offsets, so a tail's key
+    is its first's plus its second's, and sorting the keys sorts the
+    tails. A first's cell is a %-format of its digits with a %s at each
+    odd offset, and a second's cell the tuple of its digits."""
+    powers = range(length - 1 - offset, -1, -2)
+    if entries and not (
+        set(map(type, itertools.chain.from_iterable(entries))) <= {int}
+        and set(map(len, entries)) == {len(powers)}
+        and set(map(frozenset, entries)) == {frozenset(entries[0])}
+        and all(0 < v <= n for v in entries[0])
+    ):
+        raise RuntimeError(f"enumeration built a faulty completion list at n = {n}")
+    weights = [(n + 1) ** power for power in powers]
+    keys = [sum(map(mul, entry, weights)) for entry in entries]
+    if offset:
+        return entries, keys, [tuple(map("%d".__mod__, entry)) for entry in entries]
+    cell = ",%d,%%s" * (length // 2) + ",%d" * (length % 2)
+    return entries, keys, list(map(cell.__mod__, entries))
+
+
+def _order(firsts: tuple, seconds: tuple) -> tuple[bytes, bytes]:
+    """The tails of a pair of _keyed lists as the indices of their firsts
+    and of their seconds, sorted by the sums of their keys. Each index
+    takes a byte: a list holds at most _TAIL_ROWS! = 120 entries, and
+    bytes raises on an index past 255."""
+    keys = [a + b for a in firsts[1] for b in seconds[1]]
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    m = len(seconds[0])
+    return bytes(map(m.__rfloordiv__, order)), bytes(map(m.__rmod__, order))
+
+
+def _proven(prefix: tuple, firsts: tuple, seconds: tuple, order: tuple) -> None:
+    """Prove each solution of a block of _keyed lists a bijection, or raise
+    RuntimeError. Each is the prefix and a first and a second interleaved,
+    n ints in 1..n with the same set of values, so once Permutation has
+    accepted the first in order, whose n values are distinct, each is."""
+    fi, sj = order
+    if fi:
+        try:
+            Permutation(prefix + _interleave(firsts[0][fi[0]], seconds[0][sj[0]]))
+        except NotAPermutationError as error:
+            raise RuntimeError(f"enumeration built a faulty block: {error}") from None
+
+
+def _interleave(first: tuple, second: tuple) -> tuple:
+    """first's values at the even offsets and second's at the odd ones,
+    then the rest of the longer."""
+    pairs = itertools.chain.from_iterable(zip(first, second))
+    return (*pairs, *first[len(second) :], *second[len(first) :])
+
+
+# An empty first and second, _keyed, and their one tail: the leaf that
+# closes each block of a walk without a matching.
+_LEAF = (([()], [0], [""]), ([()], [0], [()]), ([0], [0]))

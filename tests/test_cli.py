@@ -32,6 +32,9 @@ from primeperm import cli
 from primeperm import construct as construct_module
 from primeperm import count as count_module
 from primeperm import primes as primes_module
+from primeperm import runs as runs_module
+from primeperm import verify as verify_module
+from primeperm import walk as walk_module
 from primeperm.cli import (
     BLOCK_LINES,
     EXIT_CAP,
@@ -130,7 +133,7 @@ def test_run_matches_one_format_per_cell(
         first -= (size - 1) * step
     values = range(first, first + size * step, step)
     assume(min(values, default=0) >= 0)
-    pieces = list(cli._run(first, size, step, width, sep))
+    pieces = list(runs_module._run(first, size, step, width, sep))
     assert "".join(pieces) == sep.join("%*d" % (width, v) for v in values)
     assert len(pieces) == len({v // 1000 for v in values})
 
@@ -562,12 +565,13 @@ def test_verify_reads_canonical_text_as_the_decode_path(fault, form, image, at, 
     text = _FORMS[form].format(n=n, n1=n + 1, body=",".join(tokens))
     canonical = fault is None and form in ("csv", "json")
     if canonical:
-        list(cli._canonical_slices(iter([text])))  # raises cli._Whole if not canonical
+        # raises verify_module._Whole if not canonical
+        list(verify_module._canonical_slices(iter([text])))
     code = EXIT_COMPOSITE if _composites(image) else EXIT_OK
     oracles = {"text": _verify_text_by_lines, "json": _verify_json_by_dumps}
     for fmt in ("text", "json"):
         fast = _verified(text, stdin, fmt)
-        with mock.patch.object(cli, "_canonical_slices", _read_whole):
+        with mock.patch.object(verify_module, "_canonical_slices", _read_whole):
             assert fast == _verified(text, stdin, fmt), (fault, form, fmt)
         if canonical:
             assert fast == (code, oracles[fmt](image), ""), (form, fmt)
@@ -577,7 +581,7 @@ def test_verify_reads_canonical_text_as_the_decode_path(fault, form, image, at, 
 
 def _read_whole(pieces):
     # _canonical_slices as if no input were canonical: the decode path
-    raise cli._Whole("".join(pieces))
+    raise verify_module._Whole("".join(pieces))
 
 
 # Textual forms of one permutation, from its entries
@@ -675,7 +679,7 @@ def test_verify_decides_every_slice_but_the_last_before_the_input_ends(monkeypat
     # read that returns EOF; only the last waits for the end of the input
     n = 200_000
     csv = ",".join(map(str, _witness(n)))
-    canonical, reads, decided = cli._canonical_slices, [], []
+    canonical, reads, decided = verify_module._canonical_slices, [], []
 
     class Stdin(io.BytesIO):
         def read(self, size=-1):
@@ -688,7 +692,7 @@ def test_verify_decides_every_slice_but_the_last_before_the_input_ends(monkeypat
             decided.append((len(reads), 0 in reads))  # reads so far, EOF among them
             yield vs
 
-    monkeypatch.setattr(cli, "_canonical_slices", counted)
+    monkeypatch.setattr(verify_module, "_canonical_slices", counted)
     for text in (csv, f'{{"n":{n},"image":[{csv}]}}\n'):
         reads.clear()
         decided.clear()
@@ -696,9 +700,9 @@ def test_verify_decides_every_slice_but_the_last_before_the_input_ends(monkeypat
         monkeypatch.setattr("sys.stdin", stdin)
         with redirect_stdout(io.StringIO()):
             assert main(["verify", "--format", "json"]) == EXIT_OK
-        assert reads == [cli.STDIN_PIECE] * (len(text) // cli.STDIN_PIECE) + [
-            len(text) % cli.STDIN_PIECE, 0
-        ]
+        assert reads == [verify_module.STDIN_PIECE] * (
+            len(text) // verify_module.STDIN_PIECE
+        ) + [len(text) % verify_module.STDIN_PIECE, 0]
         assert len(decided) == 49 and decided[0] == (1, False)
         assert [eof for _, eof in decided] == [False] * 48 + [True]
         assert [at for at, _ in decided] == sorted(at for at, _ in decided)
@@ -713,7 +717,7 @@ def test_verify_refuses_an_input_over_the_sieve_cap_as_it_reads(monkeypatch):
     # N passes the cap over a few entries is refused as any lying head is
     at_cap, past_cap = (_witness(2 * BLOCK_LINES + e) for e in (0, 1))
     cap = 4 * BLOCK_LINES
-    monkeypatch.setattr(cli, "DEFAULT_LIMIT_CAP", cap)
+    monkeypatch.setattr(verify_module, "DEFAULT_LIMIT_CAP", cap)
     monkeypatch.setattr(primes_module, "DEFAULT_LIMIT_CAP", cap)
     reads = []
 
@@ -858,7 +862,7 @@ def test_verify_lines_of_a_run_by_digit_columns(run, prime):
     ks = range(first, first + size)
     vs = tuple(total - k for k in ks)
     label = "prime" if prime else "composite"
-    text = cli._verify_lines(ks, vs, (total,), bytes([prime]))
+    text = verify_module._verify_lines(ks, vs, (total,), bytes([prime]))
     assert text == "".join(
         "%d + %d = %d  %s\n" % (k, total - k, total, label) for k in ks
     )
@@ -950,7 +954,8 @@ def _witness_json(n):
     blocks by construct's own writer (_cells), with no n-int image."""
     blocks = decompose_blocks(n, build_sieve(2 * n))[::-1]  # in position order
     runs = [(b.prime, b.hi - b.lo + 1) for b in blocks]
-    return f'{{"n":{n},"image":[' + "".join(cli._cells(runs, -1, ",", False)) + "]}\n"
+    body = "".join(runs_module._cells(runs, -1, ",", False))
+    return f'{{"n":{n},"image":[' + body + "]}\n"
 
 
 def test_verify_of_the_10_7_witness_reads_it_in_bounded_memory(capsys):
@@ -1059,9 +1064,9 @@ def test_verify_undecodable_stdin_names_its_offset_in_the_input(at):
     # after the boundary of two pieces
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     env["PYTHONIOENCODING"] = "utf-8:strict"
-    offset = cli.STDIN_PIECE - 2 + at
+    offset = verify_module.STDIN_PIECE - 2 + at
     for bad, reason, width in ((b"\xff", "byte 0xff", 1), (b"\xe2\x82", "bytes", 2)):
-        data = b"1," * cli.STDIN_PIECE
+        data = b"1," * verify_module.STDIN_PIECE
         data = data[:offset] + bad + data[offset:]
         done = subprocess.run(
             [sys.executable, "-m", "primeperm.cli", "verify"],
@@ -1235,13 +1240,13 @@ def test_enumerate_deep_n(capsys, n):
 def _counted_blocks(monkeypatch) -> list[int]:
     """The number of solutions of each block the line writer checks, as it
     checks them."""
-    proven, sizes = count_module._proven, []
+    proven, sizes = walk_module._proven, []
 
     def counted(prefix, firsts, seconds, order):
         sizes.append(len(order[0]))
         return proven(prefix, firsts, seconds, order)
 
-    monkeypatch.setattr(count_module, "_proven", counted)
+    monkeypatch.setattr(walk_module, "_proven", counted)
     return sizes
 
 
@@ -1312,14 +1317,14 @@ def test_enumerate_reports_a_faulty_list_as_an_internal_error(
     # internal error, not a bad input
     argv = ("enumerate", "--n", "12", "--format", fmt)
     true = run(capsys, *argv)[1].splitlines()
-    completions, (change, message) = count_module._completions, LIST_FAULTS[fault]
+    completions, (change, message) = walk_module._completions, LIST_FAULTS[fault]
     built = []
 
     def faulty(rows, key):
         built.append(completions(rows, key))
         return change(built[-1], key) if len(built) > 2 else built[-1]
 
-    monkeypatch.setattr(count_module, "_completions", faulty)
+    monkeypatch.setattr(walk_module, "_completions", faulty)
     code, out, err = run(capsys, *argv)
     lines = out.splitlines()
     assert code == EXIT_ERROR and err.startswith("primeperm: internal error:")
@@ -1812,6 +1817,61 @@ def test_json_output_imports_no_json():
     assert not added & {"dataclasses", "inspect", "json"}
 
 
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        (["count", "--n", "22"], set()),
+        (["table", "--max", "18"], set()),
+        (["enumerate", "--n", "6"], {"primeperm.walk"}),
+        (["construct", "--n", "1"], {"primeperm.runs"}),
+        (["verify", "--perm", "2,1"], {"primeperm.runs", "primeperm.verify"}),
+    ],
+)
+def test_each_command_loads_only_the_modules_it_runs(argv, loaded):
+    # the witness text code and the enumerator are compiled only by the
+    # commands that run them (README, "Start-up"); every command imports count
+    added = _modules_imported_by(argv)
+    assert added & {"primeperm.runs", "primeperm.verify", "primeperm.walk"} == loaded
+    assert "primeperm.count" in added
+
+
+@pytest.mark.parametrize(
+    "argv, stdin, code",
+    [
+        (["construct", "--n", "10"], "", EXIT_OK),
+        (["verify"], "1,2", EXIT_COMPOSITE),
+        (["verify", "--format", "json"], '{"n":2,"image":[2,1]}', EXIT_OK),
+        (["count", "--n", "8"], "", EXIT_OK),
+        (["enumerate", "--n", "6"], "", EXIT_OK),
+        (["table", "--max", "8"], "", EXIT_OK),
+        (["verify", "--perm", "1,x"], "", EXIT_USAGE),
+        (["verify"], '{"n":2,', EXIT_USAGE),
+        (["verify"], None, EXIT_USAGE),  # stdin closed
+        (["construct", "--n", str(2**26 + 1)], "", EXIT_CAP),
+        (["count", "--n", "100"], "", EXIT_CAP),
+    ],
+)
+def test_commands_never_import_the_cli_twice(capsys, monkeypatch, argv, stdin, code):
+    # under python -m, the running cli is __main__: a module that imported
+    # primeperm.cli would compile it again, and raise a second _UsageError
+    # that main does not catch. Each command keeps its code and message.
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    command = [sys.executable, "-X", "importtime", "-m", "primeperm.cli", *argv]
+    if stdin is None:
+        command = ["sh", "-c", 'exec "$@" <&-', "sh", *command]
+    done = subprocess.run(
+        command, input=stdin or "", env=env, capture_output=True, text=True, timeout=60
+    )
+    timings, messages = [], []
+    for line in done.stderr.splitlines(True):
+        (timings if line.startswith("import time:") else messages).append(line)
+    imported = [line.split("|")[-1].strip() for line in timings]
+    assert "primeperm.count" in imported and "primeperm.cli" not in imported
+    monkeypatch.setattr("sys.stdin", None if stdin is None else io.StringIO(stdin))
+    assert (done.returncode, done.stdout, "".join(messages)) == run(capsys, *argv)
+    assert done.returncode == code
+
+
 def test_readme_cli_table_matches_parser():
     # rows of the table under "## CLI": | `count` | `--n N` `--method ...` ... |
     section = README.read_text().split("\n## CLI\n")[1].split("\n#")[0]
@@ -1831,10 +1891,15 @@ def test_readme_cli_table_matches_parser():
 
 
 def test_benchmark_traced_round_runs():
-    # perfbench's traced mode times the CLI by wrapping module attributes
-    # it calls, such as cli.construct_prime_sum_permutation and
-    # cli.enumerate_solutions, and reads every span they record: a command
-    # that stops calling one of them fails this round with a KeyError
+    # perfbench's traced mode times the CLI by wrapping module attributes,
+    # and reads every span they record. These must stay on their modules,
+    # called through the module's globals: cli.build_sieve,
+    # cli.construct_prime_sum_permutation, cli.sequence_table,
+    # cli.enumerate_solutions, count.build_sieve, count.build_adjacency,
+    # count.count_solutions_dp and count.count_solutions_ryser. It also
+    # calls cli._rounds_table, cli.build_parser and cli.main. A name that
+    # leaves its module fails this round with an AttributeError, and a
+    # command that stops calling one with a KeyError
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", "count",
          "--seconds", "0", "--trace", "1"],

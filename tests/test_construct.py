@@ -24,7 +24,7 @@ from primeperm import (
 )
 
 
-from primeperm.count import _keyed, _lines, _order, _permutations, _proven
+from primeperm.walk import _keyed, _lines, _order, _permutations, _proven
 
 from oracles import interleaved_product, is_prime_trial, next_prime_trial
 

@@ -11,6 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import primeperm.count as count_module
+import primeperm.walk as walk_module
 from primeperm import (
     MethodCapError,
     SieveRangeError,
@@ -30,13 +31,11 @@ from primeperm.count import (
     NAIVE_ESTIMATE_N,
     STEP_BUDGET,
     _half_rows,
-    _keyed,
-    _order,
     _pinned_rows,
     _steps,
-    _walk,
 )
 from primeperm.primes import DEFAULT_LIMIT_CAP
+from primeperm.walk import _keyed, _order, _walk
 
 from oracles import (
     count_by_full_iteration,
@@ -508,7 +507,7 @@ def test_enumerate_tail_product_at_every_cut(sieve_small, monkeypatch):
     for n in range(1, 14):
         leaves = list(_leaves(_walk(_pinned_rows(n, sieve_small))))
         for tail_rows in range(1, max(1, n // 2) + 1):
-            monkeypatch.setattr(count_module, "_TAIL_ROWS", tail_rows)
+            monkeypatch.setattr(walk_module, "_TAIL_ROWS", tail_rows)
             ours = [p.image for p in enumerate_solutions(n, sieve_small)]
             assert ours == leaves, (n, tail_rows)
 
@@ -544,7 +543,7 @@ def test_walk_with_a_matching_is_the_unpruned_walk(case):
     if match is None:
         assert unpruned == []
         return
-    with mock.patch.object(count_module, "_TAIL_ROWS", tail_rows):
+    with mock.patch.object(walk_module, "_TAIL_ROWS", tail_rows):
         assert list(_leaves(_walk(rows, match))) == unpruned
 
 
@@ -556,7 +555,7 @@ def test_walk_keeps_a_perfect_matching_that_agrees_with_the_prefix(case):
     rows, tail_rows = case
     match = perfect_matching(rows)
     assume(match is not None)
-    with mock.patch.object(count_module, "_TAIL_ROWS", tail_rows):
+    with mock.patch.object(walk_module, "_TAIL_ROWS", tail_rows):
         for prefix, *_ in _walk(rows, match):
             assert sorted(match) == list(range(1, len(rows) + 1))
             assert all(row >> (v - 1) & 1 for row, v in zip(rows, match))
@@ -579,7 +578,7 @@ def test_enumerate_completion_lists_stay_within_room(sieve_small, monkeypatch):
     # and cells, and the orders of their pairs stay within it and are
     # dropped together; the stream does not change. With the shipped room
     # the full n = 15 stream never drops them.
-    walk = count_module._walk
+    walk = walk_module._walk
     held, orders = [], []
 
     def watched(rows, match):
@@ -588,12 +587,12 @@ def test_enumerate_completion_lists_stay_within_room(sieve_small, monkeypatch):
             state = blocks.gi_frame.f_locals
             lists = state["lists"]
             units = sum(_units(key, kept) for key, kept in lists.items())
-            assert units == state["held"] <= count_module._LIST_ROOM, units
+            assert units == state["held"] <= walk_module._LIST_ROOM, units
             held.append(units)
             orders.append(sum(isinstance(key, tuple) for key in lists))
             yield block
 
-    monkeypatch.setattr(count_module, "_walk", watched)
+    monkeypatch.setattr(walk_module, "_walk", watched)
     list(enumerate_solutions(15, sieve_small))
     assert held == sorted(held) and orders[-1] > 0
     for n, room in itertools.product((12, 13, 14), (1000, 4000)):
@@ -601,7 +600,7 @@ def test_enumerate_completion_lists_stay_within_room(sieve_small, monkeypatch):
         held.clear()
         orders.clear()
         with monkeypatch.context() as patch:
-            patch.setattr(count_module, "_LIST_ROOM", room)
+            patch.setattr(walk_module, "_LIST_ROOM", room)
             assert [p.image for p in enumerate_solutions(n, sieve_small)] == full
         # lists and orders were kept, and dropped when they outgrew their room
         assert max(orders) > 0, (n, room)
@@ -635,7 +634,7 @@ def test_enumerate_checks_every_tail_of_a_block(sieve_small, monkeypatch, fault)
 
 def _check_every_tail(sieve_small, monkeypatch, fault, line):
     true = list(enumerate_solutions(12, sieve_small, line=line))
-    completions, walk = count_module._completions, count_module._walk
+    completions, walk = walk_module._completions, walk_module._walk
     blocks, built, faulted = [], [], []
 
     def faulty(rows, key):
@@ -651,8 +650,8 @@ def _check_every_tail(sieve_small, monkeypatch, fault, line):
             blocks.append(block)
             yield block
 
-    monkeypatch.setattr(count_module, "_completions", faulty)
-    monkeypatch.setattr(count_module, "_walk", recorded)
+    monkeypatch.setattr(walk_module, "_completions", faulty)
+    monkeypatch.setattr(walk_module, "_walk", recorded)
     got = []
     with pytest.raises(RuntimeError, match="completion list"):
         got.extend(enumerate_solutions(12, sieve_small, line=line))
@@ -681,10 +680,10 @@ def test_naive_count_walks_without_the_matching_repair(sieve_small, monkeypatch)
     def no_tail(*args):
         raise AssertionError("naive counting used the tail product")
 
-    monkeypatch.setattr(count_module, "_completions", no_tail)
+    monkeypatch.setattr(walk_module, "_completions", no_tail)
     with pytest.raises(AssertionError, match="tail product"):
         next(enumerate_solutions(10, sieve_small))
-    monkeypatch.setattr(count_module, "_repair", no_repair)
+    monkeypatch.setattr(walk_module, "_repair", no_repair)
     assert [count_solutions_naive(n, sieve_small) for n in range(1, 11)] == KNOWN_COUNTS
     with pytest.raises(AssertionError, match="matching repair"):
         next(enumerate_solutions(10, sieve_small))
