@@ -16,6 +16,10 @@ from .primes import BertrandViolationError, PrimeSieve
 # entries verify reads, checks and formats at a time.
 BLOCK_LINES = 4096
 
+# Bytes of stdin verify reads and decodes at a time, and the characters of
+# text _comma_pieces splits at a time.
+STDIN_PIECE = 1 << 16
+
 
 class NotAPermutationError(ValueError):
     """Sequence is not a bijection on {1..n}."""
@@ -88,10 +92,10 @@ def _first_fault(image: tuple) -> str:
 
 def _comma_pieces(text: str) -> Iterator[list[str]]:
     """The comma-separated tokens of text, one list for each piece of about
-    64 KiB (2^16 characters, then up to the next comma)."""
+    STDIN_PIECE characters (then up to the next comma)."""
     start = 0
     while start <= len(text):
-        end = text.find(",", start + (1 << 16))
+        end = text.find(",", start + STDIN_PIECE)
         end = len(text) if end < 0 else end
         yield text[start:end].split(",")
         start = end + 1
@@ -226,7 +230,6 @@ def decompose_blocks(n: int, sieve: PrimeSieve) -> list[Block]:
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    sieve.is_prime(2 * n)  # its range check: the sieve must cover 2n
     blocks = []
     hi = n
     while hi >= 1:

@@ -19,6 +19,7 @@ from collections import defaultdict
 from collections.abc import Iterator
 from operator import mul
 from os.path import commonprefix
+from sys import maxsize
 
 from .construct import Permutation, _Frozen
 from .construct import construct_prime_sum_permutation
@@ -86,15 +87,24 @@ def _steps(n: int, method: str) -> int:
     return steps
 
 
-def _require_budget(ns: range, method: str) -> None:
-    """Refuse counting every n in ns if that would exceed STEP_BUDGET."""
-    for steps in itertools.accumulate(_steps(n, method) for n in ns):
+def _admit(method: str, ns: range) -> str:
+    """The kernel that counts every n in ns by method ("auto" is "dp"),
+    after, in this order: method is one of METHODS, n is nonnegative, and
+    the steps of all of ns together fit STEP_BUDGET. Each refusal raises
+    before any work; ns may be longer than any len() can state."""
+    if method not in METHODS:
+        raise ValueError(f"unknown counting method {method!r}; pick from {METHODS}")
+    if ns[0] < 0:
+        raise ValueError(f"n must be nonnegative, got {ns[0]}")
+    kernel = "dp" if method == "auto" else method
+    for steps in itertools.accumulate(_steps(n, kernel) for n in ns):
         if steps > STEP_BUDGET:
-            at = f"n = {ns[0]}" if len(ns) == 1 else f"n = 1..{ns[-1]}"
+            at = ns[0] if ns[0] == ns[-1] else f"{ns[0]}..{ns[-1]}"
             raise MethodCapError(
-                f"{method} counting at {at} is estimated at {steps} or more "
+                f"{kernel} counting at n = {at} is estimated at {steps} or more "
                 f"steps, over the step budget of {STEP_BUDGET}"
             )
+    return kernel
 
 
 def count_solutions_naive(n: int, sieve: PrimeSieve) -> int:
@@ -104,11 +114,9 @@ def count_solutions_naive(n: int, sieve: PrimeSieve) -> int:
     per block without a matching), on the full matrix, with neither the
     parity pin nor the matching that enumerate_solutions builds on it.
     """
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
+    _admit("naive", range(n, n + 1))
     if n == 0:
         return 1
-    _require_budget(range(n, n + 1), "naive")
     from .walk import _walk  # the enumerator, compiled only when it runs
 
     return sum(len(order[0]) for *_, order in _walk(build_adjacency(n, sieve).rows))
@@ -145,9 +153,7 @@ def count_solutions_dp(n: int, sieve: PrimeSieve) -> int:
     count so only two layers are resident at once (peak memory is the
     central binomial coefficient C(m, m // 2), not a 2^m table).
     """
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
-    _require_budget(range(n, n + 1), "dp")
+    _admit("dp", range(n, n + 1))
     rows = _half_rows(n, sieve)
     layer = {0: 1}
     for row in rows:
@@ -176,9 +182,7 @@ def count_solutions_ryser(n: int, sieve: PrimeSieve) -> int:
     (t & -t), so |S| changes parity and only the rows holding that column
     change, by +-2: 2^(m-1) - 1 steps, on O(m) ints.
     """
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
-    _require_budget(range(n, n + 1), "ryser")
+    _admit("ryser", range(n, n + 1))
     rows = _half_rows(n, sieve)
     m = len(rows)
     if not m:
@@ -198,13 +202,6 @@ def count_solutions_ryser(n: int, sieve: PrimeSieve) -> int:
     return ((-total if (m - 1) % 2 else total) >> (m - 1)) ** 2
 
 
-def _kernel(method: str) -> str:
-    """The kernel that method names, once it is checked: "auto" is "dp"."""
-    if method not in METHODS:
-        raise ValueError(f"unknown counting method {method!r}; pick from {METHODS}")
-    return "dp" if method == "auto" else method
-
-
 def count_solutions(
     n: int, sieve: PrimeSieve | None = None, method: str = "auto"
 ) -> int:
@@ -214,11 +211,8 @@ def count_solutions(
     cross-checks. Without a sieve, one to 2n is built once the step
     estimate has admitted n, so refusing a large n costs no sieve.
     """
-    kernel = _kernel(method)
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
+    kernel = _admit(method, range(n, n + 1))
     if sieve is None:
-        _require_budget(range(n, n + 1), kernel)
         sieve = build_sieve(max(2, 2 * n))
     if kernel == "naive":
         return count_solutions_naive(n, sieve)
@@ -291,7 +285,8 @@ def enumerate_solutions(
     blocks = _walk(_pinned_rows(n, sieve), list(witness.image))
     render = _permutations if line is None else functools.partial(_lines, line)
     stream = itertools.chain.from_iterable(itertools.starmap(render, blocks))
-    return stream if limit is None else itertools.islice(stream, limit)
+    # islice takes at most sys.maxsize, an item count no stream reaches
+    return stream if limit is None else itertools.islice(stream, min(limit, maxsize))
 
 
 def _pinned_rows(n: int, sieve: PrimeSieve) -> list[int]:
@@ -327,8 +322,7 @@ def sequence_table(max_n: int, method: str = "auto") -> list[SequenceRow]:
     """
     if max_n < 1:
         raise ValueError(f"max_n must be positive, got {max_n}")
-    # before building the sieve to 2 * max_n, which may be large
-    _require_budget(range(1, max_n + 1), _kernel(method))
+    _admit(method, range(1, max_n + 1))  # before the sieve to 2 * max_n
     sieve = build_sieve(2 * max_n)
     return [
         SequenceRow(

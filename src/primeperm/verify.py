@@ -9,12 +9,9 @@ from functools import lru_cache, partial
 from itertools import chain, compress, starmap
 from operator import add
 
-from .construct import BLOCK_LINES, Permutation
+from .construct import BLOCK_LINES, STDIN_PIECE, Permutation
 from .primes import DEFAULT_LIMIT_CAP, PrimeSieve, SieveCapError
 from .runs import _run
-
-# Bytes of stdin verify reads and decodes at a time.
-STDIN_PIECE = 1 << 16
 
 
 def _text_blocks(texts: Iterable[str]) -> Iterator[str]:

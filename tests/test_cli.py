@@ -1208,6 +1208,13 @@ def test_enumerate_limit(capsys):
     assert code == EXIT_OK and len(out.splitlines()) == 2
 
 
+def test_enumerate_limit_past_sys_maxsize_is_no_limit(capsys):
+    # islice takes no stop past sys.maxsize; no stream gets that far
+    whole = run(capsys, "enumerate", "--n", "6")
+    assert whole[0] == EXIT_OK and whole[1].count("\n") == 9
+    assert run(capsys, "enumerate", "--n", "6", "--limit", str(2**64)) == whole
+
+
 def test_enumerate_json_lines(capsys):
     code, out, _ = run(capsys, "enumerate", "--n", "4", "--format", "json")
     assert code == EXIT_OK
@@ -1508,6 +1515,16 @@ def test_table_cap(capsys):
     assert err.startswith("primeperm: dp counting at n = 1..40 is estimated at ")
 
 
+@pytest.mark.parametrize("method", ["auto", "dp", "ryser", "naive"])
+@pytest.mark.parametrize("max_n", [2**63, 10**20])
+def test_table_cap_past_sys_maxsize(capsys, max_n, method):
+    # range(1, max_n + 1) is longer than len() can state
+    code, out, err = run(capsys, "table", "--max", str(max_n), "--method", method)
+    assert (code, out) == (EXIT_CAP, "")
+    at = f"{'dp' if method == 'auto' else method} counting at n = 1..{max_n} "
+    assert err.startswith(f"primeperm: {at}is estimated at ")
+
+
 @pytest.mark.parametrize(
     "argv,limit",
     [
@@ -1712,7 +1729,7 @@ def test_usage_error_names_each_options_least_value(capsys):
 # Every n is tiny, or past the sieve cap and the step budget, so no example
 # starts mid-size work (construct --n 10^7 alone sieves 20 MB).
 # Junk has no decimal digits, so it never spells another n.
-_N = st.one_of(st.integers(0, 8), st.sampled_from([10**8, 2**27])).map(str)
+_N = st.one_of(st.integers(0, 8), st.sampled_from([10**8, 2**27, 2**64])).map(str)
 _N_FLAGS = st.sampled_from(["--n", "--max", "--limit"])
 _PERMS = st.sampled_from(["1,5,4,3,2", "1,2", "1,1", "", '{"n":2,"image":[2,1]}', "{"])
 _WORDS = st.one_of(
