@@ -4,12 +4,12 @@ Valid permutations are exactly the permutation matrices dominated by the
 0/1 matrix M with M[i][j] = 1 iff i + j is prime, whose row i is the
 sieve's window i + 1 .. i + n, so the solution count is the permanent of
 M. Three independent routes compute it: backtracking (the desk-scale
-oracle, which counts the leaves of the enumerator's walk), subset dynamic
-programming, and Ryser inclusion-exclusion. The last two use parity to
-reduce per(M) to per(A) ** 2 for a half-size block A (see _half_rows);
-the oracle stays on the full matrix as a check of that reduction. Counts
-are plain Python ints: they outgrow 64 bits quickly. The enumerator's walk
-is in walk.py, imported on first use.
+oracle, a stack counter of its own), subset dynamic programming, and Ryser
+inclusion-exclusion. The last two use parity to reduce per(M) to
+per(A) ** 2 for a half-size block A (see _half_rows); the oracle stays on
+the full matrix as a check of that reduction. Counts are plain Python
+ints: they outgrow 64 bits quickly. The enumerator's walk is in walk.py,
+imported on first use.
 """
 
 import functools
@@ -110,16 +110,26 @@ def _admit(method: str, ns: range) -> str:
 def count_solutions_naive(n: int, sieve: PrimeSieve) -> int:
     """Count solutions by backtracking; the ground-truth oracle.
 
-    It counts the leaves of the enumerator's walk over legal images (one
-    per block without a matching), on the full matrix, with neither the
-    parity pin nor the matching that enumerate_solutions builds on it.
+    Depth-first on a stack of (depth, values the depths above take), on
+    the full matrix's rows: each depth takes each free value of its row,
+    and the last depth adds its free values' count. It shares neither the
+    parity split nor the enumerator's walk, so it checks both.
     """
     _admit("naive", range(n, n + 1))
     if n == 0:
         return 1
-    from .walk import _walk  # the enumerator, compiled only when it runs
-
-    return sum(len(order[0]) for *_, order in _walk(build_adjacency(n, sieve).rows))
+    rows, count, stack = build_adjacency(n, sieve).rows, 0, [(0, 0)]
+    while stack:
+        depth, taken = stack.pop()
+        avail = rows[depth] & ~taken
+        if depth == n - 1:
+            count += avail.bit_count()
+            continue
+        while avail:
+            bit = avail & -avail
+            avail ^= bit
+            stack.append((depth + 1, taken | bit))
+    return count
 
 
 def _half_rows(n: int, sieve: PrimeSieve) -> tuple[int, ...]:

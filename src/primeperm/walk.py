@@ -1,5 +1,5 @@
 """The enumerator's walk and its blocks of solutions, imported only when
-enumerate_solutions or count_solutions_naive is called."""
+enumerate_solutions is called."""
 
 import functools
 import itertools
@@ -50,8 +50,7 @@ def _lines(
     return map(str.__mod__, *cells)
 
 
-
-def _walk(rows: Sequence[int], match: list | None = None) -> Iterator[tuple]:
+def _walk(rows: Sequence[int], match: list) -> Iterator[tuple]:
     """Lowest-bit-first backtracking over bitset rows, on a list of each
     depth's value and one mask of the values the depths above take, so
     its depth is not bound by the recursion limit.
@@ -61,8 +60,8 @@ def _walk(rows: Sequence[int], match: list | None = None) -> Iterator[tuple]:
     offsets, and the pairs of indices into the entries that order lists,
     by _order, come in the order the walk would reach their leaves.
 
-    With match, a perfect matching of the rows as the value of each depth,
-    the rows at even and at odd depths must hold disjoint sets of values,
+    match is a perfect matching of the rows as the value of each depth,
+    and the rows at even and at odd depths hold disjoint sets of values,
     as in enumerate_solutions. An image keeps a leaf below iff the rows
     below can still take distinct values (Hall 1935), that is, iff _repair
     can change match, in place, to give the image to its depth and agree
@@ -78,25 +77,21 @@ def _walk(rows: Sequence[int], match: list | None = None) -> Iterator[tuple]:
     orders hold at most _LIST_ROOM units, one per list or order and one
     per entry of each of their parts, and are all dropped when a new one
     would not fit.
-    Without match, the walk skips only used images, and each block is one
-    leaf, (image, *_LEAF).
     """
     n = len(rows)
     image = [0] * n  # the value each depth holds, 0 before its first
     taken = 0  # the values of the depths above pos
-    cut = n
-    if match is not None:
-        owner = [0] * (n + 1)  # the depth that takes each value in match
-        for depth, value in enumerate(match):
-            owner[value] = depth
-        halves = (rows[0::2], rows[1::2])
-        values = tuple(functools.reduce(or_, half, 0) for half in halves)
-        # The cut is past depth 0, so at most the odd half's key is empty
-        # there, and one dict holds both halves' lists and, by the pair of
-        # their keys, their orders.
-        cut = max(1, n - 2 * _TAIL_ROWS)
-        lists: dict[int | tuple[int, int], tuple] = {}
-        held = 0  # units in lists
+    owner = [0] * (n + 1)  # the depth that takes each value in match
+    for depth, value in enumerate(match):
+        owner[value] = depth
+    halves = (rows[0::2], rows[1::2])
+    values = tuple(functools.reduce(or_, half, 0) for half in halves)
+    # The cut is past depth 0, so at most the odd half's key is empty
+    # there, and one dict holds both halves' lists and, by the pair of
+    # their keys, their orders.
+    cut = max(1, n - 2 * _TAIL_ROWS)
+    lists: dict[int | tuple[int, int], tuple] = {}
+    held = 0  # units in lists
     pos = 0
     while True:
         avail = rows[pos] & ~taken & -1 << image[pos]  # free, above its value
@@ -109,13 +104,10 @@ def _walk(rows: Sequence[int], match: list | None = None) -> Iterator[tuple]:
         # lowest set bit first keeps the stream lexicographic
         bit = avail & -avail
         image[pos] = bit.bit_length()
-        if match is not None and match[pos] != image[pos]:
+        if match[pos] != image[pos]:
             if not _repair(rows, match, owner, pos, image[pos], taken):
                 continue
         if pos + 1 == cut:
-            if match is None:
-                yield tuple(image), *_LEAF
-                continue
             pair = ((taken | bit) & values[cut & 1], (taken | bit) & values[~cut & 1])
             block = []
             for key in (*pair, pair):
@@ -253,8 +245,3 @@ def _interleave(first: tuple, second: tuple) -> tuple:
     then the rest of the longer."""
     pairs = itertools.chain.from_iterable(zip(first, second))
     return (*pairs, *first[len(second) :], *second[len(first) :])
-
-
-# An empty first and second, _keyed, and their one tail: the leaf that
-# closes each block of a walk without a matching.
-_LEAF = (([()], [0], [""]), ([()], [0], [()]), ([0], [0]))

@@ -2,11 +2,13 @@
 
 Nothing here touches the package's sieve or bitset machinery on purpose:
 primality is trial division, counting is full permutation iteration or a
-plain dict/set backtracker. Keep it that way so the oracle stays an
+plain dict/set backtracker, and a count's parity is a GF(2) elimination
+on rows built by trial division. Keep it that way so the oracle stays an
 independent route to every expected value.
 """
 
 import itertools
+from collections.abc import Iterator
 
 
 def is_prime_trial(m: int) -> bool:
@@ -42,41 +44,39 @@ def count_by_full_iteration(n: int) -> int:
 
 def solutions_by_backtracking(n: int) -> list[tuple[int, ...]]:
     """All solutions in lexicographic order, via list/set backtracking."""
-    return _backtrack(
-        [[j for j in range(1, n + 1) if is_prime_trial(i + j)] for i in range(1, n + 1)]
-    )
+    values = range(1, n + 1)
+    allowed = [[j for j in values if is_prime_trial(i + j)] for i in values]
+    return list(_backtrack(allowed))
 
 
-def leaves_by_backtracking(rows: list[int]) -> list[tuple[int, ...]]:
+def leaves_by_backtracking(rows: list[int]) -> Iterator[tuple[int, ...]]:
     """Every way for each bitset row d to take a distinct value v with bit
     v - 1 of rows[d] set, in lexicographic order, via list/set
-    backtracking: the leaves of the enumerator's walk over rows."""
+    backtracking, one at a time: the leaves of an unpruned walk over rows."""
     n = len(rows)
     return _backtrack([[v for v in range(1, n + 1) if row >> (v - 1) & 1] for row in rows])
 
 
-def _backtrack(allowed: list[list[int]]) -> list[tuple[int, ...]]:
+def _backtrack(allowed: list[list[int]]) -> Iterator[tuple[int, ...]]:
     """Every way for each position to take a distinct value from its
-    sorted list in allowed, in lexicographic order. Recursive: keep the
-    lists few."""
-    found: list[tuple[int, ...]] = []
+    sorted list in allowed, in lexicographic order, as a generator.
+    Recursive: keep the lists few."""
     used: set[int] = set()
     image: list[int] = []
 
-    def go(i: int) -> None:
+    def go(i: int) -> Iterator[tuple[int, ...]]:
         if i == len(allowed):
-            found.append(tuple(image))
+            yield tuple(image)
             return
         for j in allowed[i]:
             if j not in used:
                 used.add(j)
                 image.append(j)
-                go(i + 1)
+                yield from go(i + 1)
                 used.discard(j)
                 image.pop()
 
-    go(0)
-    return found
+    return go(0)
 
 
 def count_by_layered_dp(n: int) -> int:
@@ -132,3 +132,52 @@ def perfect_matching(rows: list[int]) -> list[int] | None:
     for v, d in holder.items():
         match[d] = v
     return match
+
+
+def half_matrix_rows(n: int) -> list[int]:
+    """Bitset rows of the symmetric m x m half matrix A, m = n // 2, by
+    trial division: bit j - 1 of row i (both 1-indexed) is set iff
+    2(i + j) - 1 (even n) or 2(i + j) + 1 (odd n) is prime."""
+    m, shift = n // 2, 1 if n % 2 else -1
+    return [
+        sum(1 << j - 1 for j in range(1, m + 1) if is_prime_trial(2 * (i + j) + shift))
+        for i in range(1, m + 1)
+    ]
+
+
+def solutions_by_matching_pairs(n: int) -> list[tuple[int, ...]]:
+    """All solutions in lexicographic order, as the interleavings of every
+    pair (sigma, tau) of perfect matchings of A (see half_matrix_rows),
+    found by testing all m! maps: for even n, 2i - 1 -> 2 sigma(i) and
+    2i -> 2 tau(i) - 1; for odd n, 1 -> 1, 2i + 1 -> 2 sigma(i) and
+    2i -> 2 tau(i) + 1. Keep n small."""
+    rows, m, shift = half_matrix_rows(n), n // 2, 1 if n % 2 else -1
+    matchings = [
+        p
+        for p in itertools.permutations(range(1, m + 1))
+        if all(row >> (j - 1) & 1 for row, j in zip(rows, p))
+    ]
+    found = []
+    for sigma, tau in itertools.product(matchings, repeat=2):
+        image = {1: 1}  # position 1 is overwritten at even n
+        for i, (s, t) in enumerate(zip(sigma, tau), 1):
+            image[2 * i + shift], image[2 * i] = 2 * s, 2 * t + shift
+        found.append(tuple(image[k] for k in range(1, n + 1)))
+    return sorted(found)
+
+
+def det_gf2(rows: list[int]) -> int:
+    """The determinant over GF(2) of the square matrix with these bitset
+    rows (bit j of a row is column j), by Gaussian elimination: 1 iff the
+    rows are linearly independent. It equals the permanent mod 2, since
+    -1 = 1 there."""
+    rows = list(rows)
+    for col in range(len(rows)):
+        pivot = next((r for r in range(col, len(rows)) if rows[r] >> col & 1), None)
+        if pivot is None:
+            return 0
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        for r in range(col + 1, len(rows)):
+            if rows[r] >> col & 1:
+                rows[r] ^= rows[col]
+    return 1

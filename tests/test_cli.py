@@ -1474,8 +1474,9 @@ def test_count_json_is_compact_json_dumps(capsys):
 
 
 # The Permutation stream of enumerate_solutions, which
-# test_count.py::test_enumerate_equals_the_unpruned_walk pins to the walk's
-# leaves, against the lines the CLI writes from it: whole streams to n = 15.
+# test_count.py::test_enumerate_equals_the_unpruned_walk pins to the oracle's
+# backtracking, against the lines the CLI writes from it: whole streams to
+# n = 15.
 ENUMERATE_CASES = [(n, None) for n in range(13)] + [(15, None), (15, 1000), (16, 1000)]
 
 
@@ -1838,6 +1839,7 @@ def test_json_output_imports_no_json():
     "argv, loaded",
     [
         (["count", "--n", "22"], set()),
+        (["count", "--n", "12", "--method", "naive"], set()),
         (["table", "--max", "18"], set()),
         (["enumerate", "--n", "6"], {"primeperm.walk"}),
         (["construct", "--n", "1"], {"primeperm.runs"}),

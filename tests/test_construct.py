@@ -36,6 +36,9 @@ def test_permutation_basics():
     p = Permutation((1, 5, 4, 3, 2))
     assert p.n == 5
     assert p.apply(2) == 5
+    for k in (0, 6):
+        with pytest.raises(IndexError, match=f"^position {k} outside 1..5$"):
+            p.apply(k)
     assert p.to_text() == "1,5,4,3,2"
     assert p.as_json_dict() == {"n": 5, "image": [1, 5, 4, 3, 2]}
 

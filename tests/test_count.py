@@ -40,11 +40,14 @@ from primeperm.walk import _keyed, _order, _walk
 from oracles import (
     count_by_full_iteration,
     count_by_layered_dp,
+    det_gf2,
+    half_matrix_rows,
     interleaved_product,
     is_prime_trial,
     leaves_by_backtracking,
     perfect_matching,
     solutions_by_backtracking,
+    solutions_by_matching_pairs,
 )
 from peak_rss import run_cli
 
@@ -216,6 +219,31 @@ def test_dp_equals_ryser_midrange(sieve_small):
         assert isqrt(count) ** 2 == count
 
 
+@pytest.mark.parametrize(
+    "kernel, top", [(count_solutions_ryser, 43), (count_solutions_dp, 34)]
+)
+def test_count_parity_is_the_gf2_determinant(sieve_small, kernel, top):
+    # per(A) = det(A) over GF(2), since -1 = 1 there: an elimination that
+    # shares no code with either kernel decides isqrt(count) mod 2 at every
+    # n the budget admits for ryser (dp to 34, where it takes 0.4 s), and
+    # both parities occur
+    parities = []
+    for n in range(top + 1):
+        parity = det_gf2(half_matrix_rows(n))
+        assert isqrt(kernel(n, sieve_small)) % 2 == parity, n
+        parities.append(parity)
+    assert set(parities) == {0, 1}
+
+
+def test_solutions_are_the_pairs_of_matchings_of_the_half_matrix(sieve_small):
+    # the odd and the even positions each take a perfect matching of the one
+    # matrix A, so the solutions are exactly the interleaved pairs
+    for n in range(1, 12):
+        pairs = solutions_by_matching_pairs(n)
+        assert pairs == [p.image for p in enumerate_solutions(n, sieve_small)], n
+        assert pairs == solutions_by_backtracking(n), n
+
+
 def test_half_kernels_match_oracle_and_are_squares(sieve_small):
     # dp and ryser count on the odd x even half matrix; the oracle walks
     # the full one
@@ -356,6 +384,16 @@ def test_sequence_table_checks_method_first(monkeypatch, max_n):
     assert type(info.value) is ValueError  # not its subclass MethodCapError
 
 
+@pytest.mark.parametrize(
+    "count",
+    [count_solutions, count_solutions_naive, count_solutions_dp, count_solutions_ryser],
+)
+def test_counting_refuses_a_negative_n(sieve_small, count):
+    with pytest.raises(ValueError, match="^n must be nonnegative, got -1$") as info:
+        count(-1, sieve_small)
+    assert type(info.value) is ValueError  # not its subclass MethodCapError
+
+
 def test_dispatcher(sieve_small):
     assert count_solutions(6, sieve_small) == 9
     assert count_solutions(10, sieve_small) == 676  # auto routes to dp
@@ -481,31 +519,33 @@ def test_keyed_refuses_what_its_keys_cannot_sort(entries):
 
 def test_enumerate_equals_the_unpruned_walk(sieve_small):
     # the matching's repairs only skip dead subtrees: the stream is the
-    # leaves of the same walk on the same pinned rows without a matching
+    # oracle's unpruned backtracking over the same pinned rows
     for n in range(1, 15):
         ours = [p.image for p in enumerate_solutions(n, sieve_small)]
-        assert ours == list(_leaves(_walk(_pinned_rows(n, sieve_small)))), n
+        assert ours == list(leaves_by_backtracking(_pinned_rows(n, sieve_small))), n
     for n in (15, 16):
         ours = [p.image for p in enumerate_solutions(n, sieve_small, limit=50_000)]
-        leaves = itertools.islice(_leaves(_walk(_pinned_rows(n, sieve_small))), 50_000)
-        assert ours == list(leaves), n
+        leaves = leaves_by_backtracking(_pinned_rows(n, sieve_small))
+        assert ours == list(itertools.islice(leaves, 50_000)), n
 
 
-# no deadline: the unpruned walk takes 0.5 s to its 20th leaf at n = 111
+# no deadline: the unpruned backtracking takes 0.7 s to its 20th leaf at
+# n = 111
 @settings(deadline=None)
 @given(n=st.integers(1, 150), limit=st.integers(1, 20))
 def test_enumerate_is_a_prefix_of_the_unpruned_walk(sieve_small, n, limit):
     ours = [p.image for p in enumerate_solutions(n, sieve_small, limit=limit)]
-    leaves = _leaves(_walk(_pinned_rows(n, sieve_small)))
+    leaves = leaves_by_backtracking(_pinned_rows(n, sieve_small))
     assert ours == list(itertools.islice(leaves, limit))
 
 
 def test_enumerate_tail_product_at_every_cut(sieve_small, monkeypatch):
     # wherever the walk hands the last rows to the tail product, the stream
-    # is the unpruned walk's; test_enumerate_equals_the_unpruned_walk checks
-    # the first 50 000 leaves at n = 15 and 16 with the shipped _TAIL_ROWS
+    # is the unpruned backtracking's; test_enumerate_equals_the_unpruned_walk
+    # checks the first 50 000 leaves at n = 15 and 16 with the shipped
+    # _TAIL_ROWS
     for n in range(1, 14):
-        leaves = list(_leaves(_walk(_pinned_rows(n, sieve_small))))
+        leaves = list(leaves_by_backtracking(_pinned_rows(n, sieve_small)))
         for tail_rows in range(1, max(1, n // 2) + 1):
             monkeypatch.setattr(walk_module, "_TAIL_ROWS", tail_rows)
             ours = [p.image for p in enumerate_solutions(n, sieve_small)]
@@ -532,14 +572,13 @@ def _split_rows(draw):
 @settings(deadline=None)
 @given(case=_split_rows())
 def test_walk_with_a_matching_is_the_unpruned_walk(case):
-    # the matching, its repairs and the tail product change no leaf, also
-    # where the cut is at depth 1 and the odd half's key is empty there;
-    # rows with no perfect matching have no leaf. The unpruned walk is
-    # itself checked against the oracle's own backtracking.
+    # the matching, its repairs and the tail product change no leaf of the
+    # oracle's unpruned backtracking, also where the cut is at depth 1 and
+    # the odd half's key is empty there; rows with no perfect matching have
+    # no leaf
     rows, tail_rows = case
     match = perfect_matching(rows)
-    unpruned = list(_leaves(_walk(rows)))
-    assert unpruned == leaves_by_backtracking(rows)
+    unpruned = list(leaves_by_backtracking(rows))
     if match is None:
         assert unpruned == []
         return
@@ -671,21 +710,16 @@ def test_enumerate_lines_resolve_percent_escapes(sieve_small, line):
 
 
 def test_naive_count_walks_without_the_matching_repair(sieve_small, monkeypatch):
-    # naive is the full-matrix oracle of the parity split, so it must not
-    # lean on the matching's repairs, which check that a prefix completes on
-    # that split, nor on the tail product
-    def no_repair(*args):
-        raise AssertionError("naive counting used the matching repair")
-
-    def no_tail(*args):
-        raise AssertionError("naive counting used the tail product")
-
-    monkeypatch.setattr(walk_module, "_completions", no_tail)
-    with pytest.raises(AssertionError, match="tail product"):
-        next(enumerate_solutions(10, sieve_small))
-    monkeypatch.setattr(walk_module, "_repair", no_repair)
-    assert [count_solutions_naive(n, sieve_small) for n in range(1, 11)] == KNOWN_COUNTS
-    with pytest.raises(AssertionError, match="matching repair"):
+    # naive is the full-matrix oracle of the parity split and of the
+    # enumerator, so it must not lean on the enumerator's walk, nor on the
+    # matching's repairs, which check that a prefix completes on that
+    # split, nor on the tail product; the patches do reach enumeration
+    for name in ("_walk", "_repair", "_completions"):
+        message = f"naive counting used walk.{name}"
+        monkeypatch.setattr(walk_module, name, mock.Mock(side_effect=AssertionError(message)))
+    counts = [count_solutions_naive(n, sieve_small) for n in range(1, 13)]
+    assert counts == [*KNOWN_COUNTS, COUNT_N11, COUNT_N12]
+    with pytest.raises(AssertionError, match="walk._walk"):
         next(enumerate_solutions(10, sieve_small))
 
 

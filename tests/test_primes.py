@@ -2,6 +2,7 @@ import pytest
 
 from primeperm import (
     BertrandViolationError,
+    PrimeSieve,
     SieveCapError,
     SieveRangeError,
     build_sieve,
@@ -173,6 +174,10 @@ def test_count_primes_below_bounds(sieve_small):
         sieve_small.count_primes_below(limit + 2)
     with pytest.raises(ValueError):
         sieve_small.count_primes_below(-1)
+
+
+def test_sieve_repr_names_its_limit():
+    assert repr(PrimeSieve(10)) == "PrimeSieve(limit=10)"
 
 
 def test_memory_cap():
