@@ -3,13 +3,13 @@
 Valid permutations are exactly the permutation matrices dominated by the
 0/1 matrix M with M[i][j] = 1 iff i + j is prime, whose row i is the
 sieve's window i + 1 .. i + n, so the solution count is the permanent of
-M. Three independent routes compute it: backtracking (the desk-scale
-oracle, a stack counter of its own), subset dynamic programming, and Ryser
-inclusion-exclusion. The last two use parity to reduce per(M) to
-per(A) ** 2 for a half-size block A (see _half_rows); the oracle stays on
-the full matrix as a check of that reduction. Counts are plain Python
-ints: they outgrow 64 bits quickly. The enumerator's walk is in walk.py,
-imported on first use.
+M. Parity splits M into two perfect matchings of one half-size symmetric
+matrix A (see build_adjacency), so per(M) = per(A) ** 2. Three
+independent routes compute it: backtracking on M (the desk-scale oracle,
+a stack counter of its own, which checks that reduction), and subset
+dynamic programming and Ryser inclusion-exclusion on A. The enumerator
+walks the two matchings of A; its walk is in walk.py, imported on first
+use. Counts are plain Python ints: they outgrow 64 bits quickly.
 """
 
 import functools
@@ -43,12 +43,9 @@ class MethodCapError(ValueError):
 
 
 class PrimeAdjacency(_Frozen):
-    """Bitset rows of the prime-sum adjacency matrix.
-
-    Bit j-1 of rows[i-1] is set iff i + j is prime, i.e. row i is the set
-    of columns position i may map to. The matrix is symmetric because
-    i + j = j + i.
-    """
+    """The m = n // 2 bitset rows of A, with count(n) = per(A) ** 2 (see
+    build_adjacency): bit j - 1 of rows[i - 1] is set iff 2(i + j) - 1
+    (even n) or 2(i + j) + 1 (odd n) is prime, so A is symmetric."""
 
     __slots__ = ("n", "rows")
     n: int
@@ -59,12 +56,25 @@ class PrimeAdjacency(_Frozen):
 
 
 def build_adjacency(n: int, sieve: PrimeSieve) -> PrimeAdjacency:
-    """Build the n x n prime-sum adjacency rows: row i is the sieve's
-    window i + 1 .. i + n, the window 2 .. 2n shifted down by i - 1."""
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-    bits, mask = sieve.prime_bits(range(2, 2 * n + 1)), (1 << n) - 1
-    return PrimeAdjacency(n, tuple(bits >> i & mask for i in range(n)))
+    """Bitset rows of A, the odd-row x even-column block of the prime-sum
+    matrix, with count(n) = per(A) ** 2.
+
+    Every prime above 2 is odd, so i + pi(i) prime forces i and pi(i) to
+    have opposite parity, except for 1 -> 1 (sum 2). For even n, 1 -> 1
+    would leave n/2 - 1 odd positions for the n/2 even values, which only
+    odd positions can take: A has rows 1, 3, ..., n-1 and columns
+    2, 4, ..., n. For odd n the odd positions outnumber the even values by
+    one, so 1 -> 1 is forced: A has rows 3, 5, ..., n and columns
+    2, 4, ..., n-1. The even-row x odd-column block is A transposed (the
+    matrix is symmetric), and the two blocks are matched independently.
+    Row i is the sieve's window i + 2, i + 4, ..., i + 2 * (n // 2), one
+    stride-2 window to 2n - 1 shifted down a bit per row above the first.
+    """
+    if n < 0:
+        raise ValueError(f"n must be nonnegative, got {n}")
+    first, m = 3 if n % 2 else 1, n // 2
+    bits, mask = sieve.prime_bits(range(first + 2, 2 * n, 2)), (1 << m) - 1
+    return PrimeAdjacency(n, tuple(bits >> s & mask for s in range(m)))
 
 
 def _steps(n: int, method: str) -> int:
@@ -118,7 +128,9 @@ def count_solutions_naive(n: int, sieve: PrimeSieve) -> int:
     _admit("naive", range(n, n + 1))
     if n == 0:
         return 1
-    rows, count, stack = build_adjacency(n, sieve).rows, 0, [(0, 0)]
+    # row i of M is the window 2 .. 2n shifted down by i - 1
+    bits, mask = sieve.prime_bits(range(2, 2 * n + 1)), (1 << n) - 1
+    rows, count, stack = [bits >> i & mask for i in range(n)], 0, [(0, 0)]
     while stack:
         depth, taken = stack.pop()
         avail = rows[depth] & ~taken
@@ -132,29 +144,9 @@ def count_solutions_naive(n: int, sieve: PrimeSieve) -> int:
     return count
 
 
-def _half_rows(n: int, sieve: PrimeSieve) -> tuple[int, ...]:
-    """Bitset rows of A, the odd-row x even-column block of the prime-sum
-    matrix, with count(n) = per(A) ** 2.
-
-    Every prime above 2 is odd, so i + pi(i) prime forces i and pi(i) to
-    have opposite parity, except for 1 -> 1 (sum 2). For even n, 1 -> 1
-    would leave n/2 - 1 odd positions for the n/2 even values, which only
-    odd positions can take: A has rows 1, 3, ..., n-1 and columns
-    2, 4, ..., n. For odd n the odd positions outnumber the even values by
-    one, so 1 -> 1 is forced: A has rows 3, 5, ..., n and columns
-    2, 4, ..., n-1. The even-row x odd-column block is A transposed (the
-    matrix is symmetric), and the two blocks are matched independently.
-    Row i is the sieve's window i + 2, i + 4, ..., i + 2 * (n // 2), one
-    stride-2 window to 2n - 1 shifted down a bit per row above the first.
-    """
-    first, m = 3 if n % 2 else 1, n // 2
-    bits, mask = sieve.prime_bits(range(first + 2, 2 * n, 2)), (1 << m) - 1
-    return tuple(bits >> s & mask for s in range(m))
-
-
 def count_solutions_dp(n: int, sieve: PrimeSieve) -> int:
-    """Count solutions as per(A) ** 2 (see _half_rows), with the permanent
-    of the m x m block A, m = n // 2, computed by subset dynamic
+    """Count solutions as per(A) ** 2 (see build_adjacency), with the
+    permanent of the m x m block A, m = n // 2, computed by subset dynamic
     programming.
 
     ways(S) = number of ways to assign the first |S| rows of A onto
@@ -164,7 +156,7 @@ def count_solutions_dp(n: int, sieve: PrimeSieve) -> int:
     central binomial coefficient C(m, m // 2), not a 2^m table).
     """
     _admit("dp", range(n, n + 1))
-    rows = _half_rows(n, sieve)
+    rows = build_adjacency(n, sieve).rows
     layer = {0: 1}
     for row in rows:
         nxt: dict[int, int] = defaultdict(int)
@@ -179,10 +171,10 @@ def count_solutions_dp(n: int, sieve: PrimeSieve) -> int:
 
 
 def count_solutions_ryser(n: int, sieve: PrimeSieve) -> int:
-    """Count solutions as per(A) ** 2 (see _half_rows), with the permanent
-    of the m x m block A from Ryser's formula in the Nijenhuis-Wilf form
-    (Combinatorial Algorithms, 1978, ch. 23), which fixes A's last column
-    and sums over subsets S of the other m - 1 columns only:
+    """Count solutions as per(A) ** 2 (see build_adjacency), with the
+    permanent of the m x m block A from Ryser's formula in the Nijenhuis-Wilf
+    form (Combinatorial Algorithms, 1978, ch. 23), which fixes A's last
+    column and sums over subsets S of the other m - 1 columns only:
 
         per(A) = (-1)^(m-1) 2 sum_S (-1)^|S| prod_i (x_i + |row_i & S|),
         x_i = a(i, last) - |row_i| / 2
@@ -193,7 +185,7 @@ def count_solutions_ryser(n: int, sieve: PrimeSieve) -> int:
     change, by +-2: 2^(m-1) - 1 steps, on O(m) ints.
     """
     _admit("ryser", range(n, n + 1))
-    rows = _half_rows(n, sieve)
+    rows = build_adjacency(n, sieve).rows
     m = len(rows)
     if not m:
         return 1  # the empty matrix has one (empty) matching
@@ -243,36 +235,35 @@ def enumerate_solutions(
     notation (its text may hold %% escapes), each solution comes as that
     text instead of a Permutation.
 
-    Backtracking restricted to adjacency rows, on an explicit stack, so any
-    n the sieve covers runs without recursion. Once the image of 1 is
-    pinned by parity, odd and even positions take disjoint sets of values.
-    The walk keeps one perfect matching of the rows that agrees with its
-    prefix, seeded with construct's witness, and takes an image only if an
-    alternating path repairs the matching to hold it (see walk._walk): it
-    never descends into a prefix that no solution extends.
+    The solutions are the pairs of perfect matchings of A (see
+    build_adjacency) for the odd and the even positions, interleaved. The
+    walk takes the positions in order on an explicit stack, so any n the
+    sieve covers runs without recursion, and keeps each half's matching
+    agreeing with its prefix, seeded with construct's witness: it takes an
+    image only if an alternating path repairs the matching to hold it (see
+    walk._walk), so it never descends into a prefix no solution extends.
 
     Near the leaves, the walk hands over each subtree as one block: a
-    prefix, the two halves' completion lists and the order of their
-    interleaved product, which is the subtree's solutions (see _walk).
-    Each list is checked, keyed and rendered once per call (walk._keyed),
-    and each pair's order sorted once. The walk's _proven then checks the
-    first solution of a block as any Permutation, which proves every
+    prefix, the two halves' completion lists, each checked, keyed and
+    rendered once per call (walk._keyed), and the order of their
+    interleaved product, sorted once per pair. The walk's _proven checks
+    the first solution of a block as any Permutation, which proves every
     solution of the block a bijection, or raises RuntimeError before the
     block; each is then stored as a Permutation without a second check,
-    or, with a line, written as one %-format (see walk._lines). The n rows of
-    n bits take up to n ceil(n / 8) bytes, whatever the limit: over
-    DEFAULT_LIMIT_CAP (n > 32768) it raises MethodCapError before any
-    work. The walk and the matching take a few lists of n ints and one
-    mask, and the completion lists at most walk._LIST_ROOM units. Without a
-    sieve, one to 2n is built after that check.
+    or, with a line, written as one %-format (see walk._lines). The m rows
+    of m bits, m = n // 2, take up to m ceil(m / 8) bytes, whatever the
+    limit: over DEFAULT_LIMIT_CAP (n > 65537) it raises MethodCapError
+    before any work. The walk and the matchings take a few lists of m ints
+    and two masks, and the completion lists at most walk._LIST_ROOM units.
+    Without a sieve, one to 2n is built after that check.
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
     if limit is not None and limit < 1:
         raise ValueError(f"limit must be positive, got {limit}")
-    if n == 0:
-        # the empty permutation, the one solution count_solutions(0) counts
-        return iter((Permutation(()) if line is None else line % "",))
+    if n <= 1:
+        # the empty permutation or 1 -> 1: A has no rows, and one solution
+        return iter((Permutation((1,) * n) if line is None else line % ("1" * n),))
     if line is not None:
         # the text around line's %s, where line % "\0" and line % "\1"
         # first differ, with its %% resolved once and escaped again for
@@ -280,7 +271,8 @@ def enumerate_solutions(
         a, b = line % "\0", line % "\1"
         cut = len(commonprefix((a, b)))
         line = "%s".join(text.replace("%", "%%%%") for text in (a[:cut], a[cut + 1 :]))
-    estimate = n * -(-n // 8)  # n rows of n bits
+    m = n // 2
+    estimate = m * -(-m // 8)  # m rows of m bits
     if estimate > DEFAULT_LIMIT_CAP:
         raise MethodCapError(
             f"enumeration at n = {n} is estimated at {estimate} bytes of rows, "
@@ -290,26 +282,15 @@ def enumerate_solutions(
         sieve = build_sieve(2 * n)
     from .walk import _lines, _permutations, _walk  # compiled only when it runs
 
-    # the witness is a solution, and maps 1 -> 1 iff n is odd, as pinned
-    witness = construct_prime_sum_permutation(n, sieve)
-    blocks = _walk(_pinned_rows(n, sieve), list(witness.image))
+    # the witness, a solution with 1 -> 1 iff n is odd, as A's values: w = 2v + shift
+    witness = construct_prime_sum_permutation(n, sieve).image[n % 2 :]
+    shifts = (1, 0) if n % 2 else (0, -1)
+    matches = [[(w - s) // 2 for w in witness[h::2]] for h, s in enumerate(shifts)]
+    blocks = _walk(build_adjacency(n, sieve).rows, n, matches)
     render = _permutations if line is None else functools.partial(_lines, line)
     stream = itertools.chain.from_iterable(itertools.starmap(render, blocks))
     # islice takes at most sys.maxsize, an item count no stream reaches
     return stream if limit is None else itertools.islice(stream, min(limit, maxsize))
-
-
-def _pinned_rows(n: int, sieve: PrimeSieve) -> list[int]:
-    """The adjacency rows with the image of 1 pinned by parity (see
-    _half_rows): 1 -> 1 is forced for odd n, so no other position may take
-    1, and impossible for even n. Odd positions then take only even values
-    and even positions only odd ones, except 1 -> 1. Pinned in place, so
-    the rows are never held twice."""
-    rows = list(build_adjacency(n, sieve).rows)
-    rows[0] = 1 if n % 2 else rows[0] & ~1
-    for i in range(1, n if n % 2 else 1):  # at odd n no other row keeps 1
-        rows[i] &= ~1
-    return rows
 
 
 class SequenceRow(_Frozen):

@@ -1,10 +1,9 @@
 """The enumerator's walk and its blocks of solutions, imported only when
 enumerate_solutions is called."""
 
-import functools
 import itertools
 from collections.abc import Iterator, Sequence
-from operator import mul, or_
+from operator import mul
 
 from .construct import NotAPermutationError, Permutation
 
@@ -50,65 +49,67 @@ def _lines(
     return map(str.__mod__, *cells)
 
 
-def _walk(rows: Sequence[int], match: list) -> Iterator[tuple]:
-    """Lowest-bit-first backtracking over bitset rows, on a list of each
-    depth's value and one mask of the values the depths above take, so
-    its depth is not bound by the recursion limit.
-    It yields the leaves in blocks (prefix, firsts, seconds, order), firsts
-    and seconds as _keyed lists: each leaf's image is the prefix followed
-    by a first and a second interleaved, the first's values at the even
-    offsets, and the pairs of indices into the entries that order lists,
+def _walk(rows: Sequence[int], n: int, matches: list) -> Iterator[tuple]:
+    """Lowest-bit-first backtracking over two perfect matchings of the one
+    matrix A with these bitset rows, on a list of each depth's value and a
+    mask per half of the values taken above, so its depth is not bound by
+    the recursion limit. Depth d is level d // 2 of half d % 2, which
+    writes a value v of A as 2v + shifts[d % 2], shifts (0, -1) for even n
+    and (+1, 0) after the head (1,) for odd n: the positions of n's
+    solutions in order. It yields the leaves in blocks (prefix, firsts,
+    seconds, order), firsts and seconds as _keyed lists: each leaf is the
+    prefix followed by a first and a second interleaved, the first's
+    values at the even offsets, and the pairs of entries that order lists,
     by _order, come in the order the walk would reach their leaves.
 
-    match is a perfect matching of the rows as the value of each depth,
-    and the rows at even and at odd depths hold disjoint sets of values,
-    as in enumerate_solutions. An image keeps a leaf below iff the rows
-    below can still take distinct values (Hall 1935), that is, iff _repair
-    can change match, in place, to give the image to its depth and agree
-    with the prefix above; else the walk skips it. Any such matching will
-    do, so nothing is undone on backtrack. Once each half has at most
-    _TAIL_ROWS rows left, and past depth 0, the walk stops descending: the
-    leaves below are one block, whose firsts and seconds are the
-    _completions of the half that takes the next depth and of the other
-    half. The product is not built here, so a block holds two lists of at
-    most _TAIL_ROWS! short tuples, which the walk keys and keeps by half
-    state and hands to many blocks, and their order, kept by the pair of
-    states; each block is _proven before it is yielded. The lists and
-    orders hold at most _LIST_ROOM units, one per list or order and one
-    per entry of each of their parts, and are all dropped when a new one
-    would not fit.
+    matches holds each half's matching, the value of each level. An image
+    keeps a leaf below iff its half's levels below can still take distinct
+    values (Hall 1935), that is, iff _repair can change that matching, in
+    place, to give the image to its level and agree with the prefix above;
+    else the walk skips it. Any such matching will do, so nothing is undone
+    on backtrack. Once each half has at most _TAIL_ROWS levels left, and
+    past depth 0, the walk stops descending: the leaves below are one
+    block, whose firsts and seconds are the _completions of the half that
+    takes the next depth and of the other. The product is not built here,
+    so a block holds two lists of at most _TAIL_ROWS! short tuples, which
+    the walk keys and keeps by half state and hands to many blocks, and
+    their order, kept by the pair of states; each block is _proven before
+    it is yielded. The lists and orders hold at most _LIST_ROOM units, one
+    per list or order and one per entry of each of their parts, and are
+    all dropped when a new one would not fit.
     """
-    n = len(rows)
-    image = [0] * n  # the value each depth holds, 0 before its first
-    taken = 0  # the values of the depths above pos
-    owner = [0] * (n + 1)  # the depth that takes each value in match
-    for depth, value in enumerate(match):
-        owner[value] = depth
-    halves = (rows[0::2], rows[1::2])
-    values = tuple(functools.reduce(or_, half, 0) for half in halves)
-    # The cut is past depth 0, so at most the odd half's key is empty
-    # there, and one dict holds both halves' lists and, by the pair of
-    # their keys, their orders.
-    cut = max(1, n - 2 * _TAIL_ROWS)
+    m, depths = len(rows), 2 * len(rows)
+    head, shifts = ((1,), (1, 0)) if n % 2 else ((), (0, -1))
+    written = [range(shift, n + 1, 2) for shift in shifts]  # [h][v] is 2v + shift
+    image = [0] * depths  # the value each depth holds, 0 before its first
+    taken = [0, 0]  # each half's values at the depths above pos
+    # each value's level: the levels in the order of their values
+    owners = [[0, *sorted(range(m), key=match.__getitem__)] for match in matches]
+    # The halves share A's values: a list's key is its half's values above
+    # the cut, then the half, and an order's is the pair of its lists' keys.
+    cut = max(1, depths - 2 * _TAIL_ROWS)
     lists: dict[int | tuple[int, int], tuple] = {}
     held = 0  # units in lists
     pos = 0
     while True:
-        avail = rows[pos] & ~taken & -1 << image[pos]  # free, above its value
+        half, level = pos & 1, pos >> 1
+        avail = rows[level] & ~taken[half] & -1 << image[pos]  # free, above its value
         if not avail:
             if not pos:
                 return
             pos -= 1
-            taken ^= 1 << image[pos] - 1
+            taken[pos & 1] ^= 1 << image[pos] - 1
             continue
         # lowest set bit first keeps the stream lexicographic
         bit = avail & -avail
         image[pos] = bit.bit_length()
-        if match[pos] != image[pos]:
-            if not _repair(rows, match, owner, pos, image[pos], taken):
+        match = matches[half]
+        if match[level] != image[pos]:
+            if not _repair(rows, match, owners[half], level, image[pos], taken[half]):
                 continue
         if pos + 1 == cut:
-            pair = ((taken | bit) & values[cut & 1], (taken | bit) & values[~cut & 1])
+            other = half ^ 1  # the half that takes depth cut
+            pair = (taken[other] << 1 | other, (taken[half] | bit) << 1 | half)
             block = []
             for key in (*pair, pair):
                 found = lists.get(key)
@@ -116,9 +117,8 @@ def _walk(rows: Sequence[int], match: list) -> Iterator[tuple]:
                     if key is pair:
                         found = _order(*block)
                     else:
-                        offset = len(block)  # 0 for the firsts
-                        entries = _completions(halves[(cut + offset) & 1], key)
-                        found = _keyed(entries, n, offset, n - cut)
+                        entries = _completions(rows, key >> 1)
+                        found = _keyed(entries, written[key & 1], len(block), depths - cut)
                     units = 1 + sum(map(len, found))
                     if held + units > _LIST_ROOM:
                         lists.clear()
@@ -127,11 +127,11 @@ def _walk(rows: Sequence[int], match: list) -> Iterator[tuple]:
                         lists[key] = found
                         held += units
                 block.append(found)
-            prefix = tuple(image[:cut])
+            prefix = head + tuple(written[d & 1][v] for d, v in enumerate(image[:cut]))
             _proven(prefix, *block)
             yield prefix, *block
             continue
-        taken |= bit
+        taken[half] |= bit
         pos += 1
         image[pos] = 0
 
@@ -190,26 +190,30 @@ def _completions(rows: Sequence[int], key: int) -> list[tuple[int, ...]]:
     return [taken for taken, _ in partial]
 
 
-def _keyed(entries: list, n: int, offset: int, length: int) -> tuple:
+def _keyed(entries: list, written: range, offset: int, length: int) -> tuple:
     """(entries, keys, cells) for a completion list whose values go at
-    offsets offset, offset + 2, ... of tails of the given length.
+    offsets offset, offset + 2, ... of tails of the given length, each
+    value v written as written[v].
 
-    Unless the entries hold only ints (not bools) in 1..n, each as long as
-    its offsets, all of one set of values, RuntimeError. An entry's key is
-    its values as digits in base n + 1 at those offsets, so a tail's key
-    is its first's plus its second's, and sorting the keys sorts the
-    tails. A first's cell is a %-format of its digits with a %s at each
-    odd offset, and a second's cell the tuple of its digits."""
-    powers = range(length - 1 - offset, -1, -2)
+    Unless the entries hold only ints (not bools) in 1..len(written) - 1,
+    each as long as its offsets, all of one set of values, RuntimeError. An
+    entry's key is its values as digits in base len(written) at those
+    offsets, so a tail's key is its first's plus its second's, and sorting
+    the keys sorts the tails, written in rising order. The entries come
+    back written: a first's cell is a %-format of its digits with a %s at
+    each odd offset, and a second's cell the tuple of its digits."""
+    powers, base = range(length - 1 - offset, -1, -2), len(written)
     if entries and not (
         set(map(type, itertools.chain.from_iterable(entries))) <= {int}
         and set(map(len, entries)) == {len(powers)}
         and set(map(frozenset, entries)) == {frozenset(entries[0])}
-        and all(0 < v <= n for v in entries[0])
+        and all(0 < v < base for v in entries[0])
     ):
+        n = written.stop - 1  # written runs to n
         raise RuntimeError(f"enumeration built a faulty completion list at n = {n}")
-    weights = [(n + 1) ** power for power in powers]
+    weights = [base**power for power in powers]
     keys = [sum(map(mul, entry, weights)) for entry in entries]
+    entries = [tuple(map(written.__getitem__, entry)) for entry in entries]
     if offset:
         return entries, keys, [tuple(map("%d".__mod__, entry)) for entry in entries]
     cell = ",%d,%%s" * (length // 2) + ",%d" * (length % 2)

@@ -134,6 +134,22 @@ def perfect_matching(rows: list[int]) -> list[int] | None:
     return match
 
 
+def pinned_matrix_rows(n: int) -> list[int]:
+    """Bitset rows of the full prime-sum matrix, by trial division, with the
+    parity pin: bit v - 1 of row i (both 1-indexed) is set iff i + v is an
+    odd prime, so odd positions take even values and even positions odd
+    ones, and 1 -> 1 (sum 2) is cut; at odd n it is forced instead, so row
+    1 is {1} and no other row keeps 1."""
+    odd, prime = n % 2, [is_prime_trial(k) for k in range(2 * n + 1)]
+    rows = [
+        sum(1 << v - 1 for v in range(1 + i % 2, n + 1, 2) if v > odd and prime[i + v])
+        for i in range(1, n + 1)
+    ]
+    if odd:
+        rows[0] = 1
+    return rows
+
+
 def half_matrix_rows(n: int) -> list[int]:
     """Bitset rows of the symmetric m x m half matrix A, m = n // 2, by
     trial division: bit j - 1 of row i (both 1-indexed) is set iff

@@ -1290,9 +1290,9 @@ def _in_last(fault):
 
 # Faults that a slip in the walk could make in a completion list, given the
 # list and its key, the values its half took above the block. The first
-# four break the list's own shape; the last keeps it, one set of ints in
-# 1..n, but gives every entry a value of the prefix, which only the
-# block's first solution shows.
+# four break the list's own shape; the last keeps it, one set of A's values,
+# but gives every entry a value its half took in the prefix, which only
+# the block's first solution shows.
 LIST_FAULTS = {
     "repeat": (_in_last(lambda e: (e[0], e[0], *e[2:])), "completion list"),
     "missing": (
@@ -1340,7 +1340,7 @@ def test_enumerate_reports_a_faulty_list_as_an_internal_error(
 
 
 def test_enumerate_refuses_before_sieving(capsys, monkeypatch):
-    # at n = 10^5 the rows alone would take 1.25 GB
+    # at n = 10^5 the rows of A alone would take 0.31 GB
     def no_work(*args):
         raise AssertionError("sieve or rows built before the memory estimate")
 
@@ -1350,7 +1350,7 @@ def test_enumerate_refuses_before_sieving(capsys, monkeypatch):
     assert run(capsys, "enumerate", "--n", "100000", "--limit", "1") == (
         EXIT_CAP,
         "",
-        "primeperm: enumeration at n = 100000 is estimated at 1250000000 bytes "
+        "primeperm: enumeration at n = 100000 is estimated at 312500000 bytes "
         "of rows, over the cap of 134217728 bytes\n",
     )
 
@@ -1395,12 +1395,13 @@ def test_enumerate_first_line_peak_rss():
 
 
 def test_enumerate_holds_one_copy_of_its_rows():
-    # 18917 rows of 18917 bits take 45 MB: 64 MB as a process, and 135.5 MB
-    # with two masks per depth of the walk and a second, pinned copy of the
-    # rows
+    # A's 9458 rows of 9458 bits take 11 MB: 30 MB as a process, against
+    # 64 MB with the full matrix's 18917 rows of 18917 bits, and 135.5 MB
+    # with two masks per depth of the walk and a second, pinned copy of
+    # those
     code, out, rss_mb = run_cli(["enumerate", "--n", "18917", "--limit", "1"])
     assert (code, len(out.splitlines())) == (EXIT_OK, 1)
-    assert rss_mb < 90, rss_mb
+    assert rss_mb < 40, rss_mb
 
 
 def test_enumerate_line_count_matches_count(capsys):
@@ -1914,7 +1915,8 @@ def test_benchmark_traced_round_runs():
     # and reads every span they record. These must stay on their modules,
     # called through the module's globals: cli.build_sieve,
     # cli.construct_prime_sum_permutation, cli.sequence_table,
-    # cli.enumerate_solutions, count.build_sieve, count.build_adjacency,
+    # cli.enumerate_solutions, count.build_sieve, count.build_adjacency
+    # (which dp, ryser and enumeration each call for A's rows),
     # count.count_solutions_dp and count.count_solutions_ryser. It also
     # calls cli._rounds_table, cli.build_parser and cli.main. A name that
     # leaves its module fails this round with an AttributeError, and a

@@ -254,7 +254,8 @@ def test_block_matches_one_permutation_per_leaf(block):
     )
     length = n - len(prefix)
     try:
-        keyed = _keyed(firsts, n, 0, length), _keyed(seconds, n, 1, length)
+        values = range(n + 1)  # each value written as itself
+        keyed = _keyed(firsts, values, 0, length), _keyed(seconds, values, 1, length)
         order = _order(*keyed)
         _proven(prefix, *keyed, order)
     except RuntimeError:

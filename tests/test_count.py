@@ -14,6 +14,8 @@ import primeperm.count as count_module
 import primeperm.walk as walk_module
 from primeperm import (
     MethodCapError,
+    PrimeAdjacency,
+    PrimeSieve,
     SieveRangeError,
     build_adjacency,
     build_sieve,
@@ -30,8 +32,6 @@ from primeperm.count import (
     METHODS,
     NAIVE_ESTIMATE_N,
     STEP_BUDGET,
-    _half_rows,
-    _pinned_rows,
     _steps,
 )
 from primeperm.primes import DEFAULT_LIMIT_CAP
@@ -46,6 +46,7 @@ from oracles import (
     is_prime_trial,
     leaves_by_backtracking,
     perfect_matching,
+    pinned_matrix_rows,
     solutions_by_backtracking,
     solutions_by_matching_pairs,
 )
@@ -65,54 +66,51 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_adjacency_small_rows(sieve_small):
-    adj = build_adjacency(2, sieve_small)
-    assert adj.rows == (0b11, 0b01)  # 1+1=2, 1+2=3 prime; 2+2=4 not
-    assert build_adjacency(1, sieve_small).rows == (0b1,)
-    assert build_adjacency(3, sieve_small).rows[2] == 0b010  # only 3+2=5
+    # A's rows are the odd positions that take even values
+    assert build_adjacency(0, sieve_small).rows == ()
+    assert build_adjacency(1, sieve_small).rows == ()  # 1 -> 1 is forced
+    assert build_adjacency(2, sieve_small).rows == (0b1,)  # 1+2=3 prime
+    assert build_adjacency(3, sieve_small).rows == (0b1,)  # only 3+2=5
+    adj = build_adjacency(6, sieve_small)
+    assert adj.n == 6 and adj.rows[2] == 0b101  # 5+2=7 and 5+6=11; 5+4=9 not
 
 
 def _allows(adj, i, j):
-    """Bit j-1 of row i: position i may map to j (both 1-indexed)."""
+    """Bit j-1 of row i: row i of A may take its column j (both 1-indexed)."""
     return adj.rows[i - 1] >> (j - 1) & 1
 
 
 def test_adjacency_allows(sieve_small):
-    adj = build_adjacency(5, sieve_small)
-    assert _allows(adj, 2, 5) and _allows(adj, 5, 2)
-    assert not _allows(adj, 2, 2)
+    adj = build_adjacency(5, sieve_small)  # rows 3, 5 by columns 2, 4
+    assert _allows(adj, 1, 2) and _allows(adj, 2, 1)  # 3+4=7 and 5+2=7
+    assert not _allows(adj, 2, 2)  # 5+4=9
 
 
 def test_adjacency_matches_primality(sieve_small):
     for n in (1, 2, 7, 23, 60):
         adj = build_adjacency(n, sieve_small)
-        for i in range(1, n + 1):
-            images = {j for j in range(1, n + 1) if _allows(adj, i, j)}
-            assert images == {j for j in range(1, n + 1) if is_prime_trial(i + j)}
+        m = n // 2
+        assert len(adj.rows) == m
+        for i in range(1, m + 1):
+            position = 2 * i + 1 if n % 2 else 2 * i - 1  # odd, past 1 at odd n
+            columns = range(1, m + 1)
+            images = {j for j in columns if _allows(adj, i, j)}
+            assert images == {j for j in columns if is_prime_trial(position + 2 * j)}
 
 
 def test_adjacency_symmetric(sieve_small):
-    for n in (2, 9, 31, 64):
+    for n in (2, 9, 31, 64, 65):
         adj = build_adjacency(n, sieve_small)
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
+        for i in range(1, n // 2 + 1):
+            for j in range(1, n // 2 + 1):
                 assert _allows(adj, i, j) == _allows(adj, j, i)
 
 
 def test_adjacency_preconditions(sieve_small):
-    with pytest.raises(ValueError):
-        build_adjacency(0, sieve_small)
+    with pytest.raises(ValueError, match="^n must be nonnegative, got -1$"):
+        build_adjacency(-1, sieve_small)
     with pytest.raises(SieveRangeError):
-        build_adjacency(11, build_sieve(21))
-
-
-def _reference_rows(n, sieve):
-    """Per entry, from is_prime: bit j-1 of row i iff i + j is prime, for
-    i, j in 1..n; index 0 is a dummy row."""
-    prime = [sieve.is_prime(m) for m in range(2 * n + 1)]
-    return [0] + [
-        sum(1 << (j - 1) for j in range(1, n + 1) if prime[i + j])
-        for i in range(1, n + 1)
-    ]
+        build_adjacency(12, build_sieve(21))
 
 
 def _reference_half_rows(n, sieve):
@@ -126,18 +124,13 @@ def _reference_half_rows(n, sieve):
 
 
 def test_rows_are_sieve_windows(sieve_big):
-    # M at n is the top-left n x n block of M at 2000, and A at n keeps
-    # the first n // 2 columns of rows of the same indices, so one
-    # per-entry reference at 2000 serves every n
-    full = _reference_rows(2000, sieve_big)
+    # A at n keeps the first n // 2 columns of the rows of the same indices
+    # at 2000, so one per-entry reference at 2000 serves every n
     half = _reference_half_rows(2000, sieve_big)
-    for n in [*range(1, 301), 1000, 2000]:
-        mask = (1 << n) - 1
-        expected = tuple(full[i] & mask for i in range(1, n + 1))
-        assert build_adjacency(n, sieve_big).rows == expected
+    for n in [*range(0, 301), 1000, 2000]:
         mask = (1 << n // 2) - 1
         expected = tuple(half[i] & mask for i in range(3 if n % 2 else 1, n + 1, 2))
-        assert _half_rows(n, sieve_big) == expected
+        assert build_adjacency(n, sieve_big).rows == expected
 
 
 def _trial_half_rows(n, prime):
@@ -153,19 +146,20 @@ def _trial_half_rows(n, prime):
 def test_half_rows_match_trial_division(sieve_small):
     prime = [is_prime_trial(m) for m in range(401)]
     for n in range(0, 201):
-        assert _half_rows(n, sieve_small) == _trial_half_rows(n, prime), n
+        assert build_adjacency(n, sieve_small).rows == _trial_half_rows(n, prime), n
 
 
 def test_rows_read_only_covered_sums():
     # every entry read is range-checked, no more: the largest sum is 2n in
-    # M, and 2n - 1 in A (row n - 1 and column n for even n, row n and
-    # column n - 1 for odd n)
+    # M, which the naive count reads, and 2n - 1 in A (row n - 1 and column
+    # n for even n, row n and column n - 1 for odd n)
     with pytest.raises(SieveRangeError):
-        build_adjacency(10, build_sieve(19))
+        count_solutions_naive(10, build_sieve(19))
     for n in (10, 11):
-        assert _half_rows(n, build_sieve(2 * n - 1)) == _half_rows(n, build_sieve(600))
+        rows = build_adjacency(n, build_sieve(600)).rows
+        assert build_adjacency(n, build_sieve(2 * n - 1)).rows == rows
         with pytest.raises(SieveRangeError):
-            _half_rows(n, build_sieve(2 * n - 2))
+            build_adjacency(n, build_sieve(2 * n - 2))
 
 
 # --- the three counting routes --------------------------------------------
@@ -235,6 +229,18 @@ def test_count_parity_is_the_gf2_determinant(sieve_small, kernel, top):
     assert set(parities) == {0, 1}
 
 
+def test_count_parity_is_the_gf2_determinant_past_the_budget(sieve_small, monkeypatch):
+    # the counts past the cross-check, with the budget lifted here only:
+    # ryser at n = 45 and 47 (about 5 s), one per(A) even and one odd
+    monkeypatch.setattr(count_module, "STEP_BUDGET", 10**9)
+    parities = []
+    for n in (45, 47):
+        parity = det_gf2(half_matrix_rows(n))
+        assert isqrt(count_solutions_ryser(n, sieve_small)) % 2 == parity, n
+        parities.append(parity)
+    assert sorted(parities) == [0, 1]
+
+
 def test_solutions_are_the_pairs_of_matchings_of_the_half_matrix(sieve_small):
     # the odd and the even positions each take a perfect matching of the one
     # matrix A, so the solutions are exactly the interleaved pairs
@@ -271,10 +277,11 @@ def _square_matrices(m):
 
 @given(st.integers(0, 7).flatmap(_square_matrices))
 def test_half_kernels_on_any_matrix(sieve_small, rows):
-    # the half kernels see A only through _half_rows, so any 0/1 matrix
-    # can stand in for the prime-sum block
+    # the half kernels see A only through build_adjacency, so any 0/1
+    # matrix can stand in for the prime-sum block
     m = len(rows)
-    with mock.patch.object(count_module, "_half_rows", lambda n, sieve: rows):
+    adjacency = lambda n, sieve: PrimeAdjacency(n, rows)  # noqa: E731
+    with mock.patch.object(count_module, "build_adjacency", adjacency):
         ryser = count_solutions_ryser(2 * m, sieve_small)
         dp = count_solutions_dp(2 * m, sieve_small)
     assert ryser == dp == brute_per(rows) ** 2
@@ -282,7 +289,7 @@ def test_half_kernels_on_any_matrix(sieve_small, rows):
 
 def test_ryser_n40_pin(sieve_small):
     # a regression pin, not a cross-check: the value is dp's per(A), and dp
-    # shares _half_rows with ryser
+    # shares build_adjacency with ryser
     assert count_solutions_ryser(40, sieve_small) == 3335164762941**2
 
 
@@ -316,7 +323,7 @@ def test_budget_refuses_before_any_work(sieve_small, monkeypatch):
         raise AssertionError("counting work started before the budget check")
 
     monkeypatch.setattr(count_module, "build_adjacency", no_work)
-    monkeypatch.setattr(count_module, "_half_rows", no_work)
+    monkeypatch.setattr(PrimeSieve, "prime_bits", no_work)  # the naive rows
     for count, n in OVER_BUDGET:
         with pytest.raises(MethodCapError):
             count(n, sieve_small)
@@ -428,26 +435,14 @@ def test_enumerate_matches_oracle_listing(sieve_small):
         assert ours == solutions_by_backtracking(n)
 
 
-def test_pinned_rows_split_by_parity(sieve_small):
-    # the tail product needs disjoint values at even and odd depths: 1 -> 1
-    # is pinned or cut, and at odd n no other position keeps 1
+def test_pinned_rows_split_by_parity():
+    # the oracle's pinned rows, the unpruned walk's reference, give even and
+    # odd depths disjoint values: 1 -> 1 is pinned or cut, and at odd n no
+    # other position keeps 1
     for n in range(1, 301):
-        rows = _pinned_rows(n, sieve_small)
+        rows = pinned_matrix_rows(n)
         assert 0 not in rows, n
         assert reduce(or_, rows[0::2], 0) & reduce(or_, rows[1::2], 0) == 0, n
-
-
-def test_pinned_rows_are_the_adjacency_rows_pinned(sieve_small):
-    # exactly the adjacency rows but for bit 0, the value 1: at odd n row 1
-    # is 1 alone and no other row keeps 1, and at even n row 1 loses it. A
-    # row 1 that kept its other values at odd n would let depth 0 try each.
-    for n in range(1, 301):
-        rows = list(build_adjacency(n, sieve_small).rows)
-        if n % 2:
-            expected = [1, *(row & ~1 for row in rows[1:])]
-        else:
-            expected = [rows[0] & ~1, *rows[1:]]
-        assert _pinned_rows(n, sieve_small) == expected, n
 
 
 def _leaves(blocks):
@@ -484,7 +479,8 @@ def test_tail_keys_sort_as_the_interleaved_tails(case):
     # a tail's key is its first's plus its second's: digits in base n + 1
     n, firsts, seconds = case
     length = len(firsts[0]) + len(seconds[0])
-    keyed = _keyed(firsts, n, 0, length), _keyed(seconds, n, 1, length)
+    values = range(n + 1)  # each value written as itself
+    keyed = _keyed(firsts, values, 0, length), _keyed(seconds, values, 1, length)
     assert keyed[0][1] is not None and keyed[1][1] is not None
     fi, sj = _order(*keyed)
     tails = [interleaved_product((), [firsts[i]], [seconds[j]]) for i, j in zip(fi, sj)]
@@ -511,21 +507,21 @@ def test_keyed_refuses_what_its_keys_cannot_sort(entries):
     # else is a broken walk, and raises
     if entries[0] != (3, 1):
         with pytest.raises(RuntimeError, match="completion list"):
-            _keyed(entries, 4, 0, 3)
+            _keyed(entries, range(5), 0, 3)
         return
-    entries, keys, cells = _keyed(entries, 4, 0, 3)
+    entries, keys, cells = _keyed(entries, range(5), 0, 3)
     assert keys == [3 * 25 + 1, 1 * 25 + 3] and cells == [",3,%s,1", ",1,%s,3"]
 
 
 def test_enumerate_equals_the_unpruned_walk(sieve_small):
     # the matching's repairs only skip dead subtrees: the stream is the
-    # oracle's unpruned backtracking over the same pinned rows
+    # oracle's unpruned backtracking over the full rows, pinned by parity
     for n in range(1, 15):
         ours = [p.image for p in enumerate_solutions(n, sieve_small)]
-        assert ours == list(leaves_by_backtracking(_pinned_rows(n, sieve_small))), n
+        assert ours == list(leaves_by_backtracking(pinned_matrix_rows(n))), n
     for n in (15, 16):
         ours = [p.image for p in enumerate_solutions(n, sieve_small, limit=50_000)]
-        leaves = leaves_by_backtracking(_pinned_rows(n, sieve_small))
+        leaves = leaves_by_backtracking(pinned_matrix_rows(n))
         assert ours == list(itertools.islice(leaves, 50_000)), n
 
 
@@ -535,7 +531,7 @@ def test_enumerate_equals_the_unpruned_walk(sieve_small):
 @given(n=st.integers(1, 150), limit=st.integers(1, 20))
 def test_enumerate_is_a_prefix_of_the_unpruned_walk(sieve_small, n, limit):
     ours = [p.image for p in enumerate_solutions(n, sieve_small, limit=limit)]
-    leaves = leaves_by_backtracking(_pinned_rows(n, sieve_small))
+    leaves = leaves_by_backtracking(pinned_matrix_rows(n))
     assert ours == list(itertools.islice(leaves, limit))
 
 
@@ -545,7 +541,7 @@ def test_enumerate_tail_product_at_every_cut(sieve_small, monkeypatch):
     # checks the first 50 000 leaves at n = 15 and 16 with the shipped
     # _TAIL_ROWS
     for n in range(1, 14):
-        leaves = list(leaves_by_backtracking(_pinned_rows(n, sieve_small)))
+        leaves = list(leaves_by_backtracking(pinned_matrix_rows(n)))
         for tail_rows in range(1, max(1, n // 2) + 1):
             monkeypatch.setattr(walk_module, "_TAIL_ROWS", tail_rows)
             ours = [p.image for p in enumerate_solutions(n, sieve_small)]
@@ -553,52 +549,78 @@ def test_enumerate_tail_product_at_every_cut(sieve_small, monkeypatch):
 
 
 @st.composite
-def _split_rows(draw):
-    """Rows whose even and odd depths take disjoint sets of values, any of
-    them empty, often with a planted perfect matching, and a number of
-    tail rows."""
-    n = draw(st.integers(1, 12))
-    plant = draw(st.permutations(range(n)))  # depth d may take value plant[d] + 1
-    planted = [d & 1 for d in sorted(range(n), key=plant.__getitem__)]
-    sides = st.lists(st.sampled_from((0, 1, None)), min_size=n, max_size=n)
-    side = draw(st.one_of(st.just(planted), sides))
-    values = [sum(1 << v for v in range(n) if side[v] == half) for half in (0, 1)]
-    rows = [draw(st.integers(0, 2**n - 1)) & values[d & 1] for d in range(n)]
+def _half_matrices(draw):
+    """An n, any m x m matrix A, m = n // 2 in 1..6, often with a planted
+    perfect matching, and a number of tail rows."""
+    n = draw(st.integers(2, 13))
+    m = n // 2
+    rows = list(draw(_square_matrices(m)))
     if draw(st.booleans()):
-        rows = [row | 1 << plant[d] & values[d & 1] for d, row in enumerate(rows)]
-    return rows, draw(st.integers(1, 6))
+        plant = draw(st.permutations(range(m)))  # row i may take value plant[i] + 1
+        rows = [row | 1 << plant[i] for i, row in enumerate(rows)]
+    return n, rows, draw(st.integers(1, 6))
+
+
+def _writing(n):
+    """The head of _walk's images at n and each half's shift: a value v of
+    A at a level of half h is written 2v + shifts[h]."""
+    return ((1,), (1, 0)) if n % 2 else ((), (0, -1))
+
+
+def _interleaved_rows(rows, n):
+    """The rows over 1..n that A gives both halves at n: depth d takes row
+    d // 2 of A, each value v written as half d % 2 writes it, after the
+    row {1} of the head."""
+    head, shifts = _writing(n)
+    values = range(1, len(rows) + 1)
+    return [1] * len(head) + [
+        sum(1 << 2 * v + shifts[d % 2] - 1 for v in values if rows[d // 2] >> v - 1 & 1)
+        for d in range(2 * len(rows))
+    ]
+
+
+def _matchings(rows):
+    """A perfect matching of A for each half, the second found in the other
+    row order, so often another one; None if there is none."""
+    match = perfect_matching(rows)
+    return match and [match, perfect_matching(rows[::-1])[::-1]]
 
 
 @settings(deadline=None)
-@given(case=_split_rows())
+@given(case=_half_matrices())
 def test_walk_with_a_matching_is_the_unpruned_walk(case):
-    # the matching, its repairs and the tail product change no leaf of the
-    # oracle's unpruned backtracking, also where the cut is at depth 1 and
-    # the odd half's key is empty there; rows with no perfect matching have
-    # no leaf
-    rows, tail_rows = case
-    match = perfect_matching(rows)
-    unpruned = list(leaves_by_backtracking(rows))
-    if match is None:
+    # the two matchings, their repairs and the tail product change no leaf
+    # of the oracle's unpruned backtracking over the rows A gives both
+    # halves, also where the cut is at depth 1 and the halves share A's
+    # values; a matrix with no perfect matching has no leaf
+    n, rows, tail_rows = case
+    matches = _matchings(rows)
+    unpruned = list(leaves_by_backtracking(_interleaved_rows(rows, n)))
+    if matches is None:
         assert unpruned == []
         return
     with mock.patch.object(walk_module, "_TAIL_ROWS", tail_rows):
-        assert list(_leaves(_walk(rows, match))) == unpruned
+        assert list(_leaves(_walk(rows, n, matches))) == unpruned
 
 
 @settings(deadline=None)
-@given(case=_split_rows())
+@given(case=_half_matrices())
 def test_walk_keeps_a_perfect_matching_that_agrees_with_the_prefix(case):
-    # at every block the matching, repaired in place, is still a perfect
-    # matching of the rows, and it gives each depth of the prefix its image
-    rows, tail_rows = case
-    match = perfect_matching(rows)
-    assume(match is not None)
+    # at every block each half's matching, repaired in place, is still a
+    # perfect matching of A, and the two give each depth of the prefix its
+    # image
+    n, rows, tail_rows = case
+    matches = _matchings(rows)
+    assume(matches is not None)
+    head, shifts = _writing(n)
     with mock.patch.object(walk_module, "_TAIL_ROWS", tail_rows):
-        for prefix, *_ in _walk(rows, match):
-            assert sorted(match) == list(range(1, len(rows) + 1))
-            assert all(row >> (v - 1) & 1 for row, v in zip(rows, match))
-            assert tuple(match[: len(prefix)]) == prefix
+        for prefix, *_ in _walk(rows, n, matches):
+            for match in matches:
+                assert sorted(match) == list(range(1, len(rows) + 1))
+                assert all(row >> (v - 1) & 1 for row, v in zip(rows, match))
+            depths = range(2 * len(rows))
+            image = head + tuple(2 * matches[d % 2][d // 2] + shifts[d % 2] for d in depths)
+            assert image[: len(prefix)] == prefix
 
 
 def _units(key, kept) -> int:
@@ -620,8 +642,8 @@ def test_enumerate_completion_lists_stay_within_room(sieve_small, monkeypatch):
     walk = walk_module._walk
     held, orders = [], []
 
-    def watched(rows, match):
-        blocks = walk(rows, match)
+    def watched(*args):
+        blocks = walk(*args)
         for block in blocks:
             state = blocks.gi_frame.f_locals
             lists = state["lists"]
@@ -684,8 +706,8 @@ def _check_every_tail(sieve_small, monkeypatch, fault, line):
             faulted.append(found)
         return found
 
-    def recorded(rows, match):
-        for block in walk(rows, match):
+    def recorded(*args):
+        for block in walk(*args):
             blocks.append(block)
             yield block
 
@@ -763,25 +785,25 @@ def test_enumerate_preconditions(sieve_small):
 
 
 def test_enumerate_refuses_rows_over_the_cap(monkeypatch):
-    # n ceil(n / 8) bytes of rows: 2^15 * 2^12 = 2^27 at n = 32768, the
-    # cap, and 134254593 at 32769
+    # m ceil(m / 8) bytes of rows, m = n // 2: 2^15 * 2^12 = 2^27 at
+    # n = 65537, the cap, and 134254593 at 65538
     def no_work(*args):
         raise AssertionError("enumeration work started before the memory check")
 
     monkeypatch.setattr(count_module, "build_adjacency", no_work)
     monkeypatch.setattr(count_module, "build_sieve", no_work)
-    for n, estimate in ((32769, 134254593), (10**5, 1250000000), (2**26, 2**49)):
+    for n, estimate in ((65538, 134254593), (10**5, 312500000), (2**26, 2**47)):
         message = f"at n = {n} is estimated at {estimate} bytes .* cap of {DEFAULT_LIMIT_CAP}"
         for limit in (None, 1):
             with pytest.raises(MethodCapError, match=message):
                 enumerate_solutions(n, limit=limit)
     with pytest.raises(AssertionError, match="work started"):  # admitted
-        enumerate_solutions(32768, limit=1)
+        enumerate_solutions(65537, limit=1)
 
 
 def _readme_enumerate_peak():
-    """(n, MB) from the README's "`enumerate --n 32768 --limit 1` takes
-    1.8 s and peaks at 158 MB"."""
+    """(n, MB) from the README's "`enumerate --n 65537 --limit 1` takes
+    1.7 s and peaks at 166 MB"."""
     found = re.search(
         r"`enumerate --n (\d+) --limit 1` takes [\d.]+ s and peaks at\s+([\d.]+) MB",
         (ROOT / "README.md").read_text(),
