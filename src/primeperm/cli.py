@@ -16,7 +16,7 @@ import argparse
 import os
 import sys
 from collections.abc import Iterable, Iterator
-from itertools import chain, groupby, islice, starmap
+from itertools import chain, groupby, islice
 from operator import add
 
 from .construct import (
@@ -33,7 +33,7 @@ from .count import (
     enumerate_solutions,
     sequence_table,
 )
-from .primes import PrimeSieve, SieveCapError, build_sieve
+from .primes import SieveCapError, build_sieve
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -106,10 +106,12 @@ def _write(chunks: Iterable[str]) -> None:
 
 def _write_lines(lines: Iterable[str]) -> None:
     """Write lines (without their newlines) in blocks of 1, 2, 4, ... up to
-    BLOCK_LINES lines, each one write and one flush. The first line leaves
-    on its own, as soon as it exists, and a long stream costs a few dozen
-    write(2) calls even when stdout is unbuffered (PYTHONUNBUFFERED), where
-    every write is one."""
+    BLOCK_LINES lines, each one write and one flush: the writer of count,
+    table and enumerate. The first line leaves on its own, as soon as it
+    exists, and a long stream costs a few dozen write(2) calls even when
+    stdout is unbuffered (PYTHONUNBUFFERED), where every write is one.
+    verify, which has no line to send before its whole input is read and
+    checked, writes each checked slice's text as one write instead."""
     _write(_blocks(iter(lines)))
 
 
@@ -165,15 +167,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _sieve_for(n: int) -> PrimeSieve:
-    """A sieve covering every sum k + pi(k) of a permutation of 1..n."""
-    return build_sieve(max(2, 2 * n))
-
-
 def _cmd_construct(args) -> int:
     from .runs import _cells, _rounds_pieces  # imported by construct and verify only
 
-    perm = construct_prime_sum_permutation(args.n, _sieve_for(args.n))
+    perm = construct_prime_sum_permutation(args.n, build_sieve(2 * args.n))
     # the witness reverses blocks [lo, hi] that tile 1..n in order: the
     # image at lo is hi, so one entry per block gives its run of totals
     runs, lo = [], 1
@@ -211,13 +208,11 @@ def _cmd_verify(args) -> int:
         raise _UsageError(str(exc)) from None
     n = verify._checked_image(slices)
     flagged: list[tuple[range, bytes]] = []
-    checked = verify._checked_slices(n, slices, _sieve_for(n), flagged)
+    checked = verify._checked_slices(n, slices, build_sieve(2 * n), flagged)
     if args.format == "json":
         _write(verify._verify_json(n, slices, checked, flagged))
     else:
-        texts = starmap(verify._verify_lines, checked)
-        # the verdict line is made once every slice is checked
-        _write(verify._text_blocks(chain(texts, map(verify._verdict, (flagged,)))))
+        _write(verify._verify_text(checked, flagged))
     # a reader that stopped early left slices unchecked, but the exit code
     # answers for every position
     for _ in checked:

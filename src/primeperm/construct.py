@@ -13,7 +13,8 @@ from operator import add
 from .primes import BertrandViolationError, PrimeSieve
 
 # Largest block of lines the CLI joins into one write, and the number of
-# entries verify reads, checks and formats at a time.
+# entries verify reads, checks and formats at a time: its text output is
+# one write of BLOCK_LINES lines per slice, then the verdict line.
 BLOCK_LINES = 4096
 
 # Bytes of stdin verify reads and decodes at a time, and the characters of

@@ -18,10 +18,9 @@ import math
 from collections import defaultdict
 from collections.abc import Iterator
 from operator import mul
-from os.path import commonprefix
 from sys import maxsize
 
-from .construct import Permutation, _Frozen
+from .construct import Permutation, _Frozen, _clip
 from .construct import construct_prime_sum_permutation
 from .primes import DEFAULT_LIMIT_CAP, PrimeSieve, build_sieve
 
@@ -215,7 +214,7 @@ def count_solutions(
     """
     kernel = _admit(method, range(n, n + 1))
     if sieve is None:
-        sieve = build_sieve(max(2, 2 * n))
+        sieve = build_sieve(2 * n)
     if kernel == "naive":
         return count_solutions_naive(n, sieve)
     if kernel == "ryser":
@@ -231,9 +230,9 @@ def enumerate_solutions(
 ) -> Iterator[Permutation] | Iterator[str]:
     """Yield every valid permutation exactly once, in lexicographic order
     of one-line notation, stopping after ``limit`` items if given. With a
-    ``line``, a %-format whose one %s takes the comma-separated one-line
-    notation (its text may hold %% escapes), each solution comes as that
-    text instead of a Permutation.
+    ``line``, a text holding one %s and no other %, each solution comes as
+    line with the comma-separated one-line notation in place of its %s,
+    instead of as a Permutation; any other line raises ValueError.
 
     The solutions are the pairs of perfect matchings of A (see
     build_adjacency) for the odd and the even positions, interleaved. The
@@ -261,16 +260,11 @@ def enumerate_solutions(
         raise ValueError(f"n must be nonnegative, got {n}")
     if limit is not None and limit < 1:
         raise ValueError(f"limit must be positive, got {limit}")
+    if line is not None and (line.count("%") != 1 or "%s" not in line):
+        raise ValueError(f"line must hold one %s and no other %, got {_clip(line)}")
     if n <= 1:
         # the empty permutation or 1 -> 1: A has no rows, and one solution
         return iter((Permutation((1,) * n) if line is None else line % ("1" * n),))
-    if line is not None:
-        # the text around line's %s, where line % "\0" and line % "\1"
-        # first differ, with its %% resolved once and escaped again for
-        # the two passes of _lines
-        a, b = line % "\0", line % "\1"
-        cut = len(commonprefix((a, b)))
-        line = "%s".join(text.replace("%", "%%%%") for text in (a[:cut], a[cut + 1 :]))
     m = n // 2
     estimate = m * -(-m // 8)  # m rows of m bits
     if estimate > DEFAULT_LIMIT_CAP:

@@ -14,26 +14,6 @@ from .primes import DEFAULT_LIMIT_CAP, PrimeSieve, SieveCapError
 from .runs import _run
 
 
-def _text_blocks(texts: Iterable[str]) -> Iterator[str]:
-    """The CLI's doubling blocks of the lines in texts, each text whole
-    lines, newlines included. Once blocks are BLOCK_LINES lines, a text of
-    BLOCK_LINES lines is cut by one rfind: the line held back and all its
-    lines but the last, which is held back in turn."""
-    held, size = [], 1  # lines not yet written, fewer than size
-    for text in texts:
-        if len(held) == 1 and size == BLOCK_LINES == text.count("\n"):
-            cut = text.rfind("\n", 0, -1) + 1
-            yield held.pop() + text[:cut]
-            text = text[cut:]
-        held += text.splitlines(True)
-        while len(held) >= size:
-            yield "".join(held[:size])
-            del held[:size]
-            size = min(2 * size, BLOCK_LINES)
-    if held:
-        yield "".join(held)
-
-
 def _slices(values: Sequence[int]) -> Iterator[Sequence[int]]:
     """values in consecutive slices of BLOCK_LINES entries."""
     return (values[lo : lo + BLOCK_LINES] for lo in range(0, len(values), BLOCK_LINES))
@@ -309,6 +289,18 @@ def _composites(ks: range, flags: bytes) -> str:
     return text if len(flags) == 1 else ",".join(compress(text.split(","), keep))
 
 
+def _verify_text(checked, flagged) -> Iterator[str]:
+    """Text verify's output, one write each: the text lines of each checked
+    slice (_verify_lines), then the verdict line, made once every slice is
+    checked: the flagged slices' _composites, if any."""
+    yield from starmap(_verify_lines, checked)
+    if flagged:
+        positions = ",".join(starmap(_composites, flagged))
+        yield f"invalid: composite totals at positions {positions}\n"
+    else:
+        yield "valid: every total is prime\n"
+
+
 def _verify_json(n, slices, checked, flagged) -> Iterator[str]:
     """The bytes of one compact json.dumps of the members n, image, sums,
     composite_positions and valid, plus a newline, one slice at a time:
@@ -325,11 +317,3 @@ def _verify_json(n, slices, checked, flagged) -> Iterator[str]:
     yield '],"composite_positions":['
     yield from _csv(starmap(_composites, flagged))
     yield f'],"valid":{"false" if flagged else "true"}}}\n'
-
-
-def _verdict(flagged: list[tuple[range, bytes]]) -> str:
-    """Text verify's last line: the flagged slices' _composites, if any."""
-    if flagged:
-        positions = ",".join(starmap(_composites, flagged))
-        return f"invalid: composite totals at positions {positions}\n"
-    return "valid: every total is prime\n"

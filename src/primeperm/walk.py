@@ -38,10 +38,10 @@ def _lines(
     line: str, prefix: tuple, firsts: tuple, seconds: tuple, order: tuple
 ) -> Iterator[str]:
     """The text of each solution of one _proven block, in its order: line's
-    text, which is escaped for two % passes (each % as %%%%), around its
-    csv. Each line is one %-format: its first's template, line holding the
-    prefix's digits and the first's cell, filled in with its second's
-    digits. The prefix is not empty."""
+    text, which holds one %s and no other %, around its csv. Each line is
+    one %-format: its first's template, line holding the prefix's digits
+    and the first's cell, filled in with its second's digits. The prefix
+    is not empty."""
     head = ",".join(map("%d".__mod__, prefix))
     templates = list(map(line.__mod__, map(head.__add__, firsts[2])))
     fi, sj = order

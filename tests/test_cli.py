@@ -1581,9 +1581,13 @@ def _block_sizes(lines):
         pytest.param("verify", None, id="verify-shuffle"),
     ],
 )
-def test_output_leaves_in_doubling_blocks(monkeypatch, command, n):
-    # verify's lines leave in the blocks of _write_lines, cut from each
-    # slice's text: whole slices, a last slice of one line or one short of
+def test_streams_double_their_blocks_and_verify_writes_whole_slices(
+    monkeypatch, command, n
+):
+    # enumerate's lines leave in the doubling blocks of _write_lines, the
+    # first line alone; verify, which has no line before its input is read
+    # and checked, writes each checked slice's lines as one write, then the
+    # verdict line: whole slices, a last slice of one line or one short of
     # whole, and a shuffle, whose slices are not runs and whose verdict
     # line names composite positions
     code = EXIT_OK
@@ -1591,16 +1595,18 @@ def test_output_leaves_in_doubling_blocks(monkeypatch, command, n):
         image = _witness(n) if n else _composite_edges(3 * BLOCK_LINES + 5)
         code = EXIT_COMPOSITE if n is None else code
         monkeypatch.setattr("sys.stdin", io.StringIO(",".join(map(str, image))))
-        argv, lines, first = ["verify"], len(image) + 1, f"1 + {image[0]} = "
+        argv, first = ["verify"], f"1 + {image[0]} = "
+        slices = range(0, len(image), BLOCK_LINES)
+        sizes = [*(min(BLOCK_LINES, len(image) - lo) for lo in slices), 1]
     else:
-        argv, lines, first = ["enumerate", "--n", "12"], 9216, "2,1,4,3,"
+        argv, first, sizes = ["enumerate", "--n", "12"], "2,1,4,3,", _block_sizes(9216)
     stdout = _CountingStdout()
     monkeypatch.setattr("sys.stdout", stdout)
     assert main(argv) == code
     writes = stdout.writes
     assert len(writes) <= 64
-    assert writes[0].count("\n") == 1 and writes[0].startswith(first)
-    assert [w.count("\n") for w in writes] == _block_sizes(lines)
+    assert writes[0].startswith(first)
+    assert [w.count("\n") for w in writes] == sizes
     assert all(w.endswith("\n") for w in writes)
 
 

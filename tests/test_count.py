@@ -722,13 +722,27 @@ def _check_every_tail(sieve_small, monkeypatch, fault, line):
     assert not any(entries is kept for entries in faulted for kept in lists)
 
 
-@pytest.mark.parametrize("line", ["%%s <%s> 100%%", "%%%s%%%%", "%%%%s\0%s\1%%s"])
+@pytest.mark.parametrize(
+    "line",
+    ["%%s <%s> 100%%", "%%%s%%%%", "%%%%s\0%s\1%%s", "%d", "no placeholder"],
+)
 def test_enumerate_lines_resolve_percent_escapes(sieve_small, line):
-    # a block's lines go through more than one % pass, but line's own %%
-    # escapes are resolved once
+    # line is text around one %s, with no other %: %% escapes, another
+    # conversion or no %s at all raise before any work, even at n = 0 and
+    # 1, with the line clipped in the message; the same text with its %
+    # signs dropped, around one %s, is kept as it is, through the more
+    # than one % pass a block's lines go through
+    refused = "line must hold one %s and no other %, got "
+    around = line.replace("%", "")
     for n in range(13):
-        expected = [line % p.to_text() for p in enumerate_solutions(n, sieve_small)]
-        assert list(enumerate_solutions(n, sieve_small, line=line)) == expected
+        with pytest.raises(ValueError, match=f"^{re.escape(refused)}"):
+            enumerate_solutions(n, sieve_small, line=line)
+        good = f"{around}%s{around}"
+        expected = [good % p.to_text() for p in enumerate_solutions(n, sieve_small)]
+        assert list(enumerate_solutions(n, sieve_small, line=good)) == expected
+    with pytest.raises(ValueError) as info:
+        enumerate_solutions(2, sieve_small, line=line * 100)
+    assert str(info.value) == refused + repr(line * 100)[:37] + "..."
 
 
 def test_naive_count_walks_without_the_matching_repair(sieve_small, monkeypatch):
