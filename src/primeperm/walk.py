@@ -220,15 +220,17 @@ def _keyed(entries: list, written: range, offset: int, length: int) -> tuple:
     return entries, keys, list(map(cell.__mod__, entries))
 
 
-def _order(firsts: tuple, seconds: tuple) -> tuple[bytes, bytes]:
+def _order(firsts: tuple, seconds: tuple) -> tuple[Sequence[int], Sequence[int]]:
     """The tails of a pair of _keyed lists as the indices of their firsts
     and of their seconds, sorted by the sums of their keys. Each index
-    takes a byte: a list holds at most _TAIL_ROWS! = 120 entries, and
-    bytes raises on an index past 255."""
+    takes a byte while both lists hold at most 256 entries, as they do at
+    _TAIL_ROWS = 5 (5! = 120); with more rows left a list may hold 6! = 720,
+    and the indices are a list."""
     keys = [a + b for a in firsts[1] for b in seconds[1]]
     order = sorted(range(len(keys)), key=keys.__getitem__)
     m = len(seconds[0])
-    return bytes(map(m.__rfloordiv__, order)), bytes(map(m.__rmod__, order))
+    index = bytes if max(len(firsts[0]), m) <= 256 else list
+    return index(map(m.__rfloordiv__, order)), index(map(m.__rmod__, order))
 
 
 def _proven(prefix: tuple, firsts: tuple, seconds: tuple, order: tuple) -> None:

@@ -7,7 +7,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import primeperm.count as count_module
@@ -561,6 +561,11 @@ def _half_matrices(draw):
     return n, rows, draw(st.integers(1, 6))
 
 
+# m = 6 with _TAIL_ROWS = 6: the cut is at depth 1, so the half below it
+# keeps all six levels and a list may hold 6! = 720 entries, past a byte
+_SIX_TAIL_ROWS = (12, [63, 63, 63, 63, 63, 7], 6)
+
+
 def _writing(n):
     """The head of _walk's images at n and each half's shift: a value v of
     A at a level of half h is written 2v + shifts[h]."""
@@ -588,6 +593,7 @@ def _matchings(rows):
 
 @settings(deadline=None)
 @given(case=_half_matrices())
+@example(case=_SIX_TAIL_ROWS)
 def test_walk_with_a_matching_is_the_unpruned_walk(case):
     # the two matchings, their repairs and the tail product change no leaf
     # of the oracle's unpruned backtracking over the rows A gives both
@@ -605,6 +611,7 @@ def test_walk_with_a_matching_is_the_unpruned_walk(case):
 
 @settings(deadline=None)
 @given(case=_half_matrices())
+@example(case=_SIX_TAIL_ROWS)
 def test_walk_keeps_a_perfect_matching_that_agrees_with_the_prefix(case):
     # at every block each half's matching, repaired in place, is still a
     # perfect matching of A, and the two give each depth of the prefix its
