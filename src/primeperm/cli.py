@@ -21,6 +21,7 @@ from operator import add
 
 from .construct import (
     BLOCK_LINES,
+    STDIN_PIECE,
     NotAPermutationError,
     Permutation,
     _clip,
@@ -105,21 +106,24 @@ def _write(chunks: Iterable[str]) -> None:
 
 
 def _write_lines(lines: Iterable[str]) -> None:
-    """Write lines (without their newlines) in blocks of 1, 2, 4, ... up to
-    BLOCK_LINES lines, each one write and one flush: the writer of count,
-    table and enumerate. The first line leaves on its own, as soon as it
-    exists, and a long stream costs a few dozen write(2) calls even when
-    stdout is unbuffered (PYTHONUNBUFFERED), where every write is one.
-    verify, which has no line to send before its whole input is read and
-    checked, writes each checked slice's text as one write instead."""
+    """Write lines (without their newlines) in blocks, each one write and
+    one flush: the writer of count, table and enumerate. The first line
+    leaves alone, as soon as it exists; each next block doubles the last,
+    up to BLOCK_LINES lines and STDIN_PIECE characters at the last block's
+    width, or one line. A stream of short lines costs a few dozen write(2)
+    calls even when stdout is unbuffered (PYTHONUNBUFFERED), where every
+    write is one. verify, which has no line to send before its whole input
+    is read and checked, writes each checked slice's text as one write."""
     _write(_blocks(iter(lines)))
 
 
 def _blocks(lines: Iterator[str]) -> Iterator[str]:
     size = 1
     while block := list(islice(lines, size)):
-        yield "\n".join(block) + "\n"
-        size = min(2 * size, BLOCK_LINES)
+        text = "\n".join(block) + "\n"
+        yield text
+        fits = STDIN_PIECE * len(block) // len(text)  # lines this wide in a piece
+        size = max(1, min(2 * size, BLOCK_LINES, fits))
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -12,13 +12,13 @@ from operator import add
 
 from .primes import BertrandViolationError, PrimeSieve
 
-# Largest block of lines the CLI joins into one write, and the number of
-# entries verify reads, checks and formats at a time: its text output is
-# one write of BLOCK_LINES lines per slice, then the verdict line.
+# The most lines the CLI joins into one write, and the number of entries
+# verify reads, checks and formats at a time: its text output is one
+# write of BLOCK_LINES lines per slice, then the verdict line.
 BLOCK_LINES = 4096
 
-# Bytes of stdin verify reads and decodes at a time, and the characters of
-# text _comma_pieces splits at a time.
+# Bytes of stdin verify reads and decodes at a time, the characters of text
+# _comma_pieces splits at a time, and of lines cli._blocks joins into a write.
 STDIN_PIECE = 1 << 16
 
 

@@ -210,16 +210,26 @@ def count_solutions(
 
     Naive backtracking and Ryser run only when named: they are independent
     cross-checks. Without a sieve, one to 2n is built once the step
-    estimate has admitted n, so refusing a large n costs no sieve.
+    estimate has admitted n, so refusing a large n costs no sieve. A count
+    by dp or ryser whose root's parity is not det(A) over GF(2), which is
+    per(A) mod 2 and shares no code with either kernel, raises RuntimeError.
     """
     kernel = _admit(method, range(n, n + 1))
     if sieve is None:
         sieve = build_sieve(2 * n)
     if kernel == "naive":
         return count_solutions_naive(n, sieve)
-    if kernel == "ryser":
-        return count_solutions_ryser(n, sieve)
-    return count_solutions_dp(n, sieve)
+    kernels = {"dp": count_solutions_dp, "ryser": count_solutions_ryser}
+    count = kernels[kernel](n, sieve)
+    # per(A) mod 2 is det(A) over GF(2), where -1 = 1 (Valiant 1979): each
+    # pivot clears its lowest column from the rows left; a zero row ends at 0
+    rows, det = list(build_adjacency(n, sieve).rows), 1
+    while rows and det:
+        det = pivot = rows.pop()
+        rows = [row ^ pivot if row & pivot & -pivot else row for row in rows]
+    if math.isqrt(count) % 2 != bool(det):
+        raise RuntimeError(f"{kernel} counting at n = {n} broke per(A) = det(A) mod 2")
+    return count
 
 
 def enumerate_solutions(
@@ -254,6 +264,9 @@ def enumerate_solutions(
     limit: over DEFAULT_LIMIT_CAP (n > 65537) it raises MethodCapError
     before any work. The walk and the matchings take a few lists of m ints
     and two masks, and the completion lists at most walk._LIST_ROOM units.
+    A block adds its prefix, fewer than n ints; with a line, its lines are
+    made one at a time as the stream is read, so the caller decides how
+    many are held at once (the CLI writes at most 64 KiB, or one line).
     Without a sieve, one to 2n is built after that check.
     """
     if n < 0:

@@ -42,7 +42,7 @@ def _lines(
     one %-format: its first's template, line holding the prefix's digits
     and the first's cell, filled in with its second's digits. The prefix
     is not empty."""
-    head = ",".join(map("%d".__mod__, prefix))
+    head = ("%d," * len(prefix))[:-1] % prefix
     templates = list(map(line.__mod__, map(head.__add__, firsts[2])))
     fi, sj = order
     cells = map(templates.__getitem__, fi), map(seconds[2].__getitem__, sj)
@@ -82,12 +82,13 @@ def _walk(rows: Sequence[int], n: int, matches: list) -> Iterator[tuple]:
     head, shifts = ((1,), (1, 0)) if n % 2 else ((), (0, -1))
     written = [range(shift, n + 1, 2) for shift in shifts]  # [h][v] is 2v + shift
     image = [0] * depths  # the value each depth holds, 0 before its first
+    cut = max(1, depths - 2 * _TAIL_ROWS)
+    values = [0] * cut  # what each depth above the cut writes: the prefix
     taken = [0, 0]  # each half's values at the depths above pos
     # each value's level: the levels in the order of their values
     owners = [[0, *sorted(range(m), key=match.__getitem__)] for match in matches]
     # The halves share A's values: a list's key is its half's values above
     # the cut, then the half, and an order's is the pair of its lists' keys.
-    cut = max(1, depths - 2 * _TAIL_ROWS)
     lists: dict[int | tuple[int, int], tuple] = {}
     held = 0  # units in lists
     pos = 0
@@ -107,6 +108,7 @@ def _walk(rows: Sequence[int], n: int, matches: list) -> Iterator[tuple]:
         if match[level] != image[pos]:
             if not _repair(rows, match, owners[half], level, image[pos], taken[half]):
                 continue
+        values[pos] = written[half][image[pos]]
         if pos + 1 == cut:
             other = half ^ 1  # the half that takes depth cut
             pair = (taken[other] << 1 | other, (taken[half] | bit) << 1 | half)
@@ -127,7 +129,7 @@ def _walk(rows: Sequence[int], n: int, matches: list) -> Iterator[tuple]:
                         lists[key] = found
                         held += units
                 block.append(found)
-            prefix = head + tuple(written[d & 1][v] for d, v in enumerate(image[:cut]))
+            prefix = (*head, *values)
             _proven(prefix, *block)
             yield prefix, *block
             continue

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from math import isqrt
 from pathlib import Path
 from unittest import mock
 
@@ -47,6 +48,7 @@ from primeperm.cli import (
     build_parser,
     main,
 )
+from primeperm.construct import STDIN_PIECE
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
@@ -1179,6 +1181,28 @@ def test_count_beyond_old_caps(capsys):
     assert dp == (EXIT_OK, "4551557699844\n", "")
 
 
+@pytest.mark.parametrize(
+    "method, kernel", [("auto", "count_solutions_dp"), ("ryser", "count_solutions_ryser")]
+)
+def test_count_of_the_wrong_parity_is_an_internal_error(
+    capsys, monkeypatch, method, kernel
+):
+    # per(A) = 3 at n = 6, so det(A) over GF(2) is 1: a kernel that gives
+    # 4^2 in place of 3^2 fails the package's parity check, in count and in
+    # table, and nothing is written
+    true = getattr(count_module, kernel)
+
+    def wrong(n, sieve):
+        return (isqrt(true(n, sieve)) + 1) ** 2
+
+    monkeypatch.setattr(count_module, kernel, wrong)
+    assert run(capsys, "count", "--n", "6", "--method", "naive")[:2] == (EXIT_OK, "9\n")
+    for argv in (("count", "--n", "6"), ("table", "--max", "6")):
+        code, out, err = run(capsys, *argv, "--method", method)
+        assert (code, out) == (EXIT_ERROR, "")
+        assert err.startswith("primeperm: internal error:") and "det(A)" in err
+
+
 def test_count_bad_method(capsys):
     code, _, _ = run(capsys, "count", "--n", "5", "--method", "magic")
     assert code == EXIT_USAGE
@@ -1394,6 +1418,16 @@ def test_enumerate_first_line_peak_rss():
     assert rss_mb < 48, rss_mb
 
 
+def test_enumerate_writes_long_lines_in_small_blocks():
+    # lines of 3893 characters leave at most 16 to a write, 64 KiB: 79.6 MB
+    # with blocks of up to 4096 lines, each held as its list, its join and
+    # its encoding at once
+    argv = ["enumerate", "--n", "1000", "--limit", "8191"]
+    code, _, rss_mb = run_cli(argv, stdout=False)
+    assert code == EXIT_OK
+    assert rss_mb < 25, rss_mb
+
+
 def test_enumerate_holds_one_copy_of_its_rows():
     # A's 9458 rows of 9458 bits take 11 MB: 30 MB as a process, against
     # 64 MB with the full matrix's 18917 rows of 18917 bits, and 135.5 MB
@@ -1560,12 +1594,15 @@ class _CountingStdout(io.StringIO):
         return super().write(text)
 
 
-def _block_sizes(lines):
+def _block_sizes(lines, width):
+    # the lines of each write of lines of width characters, newline
+    # included: doubling from one, at most BLOCK_LINES and at most
+    # STDIN_PIECE characters, or one line
     sizes, size = [], 1
     while lines > 0:
         sizes.append(min(size, lines))
         lines -= size
-        size = min(2 * size, BLOCK_LINES)
+        size = max(1, min(2 * size, BLOCK_LINES, STDIN_PIECE // width))
     return sizes
 
 
@@ -1574,6 +1611,7 @@ def _block_sizes(lines):
     [
         pytest.param("verify", 200_000, id="verify"),
         pytest.param("enumerate", 12, id="enumerate"),
+        pytest.param("enumerate", 1000, id="enumerate-long"),
         *(
             pytest.param("verify", n, id=f"verify-{n}")
             for n in (1, BLOCK_LINES - 1, BLOCK_LINES, BLOCK_LINES + 1, 2 * BLOCK_LINES)
@@ -1585,11 +1623,12 @@ def test_streams_double_their_blocks_and_verify_writes_whole_slices(
     monkeypatch, command, n
 ):
     # enumerate's lines leave in the doubling blocks of _write_lines, the
-    # first line alone; verify, which has no line before its input is read
-    # and checked, writes each checked slice's lines as one write, then the
-    # verdict line: whole slices, a last slice of one line or one short of
-    # whole, and a shuffle, whose slices are not runs and whose verdict
-    # line names composite positions
+    # first line alone, and each block at most STDIN_PIECE characters or
+    # one line, for short lines and long; verify, which has no line before
+    # its input is read and checked, writes each checked slice's lines as
+    # one write, then the verdict line: whole slices, a last slice of one
+    # line or one short of whole, and a shuffle, whose slices are not runs
+    # and whose verdict line names composite positions
     code = EXIT_OK
     if command == "verify":
         image = _witness(n) if n else _composite_edges(3 * BLOCK_LINES + 5)
@@ -1599,7 +1638,13 @@ def test_streams_double_their_blocks_and_verify_writes_whole_slices(
         slices = range(0, len(image), BLOCK_LINES)
         sizes = [*(min(BLOCK_LINES, len(image) - lo) for lo in slices), 1]
     else:
-        argv, first, sizes = ["enumerate", "--n", "12"], "2,1,4,3,", _block_sizes(9216)
+        # every line is a permutation of 1..n: all are as wide; n = 1000
+        # stops at 100 lines of 3893 characters, 16 to a write past the first
+        # 15, where doubling alone would write 32 and then 37
+        lines, width = (9216, 27) if n == 12 else (100, 3893)
+        assert len(",".join(map(str, range(1, n + 1)))) + 1 == width
+        argv = ["enumerate", "--n", str(n), "--limit", str(lines)]
+        first, sizes = "2,1,4,3,", _block_sizes(lines, width)
     stdout = _CountingStdout()
     monkeypatch.setattr("sys.stdout", stdout)
     assert main(argv) == code
@@ -1608,6 +1653,8 @@ def test_streams_double_their_blocks_and_verify_writes_whole_slices(
     assert writes[0].startswith(first)
     assert [w.count("\n") for w in writes] == sizes
     assert all(w.endswith("\n") for w in writes)
+    if command == "enumerate":
+        assert all(len(w) <= STDIN_PIECE or w.count("\n") == 1 for w in writes)
 
 
 def _closed_early(argv, stdin, buffered, read=io.BufferedReader.readline):
