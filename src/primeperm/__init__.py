@@ -1,28 +1,12 @@
 """primeperm: construct, verify, enumerate, and exactly count prime-sum
-permutations, i.e. orderings pi of {1..n} with k + pi(k) prime for all k."""
+permutations, i.e. orderings pi of {1..n} with k + pi(k) prime for all k.
+The names of construct.py and count.py are imported on first use (PEP 562),
+so each command compiles only the modules it runs (README, "Start-up")."""
 
-from .construct import (
-    Block,
-    NotAPermutationError,
-    Permutation,
-    construct_prime_sum_permutation,
-    decompose_blocks,
-    is_valid_solution,
-)
-from .count import (
-    MethodCapError,
-    PrimeAdjacency,
-    SequenceRow,
-    build_adjacency,
-    count_solutions,
-    count_solutions_dp,
-    count_solutions_naive,
-    count_solutions_ryser,
-    enumerate_solutions,
-    sequence_table,
-)
 from .primes import (
     BertrandViolationError,
+    MethodCapError,
+    NotAPermutationError,
     PrimeSieve,
     SieveCapError,
     SieveRangeError,
@@ -30,6 +14,15 @@ from .primes import (
 )
 
 __version__ = "0.1.0"
+
+# construct.py's names in __all__; the others not imported above are count.py's
+_CONSTRUCT = {
+    "Block",
+    "Permutation",
+    "construct_prime_sum_permutation",
+    "decompose_blocks",
+    "is_valid_solution",
+}
 
 __all__ = [
     "BertrandViolationError",
@@ -54,3 +47,16 @@ __all__ = [
     "is_valid_solution",
     "sequence_table",
 ]
+
+
+def __getattr__(name):
+    from importlib import import_module
+    if name not in __all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    home = import_module(".construct" if name in _CONSTRUCT else ".count", __name__)
+    value = globals()[name] = getattr(home, name)  # later lookups skip this function
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -1,6 +1,8 @@
 """primeperm command line: construct witnesses, verify candidate rounds,
-count and enumerate solutions, and print the sequence table. Only the
-commands that run it import the witness text code (runs.py, verify.py).
+count and enumerate solutions, and print the sequence table. Beyond
+primes.py, each command imports only what it runs: `construct` construct.py
+and runs.py, `verify` those and verify.py, `count` and `table` count.py, and
+`enumerate` count.py, construct.py and walk.py.
 
 Exit codes:
     0   success (for verify: the permutation is a valid solution)
@@ -19,22 +21,16 @@ from collections.abc import Iterable, Iterator
 from itertools import chain, groupby, islice
 from operator import add
 
-from .construct import (
+from .primes import (
     BLOCK_LINES,
-    STDIN_PIECE,
-    NotAPermutationError,
-    Permutation,
-    _clip,
-    construct_prime_sum_permutation,
-)
-from .count import (
     METHODS,
+    STDIN_PIECE,
     MethodCapError,
-    count_solutions,
-    enumerate_solutions,
-    sequence_table,
+    NotAPermutationError,
+    SieveCapError,
+    _clip,
+    build_sieve,
 )
-from .primes import SieveCapError, build_sieve
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -126,6 +122,23 @@ def _blocks(lines: Iterator[str]) -> Iterator[str]:
         size = max(1, min(2 * size, BLOCK_LINES, fits))
 
 
+# The calls the benchmark's traced mode wraps, as globals of this module:
+# each imports its module on first call
+def construct_prime_sum_permutation(n, sieve):
+    from .construct import construct_prime_sum_permutation
+    return construct_prime_sum_permutation(n, sieve)
+
+
+def sequence_table(max_n, method):
+    from .count import sequence_table
+    return sequence_table(max_n, method)
+
+
+def enumerate_solutions(n, limit, line):
+    from .count import enumerate_solutions
+    return enumerate_solutions(n, limit=limit, line=line)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="primeperm",
@@ -191,8 +204,8 @@ def _cmd_construct(args) -> int:
     return EXIT_OK
 
 
-def _rounds_table(perm: Permutation) -> str:
-    """The rounds table as one string, without its last newline."""
+def _rounds_table(perm) -> str:
+    """The rounds table of a Permutation, one string without its last newline."""
     from .runs import _rounds_pieces
 
     # each run of equal totals k + v, as (total, length)
@@ -225,6 +238,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_count(args) -> int:
+    from .count import count_solutions
+
     # no sieve passed: count_solutions builds it after the step estimate,
     # so an n over the budget is refused without sieving to 2n
     count = count_solutions(args.n, method=args.method)

@@ -11,67 +11,8 @@ from itertools import chain
 from operator import add
 
 from .primes import BertrandViolationError, PrimeSieve
-
-# The most lines the CLI joins into one write, and the number of entries
-# verify reads, checks and formats at a time: its text output is one
-# write of BLOCK_LINES lines per slice, then the verdict line.
-BLOCK_LINES = 4096
-
-# Bytes of stdin verify reads and decodes at a time, the characters of text
-# _comma_pieces splits at a time, and of lines cli._blocks joins into a write.
-STDIN_PIECE = 1 << 16
-
-
-class NotAPermutationError(ValueError):
-    """Sequence is not a bijection on {1..n}."""
-
-
-class _Frozen:
-    """An immutable record whose fields are its ``__slots__``: equal to a
-    record of the same class with equal fields, hashable, shown as
-    ``Name(field=value, ...)``, and copied or pickled through its
-    constructor. Written out, not generated: the stdlib generator and the
-    modules it imports cost every CLI process several ms (see README,
-    "Start-up")."""
-
-    __slots__ = ()
-
-    def _set(self, *values):
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
-
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(self._fields())
-
-    def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__qualname__}({fields})"
-
-    def __reduce__(self):
-        return type(self), self._fields()
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-
-def _clip(value: object) -> str:
-    """repr of value for an error message, cut to at most 40 characters."""
-    try:
-        text = repr(value)
-    except ValueError:  # an int past the int-string digit limit
-        return f"<int of {value.bit_length()} bits>"
-    return text if len(text) <= 40 else text[:37] + "..."
+# what every command needs lives in primes.py; this module exports it too
+from .primes import BLOCK_LINES, STDIN_PIECE, NotAPermutationError, _clip, _Frozen
 
 
 def _first_fault(image: tuple) -> str:

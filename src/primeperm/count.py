@@ -8,8 +8,9 @@ matrix A (see build_adjacency), so per(M) = per(A) ** 2. Three
 independent routes compute it: backtracking on M (the desk-scale oracle,
 a stack counter of its own, which checks that reduction), and subset
 dynamic programming and Ryser inclusion-exclusion on A. The enumerator
-walks the two matchings of A; its walk is in walk.py, imported on first
-use. Counts are plain Python ints: they outgrow 64 bits quickly.
+walks the two matchings of A from construct's witness; walk.py and
+construct.py are imported on first use, so `count` and `table` compile
+neither. Counts are plain Python ints: they outgrow 64 bits quickly.
 """
 
 import functools
@@ -20,9 +21,9 @@ from collections.abc import Iterator
 from operator import mul
 from sys import maxsize
 
-from .construct import Permutation, _Frozen, _clip
-from .construct import construct_prime_sum_permutation
 from .primes import DEFAULT_LIMIT_CAP, PrimeSieve, build_sieve
+# what every command needs lives in primes.py; this module exports it too
+from .primes import METHODS, MethodCapError, _clip, _Frozen
 
 # Elementary steps a count may take: n <= 12 for backtracking, 43 for dp
 # and ryser (README, "Counting methods").
@@ -30,15 +31,6 @@ STEP_BUDGET = 5 * 10**7
 
 # The largest n at which _steps reads the backtracking bound.
 NAIVE_ESTIMATE_N = 64
-
-METHODS = ("naive", "dp", "ryser", "auto")
-
-
-class MethodCapError(ValueError):
-    """Counting or enumeration refused before any work: its estimated
-    elementary steps exceed STEP_BUDGET, or, for enumeration, its estimated
-    bytes exceed DEFAULT_LIMIT_CAP. The message names the estimate and the
-    limit."""
 
 
 class PrimeAdjacency(_Frozen):
@@ -237,7 +229,7 @@ def enumerate_solutions(
     sieve: PrimeSieve | None = None,
     limit: int | None = None,
     line: str | None = None,
-) -> Iterator[Permutation] | Iterator[str]:
+) -> "Iterator[Permutation] | Iterator[str]":
     """Yield every valid permutation exactly once, in lexicographic order
     of one-line notation, stopping after ``limit`` items if given. With a
     ``line``, a text holding one %s and no other %, each solution comes as
@@ -275,6 +267,7 @@ def enumerate_solutions(
         raise ValueError(f"limit must be positive, got {limit}")
     if line is not None and (line.count("%") != 1 or "%s" not in line):
         raise ValueError(f"line must hold one %s and no other %, got {_clip(line)}")
+    from .construct import Permutation, construct_prime_sum_permutation
     if n <= 1:
         # the empty permutation or 1 -> 1: A has no rows, and one solution
         return iter((Permutation((1,) * n) if line is None else line % ("1" * n),))

@@ -1,6 +1,10 @@
 """Primality infrastructure: an Eratosthenes sieve plus the prime queries
 the rest of the package needs (membership, prime windows as bitsets,
-least prime above, strict prime counting)."""
+least prime above, strict prime counting).
+
+Every command imports it, so it also holds what all of them need of
+construct.py and count.py, which only some import (see cli.py): BLOCK_LINES,
+STDIN_PIECE, METHODS, NotAPermutationError, MethodCapError, _Frozen, _clip."""
 
 from collections.abc import Sequence
 from math import isqrt
@@ -9,6 +13,17 @@ from operator import itemgetter
 # One byte per integer; 2**27 entries is ~134 MB, far beyond anything the
 # desk-scale commands need (problem size n requires a sieve to 2n).
 DEFAULT_LIMIT_CAP = 1 << 27
+
+# The most lines the CLI joins into one write, and the number of entries
+# verify reads, checks and formats at a time: its text output is one
+# write of BLOCK_LINES lines per slice, then the verdict line.
+BLOCK_LINES = 4096
+
+# Bytes of stdin verify reads and decodes at a time, the characters of text
+# _comma_pieces splits at a time, and of lines cli._blocks joins into a write.
+STDIN_PIECE = 1 << 16
+
+METHODS = ("naive", "dp", "ryser", "auto")
 
 
 class SieveCapError(Exception):
@@ -22,6 +37,65 @@ class SieveRangeError(ValueError):
 class BertrandViolationError(RuntimeError):
     """No prime found in (k, 2k]; impossible by Bertrand-Chebyshev, so
     hitting this means the sieve itself is broken."""
+
+
+class NotAPermutationError(ValueError):
+    """Sequence is not a bijection on {1..n}."""
+
+
+class MethodCapError(ValueError):
+    """Counting or enumeration refused before any work: its estimated
+    elementary steps exceed STEP_BUDGET, or, for enumeration, its estimated
+    bytes exceed DEFAULT_LIMIT_CAP. The message names the estimate and the
+    limit."""
+
+
+class _Frozen:
+    """An immutable record whose fields are its ``__slots__``: equal to a
+    record of the same class with equal fields, hashable, shown as
+    ``Name(field=value, ...)``, and copied or pickled through its
+    constructor. Written out, not generated: the stdlib generator and the
+    modules it imports cost every CLI process several ms (see README,
+    "Start-up")."""
+
+    __slots__ = ()
+
+    def _set(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+def _clip(value: object) -> str:
+    """repr of value for an error message, cut to at most 40 characters."""
+    try:
+        text = repr(value)
+    except ValueError:  # an int past the int-string digit limit
+        return f"<int of {value.bit_length()} bits>"
+    return text if len(text) <= 40 else text[:37] + "..."
 
 
 class PrimeSieve:

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import primeperm
 from oracles import is_prime_trial
 from peak_rss import run_cli
 from primeperm import (
@@ -1892,20 +1893,68 @@ def test_json_output_imports_no_json():
 @pytest.mark.parametrize(
     "argv, loaded",
     [
-        (["count", "--n", "22"], set()),
-        (["count", "--n", "12", "--method", "naive"], set()),
-        (["table", "--max", "18"], set()),
-        (["enumerate", "--n", "6"], {"primeperm.walk"}),
-        (["construct", "--n", "1"], {"primeperm.runs"}),
-        (["verify", "--perm", "2,1"], {"primeperm.runs", "primeperm.verify"}),
+        (["count", "--n", "22"], {"primeperm.count"}),
+        (["count", "--n", "12", "--method", "naive"], {"primeperm.count"}),
+        (["table", "--max", "18"], {"primeperm.count"}),
+        (
+            ["enumerate", "--n", "6"],
+            {"primeperm.construct", "primeperm.count", "primeperm.walk"},
+        ),
+        (["construct", "--n", "1"], {"primeperm.construct", "primeperm.runs"}),
+        (
+            ["verify", "--perm", "2,1"],
+            {"primeperm.construct", "primeperm.runs", "primeperm.verify"},
+        ),
     ],
 )
 def test_each_command_loads_only_the_modules_it_runs(argv, loaded):
-    # the witness text code and the enumerator are compiled only by the
-    # commands that run them (README, "Start-up"); every command imports count
+    # each command compiles only the package code it runs (README,
+    # "Start-up"): construct and verify never count, count and table never
+    # build a witness, and every command imports primes.py
     added = _modules_imported_by(argv)
-    assert added & {"primeperm.runs", "primeperm.verify", "primeperm.walk"} == loaded
-    assert "primeperm.count" in added
+    optional = {"construct", "count", "runs", "verify", "walk"}
+    assert added & {f"primeperm.{name}" for name in optional} == loaded
+    assert "primeperm.primes" in added
+
+
+PACKAGE_PROBE = """
+import sys
+import primeperm
+print(*sorted(name for name in sys.modules if name.startswith("primeperm.")))
+print(*sorted(set(primeperm.__all__) - set(dir(primeperm))))
+star = {}
+exec("from primeperm import *", star)
+print(*sorted(star.keys() - {"__builtins__"}))
+"""
+
+
+def test_package_names_resolve_on_first_use():
+    # a fresh `import primeperm`, as python -m primeperm.cli makes first,
+    # compiles neither construct.py nor count.py; their names resolve on
+    # first use (PEP 562) to the very objects of the modules that define them
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", PACKAGE_PROBE],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    fresh, undir, star = done.stdout.split("\n")[:3]
+    assert fresh == "primeperm.primes"
+    assert undir == ""  # dir(primeperm) lists every name of __all__, unresolved too
+    assert star.split() == sorted(primeperm.__all__) and len(primeperm.__all__) == 21
+    for name in primeperm.__all__:
+        value = getattr(primeperm, name)
+        assert getattr(sys.modules[value.__module__], name) is value
+    # the names every command needs moved to primes.py, and keep their old homes
+    for name in ("BLOCK_LINES", "STDIN_PIECE", "NotAPermutationError", "_Frozen", "_clip"):
+        assert getattr(construct_module, name) is getattr(primes_module, name)
+    for name in ("METHODS", "MethodCapError", "_Frozen", "_clip"):
+        assert getattr(count_module, name) is getattr(primes_module, name)
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        primeperm.no_such_name  # noqa: B018
 
 
 @pytest.mark.parametrize(
@@ -1939,7 +1988,7 @@ def test_commands_never_import_the_cli_twice(capsys, monkeypatch, argv, stdin, c
     for line in done.stderr.splitlines(True):
         (timings if line.startswith("import time:") else messages).append(line)
     imported = [line.split("|")[-1].strip() for line in timings]
-    assert "primeperm.count" in imported and "primeperm.cli" not in imported
+    assert "primeperm.primes" in imported and "primeperm.cli" not in imported
     monkeypatch.setattr("sys.stdin", None if stdin is None else io.StringIO(stdin))
     assert (done.returncode, done.stdout, "".join(messages)) == run(capsys, *argv)
     assert done.returncode == code
@@ -1970,7 +2019,10 @@ def test_benchmark_traced_round_runs():
     # cli.construct_prime_sum_permutation, cli.sequence_table,
     # cli.enumerate_solutions, count.build_sieve, count.build_adjacency
     # (which dp, ryser and enumeration each call for A's rows),
-    # count.count_solutions_dp and count.count_solutions_ryser. It also
+    # count.count_solutions_dp and count.count_solutions_ryser. The three
+    # cli names among them are short functions that import their module
+    # (construct.py or count.py) on first call, and the commands still
+    # call them through cli's globals. It also
     # calls cli._rounds_table, cli.build_parser and cli.main. A name that
     # leaves its module fails this round with an AttributeError, and a
     # command that stops calling one with a KeyError
