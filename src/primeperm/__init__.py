@@ -40,7 +40,6 @@ __all__ = [
     "construct_prime_sum_permutation",
     "count_solutions",
     "count_solutions_dp",
-    "count_solutions_naive",
     "count_solutions_ryser",
     "decompose_blocks",
     "enumerate_solutions",

@@ -1,8 +1,9 @@
 """primeperm command line: construct witnesses, verify candidate rounds,
 count and enumerate solutions, and print the sequence table. Beyond
 primes.py, each command imports only what it runs: `construct` construct.py
-and runs.py, `verify` those and verify.py, `count` and `table` count.py, and
-`enumerate` count.py, construct.py and walk.py.
+and runs.py, `verify` runs.py and verify.py (and construct.py for input that
+is not canonical), `count` and `table` count.py, and `enumerate` count.py,
+construct.py and walk.py.
 
 Exit codes:
     0   success (for verify: the permutation is a valid solution)

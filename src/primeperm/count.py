@@ -4,10 +4,10 @@ Valid permutations are exactly the permutation matrices dominated by the
 0/1 matrix M with M[i][j] = 1 iff i + j is prime, whose row i is the
 sieve's window i + 1 .. i + n, so the solution count is the permanent of
 M. Parity splits M into two perfect matchings of one half-size symmetric
-matrix A (see build_adjacency), so per(M) = per(A) ** 2. Three
-independent routes compute it: backtracking on M (the desk-scale oracle,
-a stack counter of its own, which checks that reduction), and subset
-dynamic programming and Ryser inclusion-exclusion on A. The enumerator
+matrix A (see build_adjacency), so per(M) = per(A) ** 2. Two kernels
+compute per(A): subset dynamic programming, the production kernel, and
+Ryser inclusion-exclusion, its independent cross-check; the full-matrix
+oracles live outside the package, in tests/oracles.py. The enumerator
 walks the two matchings of A from construct's witness; walk.py and
 construct.py are imported on first use, so `count` and `table` compile
 neither. Counts are plain Python ints: they outgrow 64 bits quickly.
@@ -18,19 +18,15 @@ import itertools
 import math
 from collections import defaultdict
 from collections.abc import Iterator
-from operator import mul
 from sys import maxsize
 
 from .primes import DEFAULT_LIMIT_CAP, PrimeSieve, build_sieve
 # what every command needs lives in primes.py; this module exports it too
 from .primes import METHODS, MethodCapError, _clip, _Frozen
 
-# Elementary steps a count may take: n <= 12 for backtracking, 43 for dp
-# and ryser (README, "Counting methods").
+# Elementary steps a count may take: n <= 43 for dp and ryser (README,
+# "Counting methods").
 STEP_BUDGET = 5 * 10**7
-
-# The largest n at which _steps reads the backtracking bound.
-NAIVE_ESTIMATE_N = 64
 
 
 class PrimeAdjacency(_Frozen):
@@ -68,21 +64,11 @@ def build_adjacency(n: int, sieve: PrimeSieve) -> PrimeAdjacency:
     return PrimeAdjacency(n, tuple(bits >> s & mask for s in range(m)))
 
 
-def _steps(n: int, method: str) -> int:
-    """Upper bound on the elementary steps of counting n by method: m * 2^m
-    for dp and ryser on the m x m half matrix, m = n // 2; for
-    backtracking, the sum over depths d of prod_{i <= d} deg(i), deg(i) =
-    #primes in i + 1..i + n. It stops once past STEP_BUDGET, so refusing
-    any n is cheap. The backtracking bound never falls as n grows, so past
-    NAIVE_ESTIMATE_N, where it is over the budget, it is read there."""
-    if method != "naive":
-        partials = (n // 2 << k for k in range(n // 2 + 1))
-    else:
-        n = min(n, NAIVE_ESTIMATE_N)
-        below = PrimeSieve(2 * n).count_primes_below
-        degrees = (below(i + n + 1) - below(i + 1) for i in range(1, n + 1))
-        partials = itertools.accumulate(itertools.accumulate(degrees, mul, initial=1))
-    for steps in partials:
+def _steps(n: int) -> int:
+    """Upper bound on the elementary steps of counting n by dp or ryser:
+    m * 2^m on the m x m half matrix, m = n // 2. It stops at the first
+    m * 2^k past STEP_BUDGET, so refusing any n is cheap."""
+    for steps in (n // 2 << k for k in range(n // 2 + 1)):
         if steps > STEP_BUDGET:
             break
     return steps
@@ -98,7 +84,7 @@ def _admit(method: str, ns: range) -> str:
     if ns[0] < 0:
         raise ValueError(f"n must be nonnegative, got {ns[0]}")
     kernel = "dp" if method == "auto" else method
-    for steps in itertools.accumulate(_steps(n, kernel) for n in ns):
+    for steps in itertools.accumulate(map(_steps, ns)):
         if steps > STEP_BUDGET:
             at = ns[0] if ns[0] == ns[-1] else f"{ns[0]}..{ns[-1]}"
             raise MethodCapError(
@@ -106,33 +92,6 @@ def _admit(method: str, ns: range) -> str:
                 f"steps, over the step budget of {STEP_BUDGET}"
             )
     return kernel
-
-
-def count_solutions_naive(n: int, sieve: PrimeSieve) -> int:
-    """Count solutions by backtracking; the ground-truth oracle.
-
-    Depth-first on a stack of (depth, values the depths above take), on
-    the full matrix's rows: each depth takes each free value of its row,
-    and the last depth adds its free values' count. It shares neither the
-    parity split nor the enumerator's walk, so it checks both.
-    """
-    _admit("naive", range(n, n + 1))
-    if n == 0:
-        return 1
-    # row i of M is the window 2 .. 2n shifted down by i - 1
-    bits, mask = sieve.prime_bits(range(2, 2 * n + 1)), (1 << n) - 1
-    rows, count, stack = [bits >> i & mask for i in range(n)], 0, [(0, 0)]
-    while stack:
-        depth, taken = stack.pop()
-        avail = rows[depth] & ~taken
-        if depth == n - 1:
-            count += avail.bit_count()
-            continue
-        while avail:
-            bit = avail & -avail
-            avail ^= bit
-            stack.append((depth + 1, taken | bit))
-    return count
 
 
 def count_solutions_dp(n: int, sieve: PrimeSieve) -> int:
@@ -200,17 +159,15 @@ def count_solutions(
 ) -> int:
     """Count solutions by method; "auto" is the dp, the production kernel.
 
-    Naive backtracking and Ryser run only when named: they are independent
-    cross-checks. Without a sieve, one to 2n is built once the step
-    estimate has admitted n, so refusing a large n costs no sieve. A count
-    by dp or ryser whose root's parity is not det(A) over GF(2), which is
-    per(A) mod 2 and shares no code with either kernel, raises RuntimeError.
+    Ryser runs only when named: it is the independent cross-check. Without
+    a sieve, one to 2n is built once the step estimate has admitted n, so
+    refusing a large n costs no sieve. A count whose root's parity is not
+    det(A) over GF(2), which is per(A) mod 2 and shares no code with either
+    kernel, raises RuntimeError.
     """
     kernel = _admit(method, range(n, n + 1))
     if sieve is None:
         sieve = build_sieve(2 * n)
-    if kernel == "naive":
-        return count_solutions_naive(n, sieve)
     kernels = {"dp": count_solutions_dp, "ryser": count_solutions_ryser}
     count = kernels[kernel](n, sieve)
     # per(A) mod 2 is det(A) over GF(2), where -1 = 1 (Valiant 1979): each

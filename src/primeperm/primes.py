@@ -23,7 +23,7 @@ BLOCK_LINES = 4096
 # _comma_pieces splits at a time, and of lines cli._blocks joins into a write.
 STDIN_PIECE = 1 << 16
 
-METHODS = ("naive", "dp", "ryser", "auto")
+METHODS = ("dp", "ryser", "auto")
 
 
 class SieveCapError(Exception):

@@ -9,8 +9,8 @@ from functools import lru_cache, partial
 from itertools import chain, compress, starmap
 from operator import add
 
-from .construct import BLOCK_LINES, STDIN_PIECE, Permutation
-from .primes import DEFAULT_LIMIT_CAP, PrimeSieve, SieveCapError
+from .primes import BLOCK_LINES, DEFAULT_LIMIT_CAP, STDIN_PIECE
+from .primes import PrimeSieve, SieveCapError
 from .runs import _run
 
 
@@ -43,13 +43,13 @@ def _parse_image(text: str | None) -> list[Sequence[int]]:
     tuples of plain ints. JSON text is let go once decoded, the decoded
     list before it is copied into a tuple. Either path is refused once
     its slices pass the sieve cap (_capped)."""
-    import json  # here, not at the top: only JSON text needs it
-
     try:
         pieces = _stdin() if text is None else iter((text,))
         return list(_capped(_canonical_slices(pieces)))
     except _Whole as whole:
         text = whole.args[0].strip()
+    import json  # here, not at the top: only JSON text needs it
+    from .construct import Permutation  # canonical text never needs it
     if not text.startswith("{"):
         image = Permutation._text_values(text)
     else:
@@ -229,6 +229,7 @@ def _checked_image(slices: list[Sequence[int]]) -> int:
             for v in vs:
                 seen[v] = 1
     if seen.count(1) != n:
+        from .construct import Permutation
         Permutation(tuple(chain.from_iterable(slices)))
     return n
 

@@ -1129,7 +1129,6 @@ def test_verify_exit_codes_match_oracle(values):
 
 def test_count_known_values(capsys):
     assert run(capsys, "count", "--n", "10")[1].strip() == "676"
-    assert run(capsys, "count", "--n", "7", "--method", "naive")[1].strip() == "4"
     assert run(capsys, "count", "--n", "0")[1].strip() == "1"
 
 
@@ -1150,21 +1149,15 @@ def test_count_json(capsys):
 
 
 def test_count_cap_exit(capsys):
-    # dp at n = 44 does m 2^m = 22 * 2^22 steps; naive at 13 stops estimating
-    # at the first partial sum over the budget
-    for argv, estimate in (
-        (("--n", "44", "--method", "dp"), "92274688"),
-        (("--n", "13", "--method", "naive"), "81663157"),
-    ):
-        code, out, err = run(capsys, "count", *argv)
-        assert (code, out) == (EXIT_CAP, "")
-        assert estimate in err and "50000000" in err
+    # dp at n = 44 does m 2^m = 22 * 2^22 steps
+    code, out, err = run(capsys, "count", "--n", "44", "--method", "dp")
+    assert (code, out) == (EXIT_CAP, "")
+    assert "92274688" in err and "50000000" in err
 
 
-@pytest.mark.parametrize("method", ["auto", "dp", "ryser", "naive"])
+@pytest.mark.parametrize("method", ["auto", "dp", "ryser"])
 def test_count_refuses_before_sieving(capsys, monkeypatch, method):
-    # a sieve to 2n = 2^27 entries is within its cap, and costs 134 MB; the
-    # naive estimate reads its row degrees at n = 64 at most instead
+    # a sieve to 2n = 2^27 entries is within its cap, and costs 134 MB
     def no_sieve(limit):
         raise AssertionError("sieve built before the step estimate")
 
@@ -1197,7 +1190,8 @@ def test_count_of_the_wrong_parity_is_an_internal_error(
         return (isqrt(true(n, sieve)) + 1) ** 2
 
     monkeypatch.setattr(count_module, kernel, wrong)
-    assert run(capsys, "count", "--n", "6", "--method", "naive")[:2] == (EXIT_OK, "9\n")
+    other = "dp" if method == "ryser" else "ryser"  # the kernel left as it is
+    assert run(capsys, "count", "--n", "6", "--method", other)[:2] == (EXIT_OK, "9\n")
     for argv in (("count", "--n", "6"), ("table", "--max", "6")):
         code, out, err = run(capsys, *argv, "--method", method)
         assert (code, out) == (EXIT_ERROR, "")
@@ -1207,6 +1201,11 @@ def test_count_of_the_wrong_parity_is_an_internal_error(
 def test_count_bad_method(capsys):
     code, _, _ = run(capsys, "count", "--n", "5", "--method", "magic")
     assert code == EXIT_USAGE
+    # naive is not a method: the backtracking counts live in tests/oracles.py
+    for argv in (("count", "--n", "5"), ("table", "--max", "5")):
+        code, out, err = run(capsys, *argv, "--method", "naive")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert "invalid choice: 'naive'" in err
 
 
 # --- enumerate ----------------------------------------------------------------
@@ -1552,7 +1551,7 @@ def test_table_cap(capsys):
     assert err.startswith("primeperm: dp counting at n = 1..40 is estimated at ")
 
 
-@pytest.mark.parametrize("method", ["auto", "dp", "ryser", "naive"])
+@pytest.mark.parametrize("method", ["auto", "dp", "ryser"])
 @pytest.mark.parametrize("max_n", [2**63, 10**20])
 def test_table_cap_past_sys_maxsize(capsys, max_n, method):
     # range(1, max_n + 1) is longer than len() can state
@@ -1741,7 +1740,7 @@ def test_unknown_command(capsys):
     assert run(capsys, "frobnicate")[0] == EXIT_USAGE
     # --strict-paper (an n! naive route) is gone: argparse rejects it
     for argv in (
-        ("count", "--n", "5", "--method", "naive", "--strict-paper"),
+        ("count", "--n", "5", "--method", "dp", "--strict-paper"),
         ("table", "--max", "5", "--strict-paper"),
     ):
         code, out, err = run(capsys, *argv)
@@ -1894,23 +1893,25 @@ def test_json_output_imports_no_json():
     "argv, loaded",
     [
         (["count", "--n", "22"], {"primeperm.count"}),
-        (["count", "--n", "12", "--method", "naive"], {"primeperm.count"}),
+        (["count", "--n", "12", "--method", "ryser"], {"primeperm.count"}),
         (["table", "--max", "18"], {"primeperm.count"}),
         (
             ["enumerate", "--n", "6"],
             {"primeperm.construct", "primeperm.count", "primeperm.walk"},
         ),
         (["construct", "--n", "1"], {"primeperm.construct", "primeperm.runs"}),
+        (["verify", "--perm", "2,1"], {"primeperm.runs", "primeperm.verify"}),
         (
-            ["verify", "--perm", "2,1"],
-            {"primeperm.construct", "primeperm.runs", "primeperm.verify"},
+            ["verify", "--perm", '{"n":2,"image":[2,1]}', "--format", "json"],
+            {"primeperm.runs", "primeperm.verify"},
         ),
     ],
 )
 def test_each_command_loads_only_the_modules_it_runs(argv, loaded):
     # each command compiles only the package code it runs (README,
     # "Start-up"): construct and verify never count, count and table never
-    # build a witness, and every command imports primes.py
+    # build a witness, verify of canonical input builds no Permutation, and
+    # every command imports primes.py
     added = _modules_imported_by(argv)
     optional = {"construct", "count", "runs", "verify", "walk"}
     assert added & {f"primeperm.{name}" for name in optional} == loaded
@@ -1944,7 +1945,7 @@ def test_package_names_resolve_on_first_use():
     fresh, undir, star = done.stdout.split("\n")[:3]
     assert fresh == "primeperm.primes"
     assert undir == ""  # dir(primeperm) lists every name of __all__, unresolved too
-    assert star.split() == sorted(primeperm.__all__) and len(primeperm.__all__) == 21
+    assert star.split() == sorted(primeperm.__all__) and len(primeperm.__all__) == 20
     for name in primeperm.__all__:
         value = getattr(primeperm, name)
         assert getattr(sys.modules[value.__module__], name) is value

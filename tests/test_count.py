@@ -22,18 +22,12 @@ from primeperm import (
     construct_prime_sum_permutation,
     count_solutions,
     count_solutions_dp,
-    count_solutions_naive,
     count_solutions_ryser,
     enumerate_solutions,
     is_valid_solution,
     sequence_table,
 )
-from primeperm.count import (
-    METHODS,
-    NAIVE_ESTIMATE_N,
-    STEP_BUDGET,
-    _steps,
-)
+from primeperm.count import METHODS, STEP_BUDGET, _steps
 from primeperm.primes import DEFAULT_LIMIT_CAP
 from primeperm.walk import _keyed, _order, _walk
 
@@ -150,11 +144,9 @@ def test_half_rows_match_trial_division(sieve_small):
 
 
 def test_rows_read_only_covered_sums():
-    # every entry read is range-checked, no more: the largest sum is 2n in
-    # M, which the naive count reads, and 2n - 1 in A (row n - 1 and column
-    # n for even n, row n and column n - 1 for odd n)
-    with pytest.raises(SieveRangeError):
-        count_solutions_naive(10, build_sieve(19))
+    # every entry read is range-checked, no more: the largest sum is 2n - 1
+    # in A (row n - 1 and column n for even n, row n and column n - 1 for
+    # odd n)
     for n in (10, 11):
         rows = build_adjacency(n, build_sieve(600)).rows
         assert build_adjacency(n, build_sieve(2 * n - 1)).rows == rows
@@ -162,17 +154,16 @@ def test_rows_read_only_covered_sums():
             build_adjacency(n, build_sieve(2 * n - 2))
 
 
-# --- the three counting routes --------------------------------------------
+# --- the two counting kernels ---------------------------------------------
 
 
 def test_naive_matches_full_iteration_oracle(sieve_small):
+    # the naive route, the literal test of all n! permutations, lives in
+    # the oracles, outside the package: both kernels against it
     for n in range(1, 9):
-        assert count_solutions_naive(n, sieve_small) == count_by_full_iteration(n)
-
-
-def test_known_counts_naive(sieve_small):
-    for n, expected in enumerate(KNOWN_COUNTS, start=1):
-        assert count_solutions_naive(n, sieve_small) == expected
+        expected = count_by_full_iteration(n)
+        assert count_solutions_dp(n, sieve_small) == expected, n
+        assert count_solutions_ryser(n, sieve_small) == expected, n
 
 
 def test_known_counts_dp(sieve_small):
@@ -188,21 +179,19 @@ def test_known_counts_ryser(sieve_small):
 def test_extended_counts_match_backtracking_oracle(sieve_small):
     assert len(solutions_by_backtracking(11)) == COUNT_N11
     assert len(solutions_by_backtracking(12)) == COUNT_N12
-    assert count_solutions_dp(11, sieve_small) == COUNT_N11
-    assert count_solutions_dp(12, sieve_small) == COUNT_N12
-    assert count_solutions_naive(12, sieve_small) == COUNT_N12
+    for kernel in (count_solutions_dp, count_solutions_ryser):
+        assert kernel(11, sieve_small) == COUNT_N11
+        assert kernel(12, sieve_small) == COUNT_N12
 
 
 def test_counts_match_the_layered_dp_oracle():
-    # beyond the backtracking oracle's n = 12: every method the step budget
-    # admits against a route that shares no code with the package (n = 20
-    # would add 2 s to the suite)
+    # beyond the backtracking oracle's n = 12: every method, each admitted
+    # by the step budget, against a route that shares no code with the
+    # package (n = 20 would add 2 s to the suite)
     for n in range(0, 20):
         expected = count_by_layered_dp(n)
-        methods = [m for m in METHODS if _steps(n, m) <= STEP_BUDGET]
-        assert {"dp", "ryser", "auto"} <= set(methods)
-        assert ("naive" in methods) == (n <= 12)
-        for method in methods:
+        assert _steps(n) <= STEP_BUDGET
+        for method in METHODS:
             assert count_solutions(n, method=method) == expected, (n, method)
 
 
@@ -299,14 +288,12 @@ def test_counts_are_positive(sieve_small):
 
 
 def test_n_zero_counts_one(sieve_small):
-    assert count_solutions_naive(0, sieve_small) == 1
     assert count_solutions_dp(0, sieve_small) == 1
     assert count_solutions_ryser(0, sieve_small) == 1
 
 
 # The first n over the step budget, per method.
 OVER_BUDGET = [
-    (count_solutions_naive, 13),
     (count_solutions_dp, 44),
     (count_solutions_ryser, 44),
 ]
@@ -323,24 +310,12 @@ def test_budget_refuses_before_any_work(sieve_small, monkeypatch):
         raise AssertionError("counting work started before the budget check")
 
     monkeypatch.setattr(count_module, "build_adjacency", no_work)
-    monkeypatch.setattr(PrimeSieve, "prime_bits", no_work)  # the naive rows
+    monkeypatch.setattr(PrimeSieve, "prime_bits", no_work)
     for count, n in OVER_BUDGET:
         with pytest.raises(MethodCapError):
             count(n, sieve_small)
     with pytest.raises(MethodCapError):
         sequence_table(40)
-
-
-def _naive_steps_on_sieve(n):
-    """The naive estimate as first written: row degrees from a sieve to 2n."""
-    below = build_sieve(2 * n).count_primes_below
-    steps = product = 1
-    for i in range(1, n + 1):
-        if steps > STEP_BUDGET:
-            break
-        product *= below(i + n + 1) - below(i + 1)
-        steps += product
-    return steps
 
 
 def _readme_methods_table():
@@ -350,13 +325,13 @@ def _readme_methods_table():
     section = section.split("\n### Counting methods\n")[1].split("\n#")[0]
     row = r"^\| `(\w+)`[^|]*\|[^|]*\| (\d+) \| [^|]*?([\d.]+) MB \|$"
     rows = [(m, int(n), float(mb)) for m, n, mb in re.findall(row, section, re.M)]
-    assert {method for method, _, _ in rows} == {"naive", "dp", "ryser"}
+    assert {method for method, _, _ in rows} == {"dp", "ryser"}
     return rows
 
 
 def test_readme_methods_table_matches_budget():
     for method, largest, _ in _readme_methods_table():
-        steps = {n: _steps(n, method) for n in range(1, 100)}
+        steps = {n: _steps(n) for n in range(1, 100)}
         assert largest == max(n for n in steps if steps[n] <= STEP_BUDGET)
 
 
@@ -367,16 +342,6 @@ def test_readme_methods_table_peak_rss():
         code, _, rss_mb = run_cli(["count", "--n", str(largest), "--method", method])
         assert code == 0, (method, largest)
         assert rss_mb <= 1.25 * mb, (method, largest, rss_mb, mb)
-
-
-def test_naive_estimate_is_read_at_most_at_naive_estimate_n():
-    # past NAIVE_ESTIMATE_N the estimate is read there, which is sound only
-    # while the budget refuses it: a budget raised past it trips this test
-    assert _steps(NAIVE_ESTIMATE_N, "naive") > STEP_BUDGET
-    for n in range(NAIVE_ESTIMATE_N, 301):
-        assert _naive_steps_on_sieve(n) > STEP_BUDGET, n
-    for n in [*range(0, 301), 10**5, 2**26]:
-        assert _steps(n, "naive") == _naive_steps_on_sieve(min(n, NAIVE_ESTIMATE_N))
 
 
 @pytest.mark.parametrize("max_n", [5, 10**6])
@@ -393,7 +358,7 @@ def test_sequence_table_checks_method_first(monkeypatch, max_n):
 
 @pytest.mark.parametrize(
     "count",
-    [count_solutions, count_solutions_naive, count_solutions_dp, count_solutions_ryser],
+    [count_solutions, count_solutions_dp, count_solutions_ryser],
 )
 def test_counting_refuses_a_negative_n(sieve_small, count):
     with pytest.raises(ValueError, match="^n must be nonnegative, got -1$") as info:
@@ -752,20 +717,6 @@ def test_enumerate_lines_resolve_percent_escapes(sieve_small, line):
     assert str(info.value) == refused + repr(line * 100)[:37] + "..."
 
 
-def test_naive_count_walks_without_the_matching_repair(sieve_small, monkeypatch):
-    # naive is the full-matrix oracle of the parity split and of the
-    # enumerator, so it must not lean on the enumerator's walk, nor on the
-    # matching's repairs, which check that a prefix completes on that
-    # split, nor on the tail product; the patches do reach enumeration
-    for name in ("_walk", "_repair", "_completions"):
-        message = f"naive counting used walk.{name}"
-        monkeypatch.setattr(walk_module, name, mock.Mock(side_effect=AssertionError(message)))
-    counts = [count_solutions_naive(n, sieve_small) for n in range(1, 13)]
-    assert counts == [*KNOWN_COUNTS, COUNT_N11, COUNT_N12]
-    with pytest.raises(AssertionError, match="walk._walk"):
-        next(enumerate_solutions(10, sieve_small))
-
-
 def test_enumerate_stream_properties(sieve_small):
     for n in range(1, 11):
         seen = []
@@ -873,7 +824,7 @@ def test_sequence_table_extended():
 
 
 def test_sequence_table_methods_agree():
-    for method in ("naive", "dp", "ryser"):
+    for method in ("dp", "ryser"):
         assert [r.count for r in sequence_table(9, method)] == KNOWN_COUNTS[:9]
 
 
@@ -884,8 +835,6 @@ def test_sequence_table_rejects_bad_max():
 
 def test_sequence_table_cap_fails_fast():
     # an over-budget max_n must raise before any row is computed
-    with pytest.raises(MethodCapError):
-        sequence_table(13, "naive")
     with pytest.raises(MethodCapError):
         sequence_table(40, "ryser")
     with pytest.raises(MethodCapError):
