@@ -123,11 +123,15 @@ def _blocks(lines: Iterator[str]) -> Iterator[str]:
         size = max(1, min(2 * size, BLOCK_LINES, fits))
 
 
-# The calls the benchmark's traced mode wraps, as globals of this module:
-# each imports its module on first call
+# The calls the benchmark's traced mode wraps, as globals of this module,
+# through which the commands call them: each imports its module on first call
 def construct_prime_sum_permutation(n, sieve):
-    from .construct import construct_prime_sum_permutation
-    return construct_prime_sum_permutation(n, sieve)
+    """The witness's checked blocks in position order, which `construct`
+    writes from: no image is built. Named for the call the traced mode
+    times as construct.construct_s, and kept only for it, until the
+    profile of whole processes in ROADMAP.md item 10 replaces that mode."""
+    from .construct import _checked_blocks
+    return _checked_blocks(n, sieve)
 
 
 def sequence_table(max_n, method):
@@ -188,17 +192,12 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_construct(args) -> int:
     from .runs import _cells, _rounds_pieces  # imported by construct and verify only
 
-    perm = construct_prime_sum_permutation(args.n, build_sieve(2 * args.n))
-    # the witness reverses blocks [lo, hi] that tile 1..n in order: the
-    # image at lo is hi, so one entry per block gives its run of totals
-    runs, lo = [], 1
-    while lo <= perm.n:
-        hi = perm.image[lo - 1]
-        runs.append((lo + hi, hi - lo + 1))
-        lo = hi + 1
+    blocks = construct_prime_sum_permutation(args.n, build_sieve(2 * args.n))
+    # the witness reverses each block [lo, hi]: one run of totals lo + hi
+    runs = [(b.prime, b.hi - b.lo + 1) for b in blocks]
     if args.format == "json":
         # a compact json.dumps of {"n": n, "image": [...]}
-        head = f'{{"n":{perm.n},"image":['
+        head = f'{{"n":{args.n},"image":['
         _write(chain((head,), _cells(runs, -1, ",", padded=False), ("]}\n",)))
     else:
         _write(_rounds_pieces(runs))

@@ -187,21 +187,14 @@ def decompose_blocks(n: int, sieve: PrimeSieve) -> list[Block]:
     return blocks
 
 
-def construct_prime_sum_permutation(n: int, sieve: PrimeSieve) -> Permutation:
-    """Build a witness permutation of {1..n} with every positional sum
-    prime. Deterministic, and always an involution: each block [lo, hi]
-    maps i to lo + hi - i. n = 0 yields the empty permutation.
-
-    The blocks are checked, one step each, to tile 1..n in order and to
-    sum to a prime of the sieve. The image, each block's reversed range,
-    is then a bijection whose sums are all prime, so it is stored without
-    Permutation's loop over its entries. A failed check raises
-    RuntimeError: the decomposition itself is broken."""
+def _checked_blocks(n: int, sieve: PrimeSieve) -> list[Block]:
+    """The blocks of decompose_blocks, in position order, each checked with
+    one step to tile 1..n in order and to sum to a prime of the sieve. A
+    failed check raises RuntimeError: the decomposition itself is broken.
+    n = 0 has no blocks."""
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    if n == 0:
-        return Permutation(())
-    blocks = decompose_blocks(n, sieve)[::-1]
+    blocks = decompose_blocks(n, sieve)[::-1] if n else []
     end = 0
     for b in blocks:
         if b.lo != end + 1:
@@ -213,6 +206,18 @@ def construct_prime_sum_permutation(n: int, sieve: PrimeSieve) -> Permutation:
         end = b.hi
     if end != n:
         raise RuntimeError(f"blocks end at {end}: they do not tile 1..{n}")
+    return blocks
+
+
+def construct_prime_sum_permutation(n: int, sieve: PrimeSieve) -> Permutation:
+    """Build a witness permutation of {1..n} with every positional sum
+    prime. Deterministic, and always an involution: each block [lo, hi]
+    maps i to lo + hi - i. n = 0 yields the empty permutation.
+
+    The image, each checked block's reversed range (see _checked_blocks),
+    is a bijection whose sums are all prime, so it is stored without
+    Permutation's loop over its entries."""
+    blocks = _checked_blocks(n, sieve)
     image = chain.from_iterable(range(b.hi, b.lo - 1, -1) for b in blocks)
     return Permutation._unchecked(tuple(image))
 

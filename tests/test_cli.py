@@ -355,6 +355,48 @@ def _rounds_table_by_columns(image):
     return "".join(line.rstrip() + "\n" for line in lines)
 
 
+def test_construct_writes_the_image_of_the_library_witness(capsys):
+    # construct writes from the checked blocks, and construct.py builds the
+    # public witness's image from the same blocks; _witness_json below is
+    # the command's own writer, so this is what checks it independently:
+    # one table and one json.dumps of the image, for every small n
+    for n in range(301):
+        image = _witness(n)
+        table = _rounds_table_by_columns(image)
+        assert run(capsys, "construct", "--n", str(n)) == (EXIT_OK, table, "")
+        expected = json.dumps({"n": n, "image": image}, separators=(",", ":")) + "\n"
+        argv = ("construct", "--n", str(n), "--format", "json")
+        assert run(capsys, *argv) == (EXIT_OK, expected, "")
+
+
+def test_construct_builds_no_image(capsys, monkeypatch):
+    # with both ways to store a Permutation made to fail, construct still
+    # writes the witness: it never builds the n-int image
+    image = _witness(1000)
+    table = _rounds_table_by_columns(image)
+    expected = json.dumps({"n": 1000, "image": image}, separators=(",", ":")) + "\n"
+
+    def no_image(*args):
+        raise AssertionError("construct built an image")
+
+    monkeypatch.setattr(construct_module.Permutation, "_unchecked", no_image)
+    monkeypatch.setattr(construct_module.Permutation, "__post_init__", no_image)
+    with pytest.raises(AssertionError):
+        construct_prime_sum_permutation(1000, build_sieve(2000))
+    assert run(capsys, "construct", "--n", "1000") == (EXIT_OK, table, "")
+    argv = ("construct", "--n", "1000", "--format", "json")
+    assert run(capsys, *argv) == (EXIT_OK, expected, "")
+
+
+def test_construct_of_the_10_7_witness_peaks_under_45_mb():
+    # construct holds the sieve to 2n and the witness's blocks: it peaked at
+    # 36.5 MB, where the n-int image took it to 429 MB
+    argv = ["construct", "--n", "10000000", "--format", "json"]
+    code, _, rss_mb = run_cli(argv, stdout=False)
+    assert code == EXIT_OK
+    assert rss_mb < 45, rss_mb
+
+
 def _verify_text_by_lines(image):
     bad = _composites(image)
     lines = [
@@ -898,7 +940,7 @@ def test_verify_bad_json_quotes_offsets_past_the_whitespace(capsys, text):
 
 def _readme_witness_peaks():
     """MB from the README's "`construct --n 1000000 --format json` peaks at
-    57 MB" and "`verify --format json` of the n = 10^6 witness peaks at 28
+    16.5 MB" and "`verify --format json` of the n = 10^6 witness peaks at 28
     MB"."""
     text = README.read_text()
     construct = re.search(
@@ -2023,7 +2065,9 @@ def test_benchmark_traced_round_runs():
     # count.count_solutions_dp and count.count_solutions_ryser. The three
     # cli names among them are short functions that import their module
     # (construct.py or count.py) on first call, and the commands still
-    # call them through cli's globals. It also
+    # call them through cli's globals; cli.construct_prime_sum_permutation
+    # returns the witness's checked blocks, which `construct` writes from,
+    # and keeps that name only for this mode. It also
     # calls cli._rounds_table, cli.build_parser and cli.main. A name that
     # leaves its module fails this round with an AttributeError, and a
     # command that stops calling one with a KeyError

@@ -18,6 +18,20 @@ def test_sieve_agrees_with_trial_division():
         assert sieve.is_prime(m) == is_prime_trial(m), m
 
 
+def test_sieve_agrees_with_trial_division_at_every_limit():
+    # the flags start from the odd pattern, with 1 and 2 set by hand, and
+    # lose their tail past the limit: at every limit, the tiny ones
+    # included, they are exactly the flags of 0..limit
+    trial = [is_prime_trial(m) for m in range(601)]
+    for limit in range(601):
+        assert build_sieve(limit)._flags == bytes(trial[: limit + 1]), limit
+
+
+def test_sieve_counts_the_published_primes_below_2_10_6():
+    # pi(2 * 10^6) = 148933
+    assert build_sieve(2 * 10**6).count_primes_below(2 * 10**6 + 1) == 148933
+
+
 @pytest.mark.parametrize(
     "limit,primes",
     [
